@@ -34,20 +34,31 @@ def other_party(party: str) -> str:
     return BOB if party == ALICE else ALICE
 
 
+def bit_array(value) -> np.ndarray:
+    """A '01' string or a 0/1 sequence as a 1-D uint8 array.
+
+    Raises ValueError for any other character or value, and for input
+    that is not one-dimensional.
+    """
+    arr = np.asarray(list(value) if isinstance(value, str) else value)
+    zero, one = ("0", "1") if arr.dtype.kind == "U" else (0, 1)
+    is_one = arr == one
+    if arr.ndim != 1 or not np.all(is_one | (arr == zero)):
+        raise ValueError(f"inputs must be 0/1 sequences, got {value!r}")
+    return is_one.astype(np.uint8)
+
+
 def as_bits(value, n: int) -> tuple:
     """Normalize an input to a tuple of n bits, most significant first.
 
     Accepts an int, a '01' string, or a bit sequence.
     """
-    if isinstance(value, str):
-        bits = tuple(int(c) for c in value)
-    elif isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):
         if value < 0 or value >= (1 << n):
             raise ValueError(f"input {value} out of range for {n} bits")
-        bits = tuple((int(value) >> (n - 1 - i)) & 1 for i in range(n))
-    else:
-        bits = tuple(int(b) for b in value)
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
+        return tuple((int(value) >> (n - 1 - i)) & 1 for i in range(n))
+    bits = tuple(bit_array(value).tolist())
+    if len(bits) != n:
         raise ValueError(f"expected {n} bits, got {value!r}")
     return bits
 

@@ -4,8 +4,17 @@
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
   c_x^2 |m_xy|^2.
-* qsearch: amplitude amplification with the growing random-cutoff
-  schedule for an unknown number of solutions.
+* solution_angle / amplification_factors: the one amplitude-amplification
+  kernel.  Iterating "flip the solutions, reflect about the start" keeps
+  the state in span(good part, bad part) of the start, so j iterations
+  scale the good part by sin((2j+1)θ)/sin θ and the bad part by
+  cos((2j+1)θ)/cos θ, where sin²θ is the start's weight on the
+  solutions.  θ is computed once per search, so a measurement costs one
+  probability vector.  Applied row by row it is also the in-block stage
+  of the blocked recursion.
+* grover_state / qsearch: amplitude amplification of a start vector, and
+  search with the growing random-cutoff schedule for an unknown number
+  of solutions.
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
   cost, plus the closed-form cost model for the recursion.
@@ -23,18 +32,8 @@ from . import engine, linalg
 from .engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
 from .ranklab import CommMatrix
 
-H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 X1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _bit_list(v) -> list:
-    if isinstance(v, str):
-        bits = [int(c) for c in v]
-    else:
-        bits = [int(b) for b in v]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("inputs must be 0/1 sequences")
-    return bits
+_TINY = np.finfo(float).tiny
 
 
 def _flip_if_equal(n_controls: int, pattern: int) -> np.ndarray:
@@ -173,27 +172,65 @@ class QSearchConfig:
 
 
 def _solution_mask(predicate, dim: int) -> np.ndarray:
-    mask = np.zeros(dim, dtype=bool)
+    """Mask of the solutions, given as a predicate on indices or as indices."""
     if callable(predicate):
-        for z in range(dim):
-            mask[z] = bool(predicate(z))
-    else:
-        for z in predicate:
-            mask[int(z)] = True
+        return np.fromiter((bool(predicate(z)) for z in range(dim)),
+                           dtype=bool, count=dim)
+    idx = predicate if isinstance(predicate, np.ndarray) \
+        else np.array(list(predicate))
+    if idx.ndim != 1 or idx.size and (idx.dtype.kind not in "iu"
+                                      or idx.min() < 0 or idx.max() >= dim):
+        raise ValueError(f"solutions must be integer indices in [0, {dim})")
+    mask = np.zeros(dim, dtype=bool)
+    mask[idx.astype(np.intp)] = True
     return mask
 
 
-def grover_state(prepare: np.ndarray, solutions, iterations: int) -> np.ndarray:
-    """State after the given number of amplification iterations."""
-    prepare = np.asarray(prepare, dtype=complex)
-    psi0 = prepare[:, 0]
+def _start_vector(start) -> np.ndarray:
+    psi = np.asarray(start)
+    if psi.ndim != 1 or not psi.size or psi.dtype.kind not in "iufc":
+        raise ValueError("start must be a nonempty numeric vector")
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("start has non-finite amplitudes")
+    if abs(np.linalg.norm(psi) - 1.0) > linalg.DEFAULT_TOL:
+        raise ValueError("start must be a unit vector")
+    return psi
+
+
+def solution_angle(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """θ of each row of weights |amplitude|², with sin²θ the row's share of
+    weight on the solutions."""
+    good = np.sum(weight, axis=-1, where=mask)
+    bad = np.sum(weight, axis=-1, where=~mask)
+    return np.arctan2(np.sqrt(good), np.sqrt(bad))
+
+
+def amplification_factors(mask: np.ndarray, theta,
+                          iterations: int) -> np.ndarray:
+    """Factor on each amplitude after the given number of iterations of
+    "flip the sign of the solutions, then reflect about the start", each
+    row of mask on its own; theta is the rows' solution_angle.
+
+    The state stays in span(good part, bad part) of the start, so the
+    solutions' amplitudes are scaled by sin((2j+1)θ)/sin θ and the others
+    by cos((2j+1)θ)/cos θ.
+    """
+    turn = (2 * iterations + 1) * theta
+    # θ = 0 leaves no good part to scale
+    good = np.sin(turn) / np.maximum(np.sin(theta), _TINY)
+    bad = np.cos(turn) / np.cos(theta)
+    return np.where(mask, good[..., None], bad[..., None])
+
+
+def grover_state(start, solutions, iterations: int) -> np.ndarray:
+    """State after the given number of amplification iterations on a unit
+    start vector."""
+    psi0 = _start_vector(start)
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     mask = _solution_mask(solutions, psi0.shape[0])
-    state = psi0.copy()
-    for _ in range(iterations):
-        state = state.copy()
-        state[mask] *= -1.0
-        state = 2.0 * np.vdot(psi0, state) * psi0 - state
-    return state
+    theta = solution_angle(np.abs(psi0) ** 2, mask)
+    return psi0 * amplification_factors(mask, theta, iterations)
 
 
 @dataclass(frozen=True)
@@ -203,18 +240,19 @@ class QSearchResult:
     measurements: int
 
 
-def qsearch(prepare: np.ndarray, predicate, cfg: QSearchConfig) -> QSearchResult:
+def qsearch(start, predicate, cfg: QSearchConfig) -> QSearchResult:
     """Search with the growing random-cutoff schedule, seeded.
 
-    Returns a basis state satisfying the predicate (never a non-solution)
-    or none once the application budget is spent; with at least one
-    solution the overall success probability is >= 1/2 for any budget
-    covering the O(sqrt(dim/solutions)) schedule.
+    Amplifies the unit start vector.  Returns a basis state satisfying the
+    predicate (never a non-solution) or none once the application budget
+    is spent; with at least one solution the overall success probability
+    is >= 1/2 for any budget covering the O(sqrt(dim/solutions)) schedule.
     """
-    prepare = np.asarray(prepare, dtype=complex)
-    dim = prepare.shape[0]
-    psi0 = prepare[:, 0]
+    psi0 = _start_vector(start)
+    dim = psi0.shape[0]
     mask = _solution_mask(predicate, dim)
+    weight = np.abs(psi0) ** 2
+    theta = solution_angle(weight, mask)
     budget = cfg.budget_for(dim)
     rng = np.random.default_rng(cfg.rng_seed)
     m = 1.0
@@ -225,12 +263,7 @@ def qsearch(prepare: np.ndarray, predicate, cfg: QSearchConfig) -> QSearchResult
     while used < budget:
         j = int(rng.integers(0, max(int(math.ceil(m)), 1)))
         j = min(j, budget - used)
-        state = psi0.copy()
-        for _ in range(j):
-            state[mask] *= -1.0
-            state = 2.0 * np.vdot(psi0, state) * psi0 - state
-            state = state.copy()
-        probs = np.abs(state) ** 2
+        probs = weight * amplification_factors(mask, theta, j) ** 2
         probs /= probs.sum()
         z = int(rng.choice(dim, p=probs))
         iterations += j
@@ -275,10 +308,6 @@ class AndOracleFragment:
         return i < len(self.x_block) and bool(self.x_block[i] & self.y_block[i])
 
     @property
-    def solutions(self) -> tuple:
-        return tuple(i for i in range(1 << self.index_qubits) if self.flips(i))
-
-    @property
     def unitary(self) -> np.ndarray:
         k = self.index_qubits
         dim = 1 << (k + 1)
@@ -291,8 +320,9 @@ class AndOracleFragment:
 
 
 def distributed_and_oracle(block_indices, x_block, y_block) -> AndOracleFragment:
-    return AndOracleFragment(block_indices, _bit_list(x_block),
-                             _bit_list(y_block))
+    return AndOracleFragment(block_indices,
+                             engine.bit_array(x_block).tolist(),
+                             engine.bit_array(y_block).tolist())
 
 
 @dataclass(frozen=True)
@@ -307,11 +337,11 @@ class IntersectionResult:
         return self.index is not None
 
 
-def _uniform_prepare(k: int) -> np.ndarray:
-    u = np.array([[1.0]])
-    for _ in range(k):
-        u = np.kron(u, H1)
-    return u
+def _input_pair(x, y):
+    x, y = engine.bit_array(x), engine.bit_array(y)
+    if len(x) != len(y) or not len(x):
+        raise ValueError("inputs must be equal nonzero length")
+    return x, y
 
 
 def bcw_intersection(x, y, cfg: QSearchConfig) -> IntersectionResult:
@@ -322,21 +352,19 @@ def bcw_intersection(x, y, cfg: QSearchConfig) -> IntersectionResult:
     measured candidate is verified classically for 2 log2 n + 2 qubits,
     so the answer is never a false positive.
     """
-    x, y = _bit_list(x), _bit_list(y)
-    if len(x) != len(y) or not x:
-        raise ValueError("inputs must be equal nonzero length")
+    x, y = _input_pair(x, y)
     n = len(x)
     k = max(int(math.ceil(math.log2(n))), 0)
-    pad = (1 << k) - n
-    oracle = distributed_and_oracle(range(1 << k), x + [0] * pad,
-                                    y + [0] * pad)
     verify_cost = 2 * k + 2
     if k == 0:
         # single candidate: verify it classically and answer
         idx = 0 if x[0] & y[0] else None
         return IntersectionResult(idx, verify_cost, 0, 1)
-    res = qsearch(_uniform_prepare(k), oracle.solutions, cfg)
-    cost = res.iterations * oracle.cost + res.measurements * verify_cost
+    query_cost = 2 * (k + 1)  # one distributed_and_oracle round trip
+    dim = 1 << k
+    res = qsearch(np.full(dim, 1.0 / math.sqrt(dim)), np.flatnonzero(x & y),
+                  cfg)
+    cost = res.iterations * query_cost + res.measurements * verify_cost
     return IntersectionResult(res.outcome, cost, res.iterations,
                               res.measurements)
 
@@ -372,9 +400,7 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     classically before it is reported.  Small inputs (or block sizes that
     do not split the input) delegate to bcw_intersection unchanged.
     """
-    x, y = _bit_list(x), _bit_list(y)
-    if len(x) != len(y) or not x:
-        raise ValueError("inputs must be equal nonzero length")
+    x, y = _input_pair(x, y)
     n = len(x)
     b = rcfg.block_size_rule(n)
     if n <= rcfg.base_threshold or b >= n:
@@ -384,12 +410,15 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     lbits = max(int(math.ceil(math.log2(b))), 0)
     dim = 1 << (jbits + lbits)
     ldim = 1 << lbits
-    mask = np.zeros(dim, dtype=bool)
-    for z in range(dim):
-        blk, off = z >> lbits, z & (ldim - 1)
-        pos = blk * b + off
-        mask[z] = off < b and pos < n and bool(x[pos] & y[pos])
-    uniform = np.full(dim, 1.0 / math.sqrt(dim))
+    # row = block, column = offset in the block; offsets >= b and
+    # positions >= n are padding and never solutions
+    blk, off = np.divmod(np.arange(dim), ldim)
+    pos = blk * b + off
+    mask = (off < b) & (pos < n)
+    mask[mask] = (x & y)[pos[mask]] == 1
+    blocks = mask.reshape(1 << jbits, ldim)
+    uniform = np.full(blocks.shape, 1.0 / dim)  # weights of the start
+    leaf_theta = solution_angle(uniform, blocks)
     rng = np.random.default_rng(cfg.rng_seed)
     query_cost = 2 * (jbits + lbits + 1)
     verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
@@ -398,20 +427,13 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     measurements = 0
     for _ in range(rcfg.rounds(n)):
         j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
-        state = uniform.copy()
-        for _ in range(j_leaf):
-            state = state.copy()
-            state[mask] *= -1.0
-            # reflect about the uniform leaf state within each block
-            rows = state.reshape(1 << jbits, ldim)
-            state = (2.0 * rows.mean(axis=1, keepdims=True) - rows).reshape(dim)
-        psi1 = state.copy()
+        # the in-block stage amplifies every block about its uniform state
+        leaf = amplification_factors(blocks, leaf_theta, j_leaf)
+        weight1 = (uniform * leaf ** 2).reshape(dim)
         j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
-        for _ in range(j_outer):
-            state = state.copy()
-            state[mask] *= -1.0
-            state = 2.0 * np.vdot(psi1, state) * psi1 - state
-        probs = np.abs(state) ** 2
+        outer = amplification_factors(mask, solution_angle(weight1, mask),
+                                      j_outer)
+        probs = weight1 * outer ** 2
         probs /= probs.sum()
         z = int(rng.choice(dim, p=probs))
         # each outer iteration replays the in-block stage twice (do/undo)
@@ -420,10 +442,9 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
         cost += verify_cost
         iterations += j_leaf + j_outer
         measurements += 1
-        blk, off = z >> lbits, z & (ldim - 1)
-        pos = blk * b + off
-        if off < b and pos < n and x[pos] & y[pos]:
-            return IntersectionResult(pos, cost, iterations, measurements)
+        if mask[z]:
+            return IntersectionResult(int(pos[z]), cost, iterations,
+                                      measurements)
     return IntersectionResult(None, cost, iterations, measurements)
 
 

@@ -226,19 +226,18 @@ def test_criterion_8_diagonal_polynomial_chain(capsys):
 
 
 def test_criterion_9_amplitude_amplification(capsys):
-    st = zoo.grover_state(zoo._uniform_prepare(2), [2], 1)
+    st = zoo.grover_state(np.full(4, 0.5), [2], 1)
     exact = abs(abs(st[2]) ** 2 - 1.0) <= 1e-9
     ok = exact
     rates = []
     for n in (4, 16, 64):
-        k = int(math.log2(n))
         hits = sum(
-            zoo.qsearch(zoo._uniform_prepare(k), [n - 1],
+            zoo.qsearch(np.full(n, 1 / math.sqrt(n)), [n - 1],
                         zoo.QSearchConfig(rng_seed=s)).outcome is not None
             for s in range(200))
         rates.append(hits / 200)
         ok &= hits / 200 >= 0.5
-    empty = zoo.qsearch(zoo._uniform_prepare(3), [],
+    empty = zoo.qsearch(np.full(8, 1 / math.sqrt(8)), [],
                         zoo.QSearchConfig(rng_seed=0, max_applications=50))
     ok &= empty.outcome is None
     _report(capsys, 9, ok,

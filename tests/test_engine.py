@@ -209,3 +209,15 @@ def test_as_bits_forms():
     assert engine.as_bits([0, 1], 2) == (0, 1)
     with pytest.raises(ValueError):
         engine.as_bits("01", 3)
+
+
+def test_bit_array_forms():
+    want = [0, 1, 1, 0]
+    for value in ("0110", [0, 1, 1, 0], (False, True, True, False),
+                  np.array([0, 1, 1, 0]), ["0", "1", "1", "0"],
+                  [0.0, 1.0, 1.0, 0.0]):
+        got = engine.bit_array(value)
+        assert got.dtype == np.uint8 and got.tolist() == want, value
+    for bad in ("0120", "01 0", [0, 2], [0.5, 1], [[0, 1]], ["0", "x"]):
+        with pytest.raises(ValueError):
+            engine.bit_array(bad)

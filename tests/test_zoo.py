@@ -74,22 +74,21 @@ def test_svd_protocol_all_zero_matrix():
 
 
 def test_grover_exact_on_four_states():
-    st = zoo.grover_state(zoo._uniform_prepare(2), [1], 1)
+    st = zoo.grover_state(np.full(4, 0.5), [1], 1)
     assert abs(abs(st[1]) ** 2 - 1.0) <= 1e-9
 
 
 def test_qsearch_empty_predicate_returns_none():
     cfg = zoo.QSearchConfig(rng_seed=1, max_applications=50)
-    res = zoo.qsearch(zoo._uniform_prepare(2), [], cfg)
+    res = zoo.qsearch(np.full(4, 0.5), [], cfg)
     assert res.outcome is None
 
 
 def test_qsearch_single_solution_success_floor():
     for n in (4, 16, 64):
-        k = int(math.log2(n))
         hits = 0
         for s in range(200):
-            res = zoo.qsearch(zoo._uniform_prepare(k), [n - 1],
+            res = zoo.qsearch(np.full(n, 1 / math.sqrt(n)), [n - 1],
                               zoo.QSearchConfig(rng_seed=s))
             assert res.outcome in (None, n - 1)
             hits += res.outcome is not None
@@ -98,8 +97,8 @@ def test_qsearch_single_solution_success_floor():
 
 def test_qsearch_reproducible():
     cfg = zoo.QSearchConfig(rng_seed=123)
-    a = zoo.qsearch(zoo._uniform_prepare(3), [5], cfg)
-    b = zoo.qsearch(zoo._uniform_prepare(3), [5], cfg)
+    a = zoo.qsearch(np.full(8, 1 / math.sqrt(8)), [5], cfg)
+    b = zoo.qsearch(np.full(8, 1 / math.sqrt(8)), [5], cfg)
     assert a == b
 
 
@@ -226,3 +225,16 @@ def test_protocol_corpus_costs():
         for entry in zoo.protocol_corpus(n):
             if entry.name.startswith("trivial"):
                 assert entry.protocol.declared_cost == n + 1
+
+
+@pytest.mark.parametrize("x, y", [("0120", "0110"), ([0, 2], [0, 1]),
+                                  ("010", "0110")],
+                         ids=["bad-char", "bad-value", "unequal-lengths"])
+def test_search_inputs_must_be_equal_length_bits(x, y):
+    cfg = zoo.QSearchConfig(rng_seed=0)
+    with pytest.raises(ValueError):
+        zoo.bcw_intersection(x, y, cfg)
+    with pytest.raises(ValueError):
+        zoo.recursive_intersection(x, y, zoo.RecursionConfig(), cfg)
+    with pytest.raises(ValueError):
+        zoo.distributed_and_oracle(range(len(x)), x, y)
