@@ -121,14 +121,15 @@ def cmd_audit(args) -> int:
         sys.stderr.write("--seed is required for sampled audits\n")
         return 2
     if args.name == "rank-bound":
+        corpus = zoo.protocol_corpus(args.n)
         failures = []
-        for entry in zoo.protocol_corpus(args.n):
+        for entry in corpus:
             rep = engine.rank_bound_audit(entry.protocol, tol=args.tol)
             if not rep.ok:
                 failures.append({"protocol": entry.name,
                                  "rank": rep.rank, "bound": rep.bound})
         report = ranklab.AuditReport(name="rank-bound", n=args.n,
-                                     trials=len(zoo.protocol_corpus(args.n)),
+                                     trials=len(corpus),
                                      ok=not failures, failures=failures)
     elif args.name == "eq-fullrank":
         report = ranklab.eq_fullrank_audit(args.n, args.trials, args.seed)

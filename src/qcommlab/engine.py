@@ -9,6 +9,16 @@ qubits the sender currently holds, and the declared window.  The cost of a
 protocol is the total number of window qubits over all steps.  The output
 bit is the first channel qubit, read at the very end; there are no
 intermediate measurements.
+
+Every entry point runs one turn-walker.  ``_compile`` walks the steps once,
+checks ownership and legality, and builds each Alice step once per x and
+each Bob step once per y, since Alice's gates depend only on x and Bob's
+only on y.  ``_evolve`` then holds one state per pair in an array of shape
+(x, y, 2^total): an Alice turn applies x's gates to the batch states[x]
+over all y, a Bob turn applies y's gates to states[:, y] over all x.
+``simulate`` is the walk over one pair, ``acceptance_matrix`` the walk
+over all pairs in chunks of x rows, and ``yao_kremer_decompose`` applies
+each gate once to its stack of transcript branches.
 """
 
 from __future__ import annotations
@@ -28,6 +38,10 @@ BOB = "bob"
 MAX_TOTAL_QUBITS = 24
 MAX_TRANSCRIPT_BITS = 12
 ACCEPTANCE_N_GUARD = 6
+# amplitudes acceptance_matrix evolves at once (512 KB): as many rows x of
+# the matrix as fit, and at least one.  Bigger chunks mean fewer batched
+# gate calls but a higher peak memory.
+CHUNK_AMPLITUDES = 1 << 15
 
 
 def other_party(party: str) -> str:
@@ -173,46 +187,82 @@ class SimulationResult(NamedTuple):
     cost: int
 
 
-def _step_context(p: Protocol, step: ProtocolStep, owner: list):
-    """Window in global indices plus the set of qubits the step may touch."""
+class _Turn(NamedTuple):
+    """One step after the walk: the sender, the window in global qubit
+    indices, and the sender's gate list for each of its inputs."""
+
+    party: str
+    window: tuple
+    gates: list
+
+
+def _compile(p: Protocol, xs: Sequence[tuple], ys: Sequence[tuple]) -> list:
+    """Walk the steps once: check channel ownership, build each Alice step
+    once per input in ``xs`` and each Bob step once per input in ``ys``,
+    and raise ContractViolationError for a gate outside its turn, whichever
+    input built it."""
     lay = p.layout
-    window_glob = [lay.channel_qubit(k) for k in step.window]
-    for k in step.window:
-        if owner[k] not in (None, step.party):
-            raise ContractViolationError(
-                f"{step.party} sends channel qubit {k} held by {owner[k]}")
-    if step.party == ALICE:
-        allowed = set(lay.alice_register)
-    else:
-        allowed = set(lay.bob_register)
-    allowed.update(lay.channel_qubit(k)
-                   for k, o in enumerate(owner) if o == step.party)
-    allowed.update(window_glob)
-    return window_glob, allowed
+    registers = {ALICE: lay.alice_register, BOB: lay.bob_register}
+    owner = [None] * lay.channel_qubits
+    turns = []
+    for step in p.steps:
+        for k in step.window:
+            if owner[k] not in (None, step.party):
+                raise ContractViolationError(
+                    f"{step.party} sends channel qubit {k} held by {owner[k]}")
+        window = tuple(lay.channel_qubit(k) for k in step.window)
+        allowed = set(registers[step.party]).union(window, (
+            lay.channel_qubit(k) for k, o in enumerate(owner)
+            if o == step.party))
+        per_input = []
+        for bits in (xs if step.party == ALICE else ys):
+            gates = list(step.build(bits))
+            for gate in gates:
+                if not set(gate.targets) <= allowed:
+                    raise ContractViolationError(
+                        f"{step.party} gate touches qubits "
+                        f"{sorted(set(gate.targets) - allowed)} outside its turn")
+            per_input.append(gates)
+        turns.append(_Turn(step.party, window, per_input))
+        for k in step.window:
+            owner[k] = other_party(step.party)
+    return turns
+
+
+def _evolve(lay: RegisterLayout, turns: list, rows: range,
+            columns: int) -> np.ndarray:
+    """Final states of the pairs (x, y), x in ``rows``, y < ``columns``,
+    as an array of shape (len(rows), columns, 2^total)."""
+    states = np.zeros((len(rows), columns, 1 << lay.total), dtype=complex)
+    states[:, :, 0] = 1.0
+    for turn in turns:
+        alice = turn.party == ALICE
+        for i in (rows if alice else range(columns)):
+            gates = turn.gates[i]
+            if not gates:
+                continue
+            index = i - rows.start if alice else (slice(None), i)
+            batch = states[index]
+            for gate in gates:
+                batch = linalg.apply_on_qubits(batch, gate.unitary,
+                                               gate.targets)
+            states[index] = batch
+    return states
+
+
+def _accept_probs(lay: RegisterLayout, states: np.ndarray) -> np.ndarray:
+    """Probability that the output qubit reads 1, per state."""
+    t = states.reshape(states.shape[:-1] + (1 << lay.output_qubit, 2, -1))
+    ones = np.abs(t[..., 1, :]) ** 2
+    return np.sum(ones.reshape(states.shape[:-1] + (-1,)), axis=-1)
 
 
 def simulate(p: Protocol, x, y) -> SimulationResult:
     x = as_bits(x, p.input_bits)
     y = as_bits(y, p.input_bits)
-    lay = p.layout
-    state = np.zeros(1 << lay.total, dtype=complex)
-    state[0] = 1.0
-    owner = [None] * lay.channel_qubits
-    for step in p.steps:
-        window_glob, allowed = _step_context(p, step, owner)
-        inp = x if step.party == ALICE else y
-        for gate in step.build(inp):
-            if not set(gate.targets) <= allowed:
-                raise ContractViolationError(
-                    f"{step.party} gate touches qubits "
-                    f"{sorted(set(gate.targets) - allowed)} outside its turn")
-            state = linalg.apply_on_qubits(state, gate.unitary, gate.targets)
-        for k in step.window:
-            owner[k] = other_party(step.party)
-    shift = lay.total - 1 - lay.output_qubit
-    idx = np.arange(1 << lay.total)
-    accept = float(np.sum(np.abs(state[(idx >> shift) & 1 == 1]) ** 2))
-    return SimulationResult(state, accept, p.declared_cost)
+    states = _evolve(p.layout, _compile(p, [x], [y]), range(1), 1)
+    accept = float(_accept_probs(p.layout, states)[0, 0])
+    return SimulationResult(states[0, 0], accept, p.declared_cost)
 
 
 @dataclass
@@ -226,6 +276,8 @@ class AcceptanceMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (1 << self.n, 1 << self.n):
             raise ValueError("values shape does not match n")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("acceptance probabilities must be finite")
         if v.min() < -1e-12 or v.max() > 1 + 1e-12:
             raise ValueError("acceptance probabilities out of [0,1] range")
         self.values = np.clip(v, 0.0, 1.0)
@@ -249,10 +301,14 @@ def acceptance_matrix(p: Protocol, force: bool = False) -> AcceptanceMatrix:
         raise CapacityError(
             f"acceptance_matrix over 2^{2 * n} pairs; pass force=True to insist")
     dim = 1 << n
+    inputs = [as_bits(i, n) for i in range(dim)]
+    turns = _compile(p, inputs, inputs)
+    rows = max(1, CHUNK_AMPLITUDES >> (n + p.layout.total))
     values = np.empty((dim, dim), dtype=float)
-    for xi in range(dim):
-        for yi in range(dim):
-            values[xi, yi] = simulate(p, xi, yi).accept_prob
+    for start in range(0, dim, rows):
+        chunk = range(start, min(start + rows, dim))
+        states = _evolve(p.layout, turns, chunk, dim)
+        values[start:chunk.stop] = _accept_probs(p.layout, states)
     return AcceptanceMatrix(n=n, values=values)
 
 
@@ -328,71 +384,47 @@ def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
     y = as_bits(y, p.input_bits)
     lay = p.layout
     sides = {ALICE: list(lay.alice_register), BOB: list(lay.bob_register)}
-    owner = [None] * lay.channel_qubits
-
-    def fresh(side):
-        v = np.zeros(1 << len(side), dtype=complex)
-        v[0] = 1.0
-        return v
-
-    branch_a = [fresh(sides[ALICE])]
-    branch_b = [fresh(sides[BOB])]
-    for step in p.steps:
-        window_glob, allowed = _step_context(p, step, owner)
-        sender, receiver = step.party, other_party(step.party)
+    # one row per transcript so far, first sent bit most significant
+    branches = {party: np.eye(1, 1 << len(side), dtype=complex)
+                for party, side in sides.items()}
+    for turn in _compile(p, [x], [y]):
+        sender, receiver = turn.party, other_party(turn.party)
         side = sides[sender]
-        mine = branch_a if sender == ALICE else branch_b
-        theirs = branch_b if sender == ALICE else branch_a
-        claimed = [g for g in window_glob if g not in side]
+        mine, theirs = branches[sender], branches[receiver]
+        count = len(mine)
+        claimed = [g for g in turn.window if g not in side]
         if claimed:
-            pad = np.zeros(1 << len(claimed), dtype=complex)
-            pad[0] = 1.0
-            mine = [np.kron(v, pad) for v in mine]
+            mine = np.kron(mine, np.eye(1, 1 << len(claimed)))
             side = side + claimed
-        inp = x if sender == ALICE else y
-        gates = list(step.build(inp))
-        for gate in gates:
-            if not set(gate.targets) <= allowed:
-                raise ContractViolationError(
-                    f"{sender} gate touches qubits "
-                    f"{sorted(set(gate.targets) - allowed)} outside its turn")
+        for gate in turn.gates[0]:
             positions = [side.index(t) for t in gate.targets]
-            mine = [linalg.apply_on_qubits(v, gate.unitary, positions)
-                    for v in mine]
-        k = len(window_glob)
+            mine = linalg.apply_on_qubits(mine, gate.unitary, positions)
+        k = len(turn.window)
         if k:
+            # branch c splits into c * 2^k + bits: the sender keeps the
+            # row of its vector where the window reads bits, the
+            # receiver's vector gains the window in state |bits>
             m = len(side)
-            kpos = [side.index(g) for g in window_glob]
-            rest = [q for q in side if q not in window_glob]
-            new_mine, new_theirs = [], []
-            for v, w in zip(mine, theirs):
-                t = np.moveaxis(v.reshape([2] * m), kpos, range(k))
-                rows = t.reshape(1 << k, 1 << (m - k))
-                for bits in range(1 << k):
-                    basis = np.zeros(1 << k, dtype=complex)
-                    basis[bits] = 1.0
-                    new_mine.append(rows[bits].copy())
-                    new_theirs.append(np.kron(w, basis))
-            mine, theirs = new_mine, new_theirs
-            side = rest
-            sides[receiver] = sides[receiver] + window_glob
+            kpos = [1 + side.index(g) for g in turn.window]
+            t = np.moveaxis(mine.reshape((count,) + (2,) * m), kpos,
+                            range(1, k + 1))
+            mine = t.reshape(count << k, 1 << (m - k))
+            theirs = np.kron(theirs, np.eye(1 << k))
+            side = [q for q in side if q not in turn.window]
+            sides[receiver] = sides[receiver] + list(turn.window)
         sides[sender] = side
-        if sender == ALICE:
-            branch_a, branch_b = mine, theirs
-        else:
-            branch_a, branch_b = theirs, mine
-        for kk in step.window:
-            owner[kk] = receiver
+        branches[sender], branches[receiver] = mine, theirs
+    sent = {q for step in p.steps for q in step.window}
     pool = tuple(lay.channel_qubit(k)
-                 for k, o in enumerate(owner) if o is None)
+                 for k in range(lay.channel_qubits) if k not in sent)
     return TranscriptDecomposition(
         layout=lay,
         ell=ell,
         alice_side=tuple(sides[ALICE]),
         bob_side=tuple(sides[BOB]),
         pool_qubits=pool,
-        a_vectors=np.stack(branch_a),
-        b_vectors=np.stack(branch_b),
+        a_vectors=branches[ALICE],
+        b_vectors=branches[BOB],
         out_bit_index=ell - 1,
     )
 

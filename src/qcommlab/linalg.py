@@ -83,10 +83,16 @@ def is_unitary(u, tol: float = _UNITARY_TOL) -> bool:
 
 def apply_on_qubits(state, u, targets) -> np.ndarray:
     """Apply unitary ``u`` to the given qubits of ``state`` (identity
-    elsewhere).  ``targets`` are qubit indices, most-significant-first."""
+    elsewhere).  ``targets`` are qubit indices, most-significant-first.
+
+    ``state`` is one vector of length 2^n or a batch of shape
+    (batch, 2^n) whose rows all get ``u``.
+    """
     state = np.asarray(state, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    dim = state.shape[0]
+    if state.ndim not in (1, 2):
+        raise ValueError("state must be a vector or a batch of vectors")
+    dim = state.shape[-1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValueError("state length is not a power of two")
@@ -98,12 +104,13 @@ def apply_on_qubits(state, u, targets) -> np.ndarray:
         raise ValueError("unitary dimension does not match target count")
     if not is_unitary(u):
         raise ContractViolationError("operator is not unitary within 1e-9")
-    psi = state.reshape([2] * n)
-    psi = np.moveaxis(psi, targets, range(k))
+    batch = state.shape[:-1]
+    axes = [len(batch) + t for t in targets]
+    psi = np.moveaxis(state.reshape(batch + (2,) * n), axes, range(k))
     shape = psi.shape
     psi = u @ psi.reshape(1 << k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), targets)
-    return psi.reshape(dim)
+    psi = np.moveaxis(psi.reshape(shape), range(k), axes)
+    return psi.reshape(state.shape)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,8 +44,11 @@ class CommMatrix:
         object.__setattr__(self, "values", v.astype(np.uint8))
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(int(v)) for v in row)
-                         for row in self.values) + "\n"
+        # one digit byte and one separator byte per entry
+        out = np.full(self.values.shape + (2,), ord(","), dtype=np.uint8)
+        out[..., 0] = self.values + ord("0")
+        out[:, -1, 1] = ord("\n")
+        return out.tobytes().decode("ascii")
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "values": self.values.tolist()})

@@ -1,5 +1,7 @@
 """Concrete protocols and search routines.
 
+* controlled_flip: the one builder of "flip the target where a 0/1 table
+  of the controls reads 1", used by Bob's gates and the AND oracle.
 * trivial_exact_protocol: send x, compute f reversibly, cost n+1.
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
@@ -36,14 +38,13 @@ X1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _TINY = np.finfo(float).tiny
 
 
-def _flip_if_equal(n_controls: int, pattern: int) -> np.ndarray:
-    """Permutation on (controls..., target): flip target iff controls == pattern."""
-    dim = 1 << (n_controls + 1)
-    u = np.zeros((dim, dim))
-    for c in range(1 << n_controls):
-        flip = 1 if c == pattern else 0
-        for t in range(2):
-            u[(c << 1) | (t ^ flip), (c << 1) | t] = 1.0
+def controlled_flip(table) -> np.ndarray:
+    """Permutation on (controls..., target): flip the target iff
+    table[c] is 1, where c is the controls' value."""
+    flip = engine.bit_array(table)
+    cols = np.arange(2 * flip.size)
+    u = np.zeros((cols.size, cols.size))
+    u[cols ^ np.repeat(flip, 2), cols] = 1.0
     return u
 
 
@@ -59,13 +60,7 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
                 for i, b in enumerate(xbits) if b]
 
     def bob(ybits):
-        yi = engine.bits_to_int(ybits)
-        dim = 1 << (n + 1)
-        u = np.zeros((dim, dim))
-        for c in range(1 << n):
-            flip = int(table[c, yi])
-            for t in range(2):
-                u[(c << 1) | (t ^ flip), (c << 1) | t] = 1.0
+        u = controlled_flip(table[:, engine.bits_to_int(ybits)])
         targets = tuple(lay.channel_qubit(i + 1) for i in range(n))
         return [Gate(u, targets + (lay.channel_qubit(0),))]
 
@@ -133,7 +128,7 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
             gates.append(Gate(swap, (msg_glob[i], bob_reg[n - q + i])))
         if n:
             gates.append(Gate(u_full, bob_reg))
-        gates.append(Gate(_flip_if_equal(n, yi),
+        gates.append(Gate(controlled_flip(np.arange(dim) == yi),
                           bob_reg + (lay.channel_qubit(0),)))
         return gates
 
@@ -309,14 +304,8 @@ class AndOracleFragment:
 
     @property
     def unitary(self) -> np.ndarray:
-        k = self.index_qubits
-        dim = 1 << (k + 1)
-        u = np.zeros((dim, dim))
-        for i in range(1 << k):
-            flip = 1 if self.flips(i) else 0
-            for t in range(2):
-                u[(i << 1) | (t ^ flip), (i << 1) | t] = 1.0
-        return u
+        return controlled_flip(
+            [self.flips(i) for i in range(1 << self.index_qubits)])
 
 
 def distributed_and_oracle(block_indices, x_block, y_block) -> AndOracleFragment:

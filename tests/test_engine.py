@@ -20,6 +20,44 @@ def one_message_protocol():
     return Protocol(lay, (ProtocolStep(ALICE, (0,), alice),), input_bits=1)
 
 
+def reference_simulate(p, xi, yi):
+    """The per-pair simulator the turn-walker replaced: build both parties'
+    gates for this one pair and apply them to one state vector."""
+    x = engine.as_bits(xi, p.input_bits)
+    y = engine.as_bits(yi, p.input_bits)
+    lay = p.layout
+    state = np.zeros(1 << lay.total, dtype=complex)
+    state[0] = 1.0
+    for step in p.steps:
+        for gate in step.build(x if step.party == ALICE else y):
+            state = linalg.apply_on_qubits(state, gate.unitary, gate.targets)
+    shift = lay.total - 1 - lay.output_qubit
+    idx = np.arange(1 << lay.total)
+    return state, float(np.sum(np.abs(state[(idx >> shift) & 1 == 1]) ** 2))
+
+
+def reference_acceptance(p):
+    dim = 1 << p.input_bits
+    return np.array([[reference_simulate(p, xi, yi)[1] for yi in range(dim)]
+                     for xi in range(dim)])
+
+
+def random_protocol(n, layout, turns, seed):
+    """Steps alternating from Alice; turn k is (window, targets) and
+    applies to its targets a random unitary drawn for each input."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for k, (window, targets) in enumerate(turns):
+        table = [linalg.random_unitary(1 << len(targets), rng)
+                 for _ in range(1 << n)]
+
+        def build(bits, table=table, targets=targets):
+            return [Gate(table[engine.bits_to_int(bits)], targets)]
+
+        steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
+    return Protocol(layout, tuple(steps), input_bits=n)
+
+
 def test_layout_guards():
     with pytest.raises(ValueError):
         RegisterLayout(1, 0, 1)
@@ -111,6 +149,84 @@ def test_acceptance_matrix_svd_disj_pattern():
     bundle = zoo.ndet_svd_protocol(ranklab.canonical_witness("DISJ", 2))
     am = engine.acceptance_matrix(bundle.protocol)
     assert np.array_equal(am.values > 1e-9, disj.values == 1)
+
+
+def test_acceptance_matrix_matches_per_pair_oracle_on_corpus():
+    for n in (1, 2, 3, 4):
+        for entry in zoo.protocol_corpus(n):
+            am = engine.acceptance_matrix(entry.protocol)
+            err = np.max(np.abs(am.values - reference_acceptance(entry.protocol)))
+            assert err <= 1e-12, (entry.name, n, err)
+
+
+def test_three_turns_with_the_qubit_sent_back():
+    # qubits: 0 Alice, 1-2 channel (1 is the output), 3 Bob.  Alice sends
+    # channel 0, Bob works on it and sends it back, Alice sends both.
+    lay = RegisterLayout(1, 2, 1)
+    p = random_protocol(2, lay, [((0,), (0, 1)), ((0,), (1, 3)),
+                                 ((0, 1), (0, 1, 2))], seed=4)
+    builds = []
+
+    def counted(build):
+        def wrapper(bits):
+            builds.append(bits)
+            return build(bits)
+        return wrapper
+
+    p = Protocol(lay, tuple(ProtocolStep(s.party, s.window, counted(s.build))
+                            for s in p.steps), input_bits=2)
+    am = engine.acceptance_matrix(p)
+    assert len(builds) == 3 * 4  # once per step and input of its sender
+    assert np.max(np.abs(am.values - reference_acceptance(p))) <= 1e-12
+    for xi in range(4):
+        for yi in range(4):
+            res = engine.simulate(p, xi, yi)
+            want_state, want_prob = reference_simulate(p, xi, yi)
+            assert res.cost == 4
+            assert np.max(np.abs(res.final_state - want_state)) <= 1e-12
+            assert res.accept_prob == pytest.approx(want_prob, abs=1e-12)
+            d = engine.yao_kremer_decompose(p, xi, yi)
+            assert np.max(np.abs(d.reconstruct() - res.final_state)) <= 1e-12
+
+
+def test_acceptance_matrix_over_several_chunks():
+    n = 2
+    lay = RegisterLayout(5, 2, 5)  # 2^12 amplitudes per pair
+    assert engine.CHUNK_AMPLITUDES >> (n + lay.total) < 1 << n
+    p = random_protocol(n, lay, [((0, 1), (3, 4, 5, 6)), ((0,), (5, 7, 8))],
+                        seed=6)
+    am = engine.acceptance_matrix(p)
+    assert np.max(np.abs(am.values - reference_acceptance(p))) <= 1e-12
+
+
+def test_gate_illegal_for_one_input_rejected():
+    lay = RegisterLayout(0, 2, 0)
+
+    def alice(xbits):
+        # input 3 touches channel qubit 0, which is not in the window
+        return [Gate(X, (0 if xbits == (1, 1) else 1,))]
+
+    def bob(ybits):
+        # input 2 touches channel qubit 1, which Bob never held
+        return [Gate(X, (1 if ybits == (1, 0) else 0,))]
+
+    p = Protocol(lay, (ProtocolStep(ALICE, (1,), alice),), input_bits=2)
+    engine.simulate(p, 0, 0)
+    with pytest.raises(ContractViolationError):
+        engine.simulate(p, 3, 0)
+    with pytest.raises(ContractViolationError):
+        engine.acceptance_matrix(p)
+    p = Protocol(lay, (ProtocolStep(ALICE, (0,), lambda b: []),
+                       ProtocolStep(BOB, (), bob)), input_bits=2)
+    engine.simulate(p, 0, 3)
+    with pytest.raises(ContractViolationError):
+        engine.acceptance_matrix(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_acceptance_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        engine.AcceptanceMatrix(n=1, values=[[bad, 0.0], [0.0, 1.0]])
 
 
 def test_acceptance_matrix_guard():

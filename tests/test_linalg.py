@@ -105,6 +105,21 @@ def test_apply_on_qubits_norm_preserved():
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
+def test_apply_on_qubits_batch_axis():
+    rng = np.random.default_rng(8)
+    batch = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    u = linalg.random_unitary(4, rng)
+    out = linalg.apply_on_qubits(batch, u, [3, 1])
+    assert out.shape == (3, 16)
+    for row, got in zip(batch, out):
+        want = linalg.apply_on_qubits(row, u, [3, 1])
+        assert np.max(np.abs(got - want)) <= 1e-12
+    with pytest.raises(ContractViolationError):
+        linalg.apply_on_qubits(batch, 2 * u, [3, 1])
+    with pytest.raises(ValueError):
+        linalg.apply_on_qubits(batch.reshape(3, 4, 4), u, [0, 1])
+
+
 def test_random_unitaries_are_unitary():
     rng = np.random.default_rng(42)
     for _ in range(200):

@@ -22,6 +22,15 @@ def test_build_comm_matrix_tables():
         ranklab.build_comm_matrix("EQ", 11)
 
 
+def test_comm_matrix_csv_matches_per_entry_format():
+    cases = [(fn, n) for fn in ranklab.FUNCTION_NAMES for n in (1, 2, 3, 4)]
+    for fn, n in cases + [("EQ", 10)]:
+        cm = ranklab.build_comm_matrix(fn, n)
+        want = "\n".join(",".join(str(int(v)) for v in row)
+                         for row in cm.values) + "\n"
+        assert cm.to_csv() == want, (fn, n)
+
+
 def test_verify_witness_accepts_and_ranks():
     w = ranklab.verify_ndet_witness(np.eye(8), ranklab.build_comm_matrix("EQ", 3))
     assert w.rank == 8

@@ -116,6 +116,20 @@ def test_distributed_and_oracle_tables():
     assert np.argmax(u @ v) == (2 << 1 | 1)
 
 
+def test_controlled_flip_matches_loop_construction():
+    rng = np.random.default_rng(2)
+    for k in (0, 1, 2, 3):
+        table = rng.integers(0, 2, size=1 << k)
+        dim = 2 << k
+        want = np.zeros((dim, dim))
+        for c in range(1 << k):
+            for t in range(2):
+                want[(c << 1) | (t ^ int(table[c])), (c << 1) | t] = 1.0
+        assert np.array_equal(zoo.controlled_flip(table), want)
+    with pytest.raises(ValueError):
+        zoo.controlled_flip([0, 2])
+
+
 def test_bcw_intersection_examples():
     hits = 0
     for s in range(200):
