@@ -1,6 +1,6 @@
 """Small dense complex linear algebra: SVD in the U*Sigma*V row-factor
-convention, tolerance-based numeric rank, an exact rational rank oracle,
-Kronecker products and qubit-subset unitary application.
+convention, tolerance-based numeric rank, an exact integer (Bareiss) rank
+oracle, Kronecker products and qubit-subset unitary application.
 
 Conventions used throughout the package:
 
@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -122,34 +121,51 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def exact_rank(m) -> int:
-    """Exact rank by fraction-free Gaussian elimination over the rationals.
+    """Exact rank by fraction-free (Bareiss) elimination on Python ints.
 
-    Entries must be real; binary floats convert losslessly via Fraction.
-    Use this as the tolerance-free oracle shadowing ``numeric_rank`` on
-    matrices whose entries are exact.
+    Entries must be real and finite; a complex dtype is accepted only with
+    zero imaginary parts.  Every binary float is a dyadic rational, so
+    scaling all entries by the largest denominator of
+    ``float.as_integer_ratio`` gives an integer matrix of the same rank.
+    Each elimination step replaces the trailing block by
+    ``(block * pivot - outer(col, pivot_row)) // previous_pivot``; the
+    division is exact because every entry is then a minor of the scaled
+    matrix (Sylvester's identity), also when zero columns are skipped.
+    No float, modulus or tolerance enters: this is the tolerance-free
+    oracle shadowing ``numeric_rank`` on matrices whose entries are exact.
     """
     m = np.asarray(m)
-    if np.iscomplexobj(m) and np.any(m.imag != 0):
-        raise ValueError("exact_rank only supports real matrices")
-    rows = [[Fraction(float(np.real(x))) for x in row] for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    if m.ndim != 2:
+        raise ValueError("exact_rank needs a 2-D matrix")
+    if np.iscomplexobj(m):
+        if np.any(m.imag != 0):
+            raise ValueError("exact_rank only supports real matrices")
+        m = m.real
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("exact_rank input contains NaN/Inf")
+    ratios = [v.as_integer_ratio() for v in m.ravel().tolist()]
+    scale = max((d for _, d in ratios), default=1)
+    a = np.array([num * (scale // d) for num, d in ratios],
+                 dtype=object).reshape(m.shape)
+    nrows, ncols = m.shape
     rank = 0
-    row = 0
+    prev = 1
     for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        pv = rows[row][col]
-        for r in range(row + 1, nrows):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        row += 1
-        rank += 1
-        if row == nrows:
+        if rank == nrows:
             break
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot_row = rank + int(nonzero[0])
+        a[[rank, pivot_row]] = a[[pivot_row, rank]]
+        pivot = a[rank, col]
+        below = slice(rank + 1, None)
+        right = slice(col + 1, None)
+        a[below, right] = (a[below, right] * pivot
+                           - np.outer(a[below, col], a[rank, right])) // prev
+        prev = pivot
+        rank += 1
     return rank
 
 

@@ -89,7 +89,10 @@ def canonical_witness(name: str, n: int) -> np.ndarray:
         return (xs - ys).astype(float)
     if name == "INT":
         common = np.bitwise_and(xs, ys)
-        return np.vectorize(lambda v: float(bin(v).count("1")))(common)
+        counts = np.zeros((dim, dim))
+        for b in range(n):
+            counts += (common >> b) & 1
+        return counts
     if name == "DISJ":
         return build_comm_matrix("DISJ", n).values.astype(float)
     raise ValueError(f"unknown function {name!r}")
@@ -226,13 +229,13 @@ def _family_hypothesis_check(a_family, b_family, target, tol):
     """Sum_i A_i(x) (x) B_i(y) must vanish exactly on target's 0-set."""
     m, nx, da = a_family.shape
     _, ny, db = b_family.shape
-    norms = np.zeros((nx, ny))
+    # entry (a, b) of sum_i A_i(x) (x) B_i(y) is entry (a, b) of
+    # A[:, x, :]^T B[:, y, :]; one x row at a time bounds the memory
+    b_flat = b_family.reshape(m, ny * db)
+    norms = np.empty((nx, ny))
     for xi in range(nx):
-        for yi in range(ny):
-            total = np.zeros(da * db, dtype=complex)
-            for i in range(m):
-                total += np.kron(a_family[i, xi], b_family[i, yi])
-            norms[xi, yi] = np.linalg.norm(total)
+        total = (a_family[:, xi, :].T @ b_flat).reshape(da, ny, db)
+        norms[xi] = np.linalg.norm(total, axis=(0, 2))
     pattern = _nonzero_pattern(norms, tol)
     if not np.array_equal(pattern, target.values == 1):
         bad = np.argwhere(pattern != (target.values == 1))
@@ -332,17 +335,11 @@ def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
 def is_and_dependent(p: engine.AcceptanceMatrix,
                      tol: float = linalg.DEFAULT_TOL) -> bool:
     """True when P(x,y) is a function of the bitwise AND of the inputs."""
-    dim = 1 << p.n
-    seen = {}
-    for xi in range(dim):
-        for yi in range(dim):
-            key = xi & yi
-            if key in seen:
-                if abs(seen[key] - p.values[xi, yi]) > tol:
-                    return False
-            else:
-                seen[key] = p.values[xi, yi]
-    return True
+    # in row-major order the first pair with x AND y = k is (k, k)
+    xs = np.arange(1 << p.n)
+    diag = np.diagonal(p.values)
+    return bool(np.all(np.abs(p.values - diag[xs[:, None] & xs[None, :]])
+                       <= tol))
 
 
 @dataclass(frozen=True)
@@ -385,7 +382,7 @@ def fold_to_polynomial(p: engine.AcceptanceMatrix,
     if not is_and_dependent(p, tol):
         raise ValueError("acceptance matrix is not a function of x AND y")
     dim = 1 << p.n
-    c = np.array([p.values[z, z] for z in range(dim)], dtype=float)
+    c = np.array(np.diagonal(p.values), dtype=float)
     for b in range(p.n):
         bit = 1 << b
         for mask in range(dim):

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcommlab import linalg
 from qcommlab.errors import ContractViolationError
@@ -142,3 +146,83 @@ def test_exact_rank_on_fractions_of_floats():
     m = np.array([[0.5, 0.25], [1.0, 0.5]])
     assert linalg.exact_rank(m) == 1
     assert linalg.exact_rank(np.zeros((3, 2))) == 0
+
+
+def reference_exact_rank(m):
+    """The Gaussian elimination over Fractions that Bareiss replaced."""
+    rows = [[Fraction(float(np.real(x))) for x in row] for row in np.asarray(m)]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, nrows):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / pv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def test_exact_rank_matches_fraction_elimination():
+    rng = np.random.default_rng(17)
+
+    def low_rank(rows, cols, draw):
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        return draw((rows, k)) @ draw((k, cols))
+
+    kinds = {
+        "dyadic": lambda r, c: rng.integers(-16, 17, size=(r, c)) / 16.0,
+        "non-dyadic": lambda r, c: rng.uniform(-1.0, 1.0, size=(r, c)),
+        "rank-deficient": lambda r, c: low_rank(
+            r, c, lambda s: rng.integers(-3, 4, size=s) / 4.0),
+        "rank-deficient non-dyadic": lambda r, c: low_rank(
+            r, c, lambda s: rng.uniform(-1.0, 1.0, size=s)),
+        "wide-exponent": lambda r, c: (rng.uniform(0.5, 1.5, size=(r, c))
+                                       * 2.0 ** rng.integers(-40, 41, size=(r, c))),
+        "0/1": lambda r, c: rng.integers(0, 2, size=(r, c)).astype(float),
+    }
+    shapes = [(1, k) for k in (1, 2, 7)] + [(k, 1) for k in (2, 7)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 12, size=2))
+               for _ in range(40)]
+    for name, draw in kinds.items():
+        for shape in shapes:
+            m = draw(*shape)
+            assert linalg.exact_rank(m) == reference_exact_rank(m), (name, shape)
+
+
+def test_exact_rank_input_contract():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError):
+            linalg.exact_rank(m)
+    for shape in ((4,), (2, 2, 2)):
+        with pytest.raises(ValueError):
+            linalg.exact_rank(np.ones(shape))
+    with pytest.raises(ValueError):
+        linalg.exact_rank(np.eye(2) * 1j)
+    assert linalg.exact_rank(np.eye(2) + 0j) == 2
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert linalg.exact_rank(np.zeros(shape)) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_exact_rank_matches_numeric_rank_on_integer_products(data):
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 6))
+    inner = data.draw(st.integers(0, 6))
+    entries = st.integers(-2, 2)
+    left = data.draw(arrays(np.int64, (rows, inner), elements=entries))
+    right = data.draw(arrays(np.int64, (inner, cols), elements=entries))
+    m = (left @ right).astype(float)
+    rank = linalg.exact_rank(m)
+    assert rank <= min(rows, cols, inner)
+    assert rank == linalg.numeric_rank(m)

@@ -159,6 +159,12 @@ def test_is_and_dependent():
     assert not ranklab.is_and_dependent(eq)
     half = engine.AcceptanceMatrix(n=2, values=np.full((4, 4), 0.5))
     assert ranklab.is_and_dependent(half)
+    # 1 AND 2 = 0: one off-diagonal entry away from P(0, 0) breaks it
+    broken = disj.values.copy()
+    broken[1, 2] = 0.75
+    assert not ranklab.is_and_dependent(engine.AcceptanceMatrix(n=2, values=broken))
+    broken[1, 2] = 1.0 - 1e-12
+    assert ranklab.is_and_dependent(engine.AcceptanceMatrix(n=2, values=broken))
 
 
 def test_fold_constant_one():
@@ -213,3 +219,78 @@ def test_nor_approx_audit():
     assert not ranklab.nor_approx_audit(zero, 1 / 3).ok
     obj = json.loads(rep.to_json())
     assert obj["ok"] is True
+
+
+def test_canonical_int_witness_counts_common_ones():
+    for n in range(1, 11):
+        xs = np.arange(1 << n)
+        want = np.vectorize(lambda v: float(bin(v).count("1")))(
+            xs[:, None] & xs[None, :])
+        got = ranklab.canonical_witness("INT", n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+def reference_family_norms(a_family, b_family):
+    """The per-pair Kronecker sums that the matmul family check replaced."""
+    m, nx, da = a_family.shape
+    _, ny, db = b_family.shape
+    norms = np.zeros((nx, ny))
+    for xi in range(nx):
+        for yi in range(ny):
+            total = np.zeros(da * db, dtype=complex)
+            for i in range(m):
+                total += np.kron(a_family[i, xi], b_family[i, yi])
+            norms[xi, yi] = np.linalg.norm(total)
+    return norms
+
+
+def transcript_families(p):
+    dim = 1 << p.input_bits
+    a = [engine.yao_kremer_decompose(p, x, 0).output_components()[0]
+         for x in range(dim)]
+    b = [engine.yao_kremer_decompose(p, 0, y).output_components()[1]
+         for y in range(dim)]
+    return (np.stack(a, axis=1).astype(complex),
+            np.stack(b, axis=1).astype(complex))
+
+
+def assert_family_check_matches_reference(a, b, target, tol=linalg.DEFAULT_TOL):
+    """lemma2_scalarize accepts exactly when the reference norms have the
+    target's pattern, and otherwise names the reference's first offender."""
+    pattern = ranklab._nonzero_pattern(reference_family_norms(a, b), tol)
+    bad = np.argwhere(pattern != (target.values == 1))
+    if bad.size == 0:
+        assert ranklab.lemma2_scalarize(a, b, target, seed=1, tol=tol).success
+        return False
+    with pytest.raises(FamilyHypothesisError) as err:
+        ranklab.lemma2_scalarize(a, b, target, seed=1, tol=tol)
+    offender = tuple(int(v) for v in bad[0])
+    assert str(err.value).endswith(f"first offender (x,y) = {offender}")
+    return True
+
+
+def test_family_check_matches_kron_reference_on_corpus():
+    rejected = accepted = 0
+    for n in (1, 2, 3):
+        targets = [ranklab.build_comm_matrix(fn, n)
+                   for fn in ranklab.FUNCTION_NAMES]
+        for entry in zoo.protocol_corpus(n):
+            a, b = transcript_families(entry.protocol)
+            for target in targets:
+                if assert_family_check_matches_reference(a, b, target):
+                    rejected += 1
+                else:
+                    accepted += 1
+    assert accepted >= 18 and rejected > 0
+
+
+def test_family_check_names_first_offender_of_perturbed_family():
+    target = ranklab.build_comm_matrix("EQ", 2)
+    p = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", 2)).protocol
+    a, b = transcript_families(p)
+    assert not assert_family_check_matches_reference(a, b, target)
+    # a trace of x = 1's vectors in x = 2's makes (2, 1) nonzero
+    a[:, 2] += 1e-3 * a[:, 1]
+    assert assert_family_check_matches_reference(a, b, target)
+    with pytest.raises(FamilyHypothesisError, match=r"= \(2, 1\)$"):
+        ranklab.lemma2_scalarize(a, b, target)
