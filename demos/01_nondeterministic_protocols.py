@@ -20,7 +20,7 @@ def main():
         bundle = zoo.ndet_svd_protocol(witness)
         p = bundle.protocol
         am = engine.acceptance_matrix(p)
-        pattern_ok = np.array_equal(am.values > 1e-9, target.values == 1)
+        pattern_ok = np.array_equal(am.support(), target.values == 1)
         print(f"{fn}_{n}: rank {bundle.r}, cost {p.declared_cost} qubits, "
               f"zero pattern exact: {pattern_ok}")
         if n <= 2:

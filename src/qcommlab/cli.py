@@ -9,6 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 assertion/agreement failure, 2 usage or I/O error.
 Randomized paths require an explicit --seed so runs are reproducible.
+Each subcommand accepts only the shared --seed/--tol/--format flags it reads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import engine, ranklab, zoo
+from . import engine, linalg, ranklab, zoo
 from .errors import QcommError
 
 AUDIT_NAMES = ("rank-bound", "eq-fullrank", "disj-triangular", "monomial-rank")
@@ -54,8 +55,8 @@ def cmd_ndet(args) -> int:
     pattern_ok = True
     if args.n <= engine.ACCEPTANCE_N_GUARD:
         accept = engine.acceptance_matrix(bundle.protocol)
-        pattern = ranklab._nonzero_pattern(accept.values, args.tol)
-        pattern_ok = bool(np.array_equal(pattern, target.values == 1))
+        pattern_ok = bool(np.array_equal(accept.support(args.tol),
+                                         target.values == 1))
         lines.append(f"acceptance pattern {'ok' if pattern_ok else 'MISMATCH'}")
     else:
         lines.append("acceptance pattern skipped (n too large to tabulate)")
@@ -175,11 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcomm", description="two-party protocol lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fn=False, trials=None):
+    def common(p, *flags, fn=False, trials=None):
+        shared = {"--seed": dict(type=int, default=None),
+                  "--tol": dict(type=float, default=linalg.DEFAULT_TOL),
+                  "--format": dict(choices=("csv", "json"), default="csv")}
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--out", default=None)
         if fn:
             p.add_argument("--fn", required=True,
@@ -188,15 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=trials)
 
     p = sub.add_parser("matrix", help="emit a communication matrix")
-    common(p, fn=True)
+    common(p, "--format", fn=True)
     p.set_defaults(run=cmd_matrix)
 
     p = sub.add_parser("ndet", help="SVD protocol cost vs log2(rank)+1")
-    common(p, fn=True)
+    common(p, "--tol", fn=True)
     p.set_defaults(run=cmd_ndet)
 
     p = sub.add_parser("intersect", help="intersection search trials")
-    common(p, trials=200)
+    common(p, "--seed", trials=200)
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None)
     p.add_argument("--cost-only", action="store_true")
@@ -204,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run a structural audit")
     p.add_argument("name", choices=AUDIT_NAMES)
-    common(p, trials=100)
+    common(p, "--seed", "--tol", trials=100)
     p.set_defaults(run=cmd_audit)
 
     p = sub.add_parser("simulate", help="simulate a named protocol")
-    common(p, fn=True)
+    common(p, "--tol", "--format", fn=True)
     p.add_argument("--protocol", choices=("trivial", "svd"), default="trivial")
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None)

@@ -282,6 +282,11 @@ class AcceptanceMatrix:
             raise ValueError("acceptance probabilities out of [0,1] range")
         self.values = np.clip(v, 0.0, 1.0)
 
+    def support(self, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+        """Pairs accepted with nonzero probability.  A probability is a
+        squared amplitude, so it is compared on the amplitude scale."""
+        return linalg.support(np.sqrt(self.values), tol)
+
     def to_csv(self) -> str:
         lines = [",".join(format(v, ".12g") for v in row) for row in self.values]
         return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Small dense complex linear algebra: SVD in the U*Sigma*V row-factor
-convention, tolerance-based numeric rank, an exact integer (Bareiss) rank
-oracle, Kronecker products and qubit-subset unitary application.
+convention, the one "nonzero" rule ``support``, numeric and exact integer
+(Bareiss) rank, Kronecker products and qubit-subset unitary application.
 
 Conventions used throughout the package:
 
@@ -19,8 +19,6 @@ import numpy as np
 from .errors import ContractViolationError, NumericalFailureError
 
 DEFAULT_TOL = 1e-9
-
-_UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,15 +53,21 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, sigma=s, v=vh)
 
 
+def support(values, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Mask of ``|v| > tol * max|v|``, the package's one "nonzero" rule,
+    applied to amplitudes (probabilities via their square roots).  All
+    False when every entry is zero; NaN or +-inf raise ``ValueError``."""
+    mag = np.abs(np.asarray(values))
+    if not np.all(np.isfinite(mag)):
+        raise ValueError("support of values containing NaN/Inf")
+    return mag > tol * mag.max(initial=0.0)
+
+
 def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol * sigma_max``; 0 for the
-    all-zero matrix."""
+    """Number of singular values in the support (0 for a zero matrix)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s = svd(m).sigma
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.count_nonzero(support(svd(m).sigma, tol)))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -72,7 +76,7 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def is_unitary(u, tol: float = _UNITARY_TOL) -> bool:
+def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
@@ -174,7 +178,7 @@ def unitary_with_first_column(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     dim = phi.shape[0]
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > DEFAULT_TOL:
         raise ValueError("first column must be a unit vector")
     basis = np.concatenate([phi[:, None], np.eye(dim, dtype=complex)], axis=1)
     q, _ = np.linalg.qr(basis)

@@ -1,10 +1,13 @@
 """Communication matrices and rank machinery.
 
 Covers the standard two-party functions (EQ, NEQ, DISJ, INT), witness
-matrices whose nonzero pattern certifies a function's 1-set, structural
-full-rank audits for EQ and DISJ, randomized scalarization of vector
-families into low-rank witnesses, and the diagonal-restriction polynomial
-toolchain for acceptance matrices that depend on x AND y bitwise.
+matrices whose nonzero pattern certifies a function's 1-set, one
+full-rank audit for EQ and DISJ (an ordering makes the pattern
+triangular), randomized scalarization of vector families into low-rank
+witnesses, and the diagonal-restriction polynomial toolchain for
+acceptance matrices that depend on x AND y bitwise.  Every zero pattern
+is ``linalg.support``; acceptance probabilities, being squared
+amplitudes, go through ``AcceptanceMatrix.support``.
 """
 
 from __future__ import annotations
@@ -98,13 +101,6 @@ def canonical_witness(name: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown function {name!r}")
 
 
-def _nonzero_pattern(m: np.ndarray, tol: float) -> np.ndarray:
-    scale = np.max(np.abs(m))
-    if scale == 0:
-        return np.zeros(m.shape, dtype=bool)
-    return np.abs(m) > tol * scale
-
-
 @dataclass(frozen=True)
 class NdetWitness:
     matrix: np.ndarray
@@ -128,8 +124,7 @@ def verify_ndet_witness(m, target: CommMatrix,
     m = np.asarray(m)
     if m.shape != target.values.shape:
         raise ValueError("witness shape does not match the target table")
-    pattern = _nonzero_pattern(m, tol)
-    mism = np.argwhere(pattern != (target.values == 1))
+    mism = np.argwhere(linalg.support(m, tol) != (target.values == 1))
     if mism.size:
         raise PatternMismatchError(
             f"{len(mism)} entries disagree with {target.name}_{target.n}",
@@ -154,22 +149,36 @@ class AuditReport:
         })
 
 
-def eq_fullrank_audit(n: int, trials: int, seed: int) -> AuditReport:
-    """Random matrices with the EQ nonzero pattern must have full rank."""
+def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
+                    rows, cols) -> AuditReport:
+    """Random matrices with fn's nonzero pattern must have full rank; the
+    pattern permuted to (rows, cols) must have ones on the diagonal and
+    zeros below it, which makes every such matrix triangular."""
     if n > 8:
         raise ValueError("n > 8 not supported by this audit")
     dim = 1 << n
+    pattern = build_comm_matrix(fn, n).values
+    perm = pattern[np.ix_(rows, cols)]
+    failures = [{"kind": "diagonal", "i": int(i)}
+                for i in np.flatnonzero(np.diagonal(perm) == 0)]
+    failures += [{"kind": "below-diagonal", "i": int(i), "j": int(j)}
+                 for i, j in np.argwhere(np.tril(perm, -1))]
     rng = np.random.default_rng(seed)
-    failures = []
     for t in range(trials):
-        diag = rng.uniform(0.5, 1.5, size=dim) * rng.choice([-1.0, 1.0], size=dim)
-        m = np.diag(diag)
+        m = (pattern * rng.uniform(0.5, 1.5, size=(dim, dim))
+             * rng.choice([-1.0, 1.0], size=(dim, dim)))
         rank = linalg.numeric_rank(m)
         if rank != dim or (n <= 5 and linalg.exact_rank(m) != dim):
-            failures.append({"trial": t, "rank": rank})
-    return AuditReport(name="eq-fullrank", n=n, trials=trials,
-                       ok=not failures, failures=failures,
-                       detail={"expected_rank": dim})
+            failures.append({"kind": "rank", "trial": t, "rank": rank})
+    name = {"EQ": "eq-fullrank", "DISJ": "disj-triangular"}[fn]
+    return AuditReport(name=name, n=n, trials=trials, ok=not failures,
+                       failures=failures, detail={"expected_rank": dim})
+
+
+def eq_fullrank_audit(n: int, trials: int, seed: int) -> AuditReport:
+    """Random matrices with the EQ nonzero pattern must have full rank."""
+    identity = range(1 << n)
+    return _fullrank_audit("EQ", n, trials, seed, identity, identity)
 
 
 def disj_ordering(n: int):
@@ -187,27 +196,11 @@ def disj_ordering(n: int):
 
 
 def disj_triangular_audit(n: int, trials: int, seed: int) -> AuditReport:
-    if n > 8:
+    """The full-rank audit of DISJ under ``disj_ordering``."""
+    if n > 8:  # before the 2^n ordering is built
         raise ValueError("n > 8 not supported by this audit")
-    dim = 1 << n
-    disj = build_comm_matrix("DISJ", n).values
     rows, cols = disj_ordering(n)
-    failures = []
-    for i in range(dim):
-        if rows[i] & cols[i]:
-            failures.append({"kind": "diagonal", "i": i})
-        for j in range(i):
-            if disj[rows[i], cols[j]]:
-                failures.append({"kind": "below-diagonal", "i": i, "j": j})
-    rng = np.random.default_rng(seed)
-    for t in range(trials):
-        m = disj * rng.uniform(0.5, 1.5, size=(dim, dim))
-        rank = linalg.numeric_rank(m)
-        if rank != dim or (n <= 5 and linalg.exact_rank(m) != dim):
-            failures.append({"kind": "rank", "trial": t, "rank": rank})
-    return AuditReport(name="disj-triangular", n=n, trials=trials,
-                       ok=not failures, failures=failures,
-                       detail={"expected_rank": dim})
+    return _fullrank_audit("DISJ", n, trials, seed, rows, cols)
 
 
 @dataclass
@@ -236,7 +229,7 @@ def _family_hypothesis_check(a_family, b_family, target, tol):
     for xi in range(nx):
         total = (a_family[:, xi, :].T @ b_flat).reshape(da, ny, db)
         norms[xi] = np.linalg.norm(total, axis=(0, 2))
-    pattern = _nonzero_pattern(norms, tol)
+    pattern = linalg.support(norms, tol)
     if not np.array_equal(pattern, target.values == 1):
         bad = np.argwhere(pattern != (target.values == 1))
         raise FamilyHypothesisError(
@@ -274,8 +267,7 @@ def lemma2_scalarize(a_family, b_family, target: CommMatrix,
         a_table = a_family @ alpha
         b_table = b_family @ beta
         v = np.einsum("ix,iy->xy", a_table, b_table)
-        success = np.array_equal(_nonzero_pattern(v, tol),
-                                 target.values == 1)
+        success = np.array_equal(linalg.support(v, tol), target.values == 1)
         witness = verify_ndet_witness(v, target, tol) if success else None
         last = ScalarizationTrial(
             m=m, coeff_bits=coeff_bits, alpha=alpha, beta=beta,
@@ -303,8 +295,7 @@ def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
     if n != target.n:
         raise ValueError("protocol and target disagree on n")
     accept = engine.acceptance_matrix(p)
-    if not np.array_equal(_nonzero_pattern(accept.values, tol),
-                          target.values == 1):
+    if not np.array_equal(accept.support(tol), target.values == 1):
         raise ValueError(
             "protocol acceptance pattern does not compute the target")
     dim = 1 << n
@@ -320,10 +311,8 @@ def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
         if b_tab is None:
             b_tab = np.zeros((count, dim, b1.shape[1]), dtype=complex)
         b_tab[:, yi, :] = b1
-    a_norm = np.linalg.norm(a_tab, axis=(1, 2))
-    b_norm = np.linalg.norm(b_tab, axis=(1, 2))
-    live = (a_norm > tol * max(a_norm.max(), 1e-300)) \
-        & (b_norm > tol * max(b_norm.max(), 1e-300))
+    live = (linalg.support(np.linalg.norm(a_tab, axis=(1, 2)), tol)
+            & linalg.support(np.linalg.norm(b_tab, axis=(1, 2)), tol))
     s_idx = np.flatnonzero(live)
     if s_idx.size == 0:
         raise ValueError("protocol never accepts; no witness family")
@@ -366,10 +355,7 @@ class FoldedPolynomial:
         return total
 
     def monomial_count(self, tol: float = linalg.DEFAULT_TOL) -> int:
-        scale = np.max(np.abs(self.coeffs))
-        if scale == 0:
-            return 0
-        return int(np.sum(np.abs(self.coeffs) > tol * scale))
+        return int(np.count_nonzero(linalg.support(self.coeffs, tol)))
 
 
 def fold_to_polynomial(p: engine.AcceptanceMatrix,
@@ -390,7 +376,7 @@ def fold_to_polynomial(p: engine.AcceptanceMatrix,
                 c[mask] -= c[mask ^ bit]
     poly = FoldedPolynomial(n=p.n, coeffs=c)
     for z in range(dim):
-        if abs(poly.evaluate(z) - p.values[z, z]) > 1e-9:
+        if abs(poly.evaluate(z) - p.values[z, z]) > linalg.DEFAULT_TOL:
             raise ValueError("transform failed to reproduce the diagonal")
     return poly
 

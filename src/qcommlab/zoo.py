@@ -101,7 +101,7 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     s[r:] = 0.0
     phi_raw = (s[:, None] * res.v)  # column x = diag(s) v |x>
     row_norms = np.linalg.norm(phi_raw, axis=0)
-    dead = row_norms <= tol * row_norms.max()
+    dead = ~linalg.support(row_norms, tol)
     c = np.zeros(dim)
     c[~dead] = 1.0 / row_norms[~dead]
     q = max(int(math.ceil(math.log2(r))), 0)

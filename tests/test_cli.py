@@ -100,3 +100,16 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "matrix", "--fn", "EQ", "--n", "11")
     assert code == 2
+
+
+def test_unread_flags_are_usage_errors(capsys):
+    for argv in (["ndet", "--fn", "EQ", "--n", "2", "--format", "json"],
+                 ["matrix", "--fn", "EQ", "--n", "2", "--seed", "1"],
+                 ["matrix", "--fn", "EQ", "--n", "2", "--tol", "1e-6"],
+                 ["ndet", "--fn", "EQ", "--n", "2", "--seed", "1"],
+                 ["intersect", "--n", "4", "--seed", "1", "--tol", "1e-6"],
+                 ["intersect", "--n", "4", "--seed", "1", "--format", "json"],
+                 ["audit", "rank-bound", "--n", "2", "--format", "json"],
+                 ["simulate", "--fn", "EQ", "--n", "2", "--seed", "1"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == "", argv

@@ -51,6 +51,36 @@ def test_svd_roundtrip_random_matrices():
         assert np.max(np.abs(res.reconstruct() - m)) <= 1e-8 * scale
 
 
+def test_support_is_relative_to_the_largest_magnitude():
+    v = np.array([1.0, 2e-9, 1e-9, -5e-10, 0.0])
+    assert linalg.support(v).tolist() == [True, True, False, False, False]
+    # the rule is scale free
+    assert np.array_equal(linalg.support(1e-20 * v), linalg.support(v))
+    assert np.array_equal(linalg.support(1e20 * v), linalg.support(v))
+    assert linalg.support(v, tol=1e-12).tolist() == [True] * 4 + [False]
+    m = np.array([[3.0, -1e-6], [0.0, -3.0]])
+    assert linalg.support(m).tolist() == [[True, True], [False, True]]
+
+
+def test_support_of_zeros_is_empty():
+    assert not linalg.support(np.zeros((3, 4))).any()
+    assert linalg.support(np.zeros((3, 4))).shape == (3, 4)
+    assert linalg.support(np.zeros(0)).shape == (0,)
+
+
+def test_support_compares_complex_magnitudes():
+    v = np.array([3 + 4j, 1e-9j, 5e-8 - 5e-8j, 0j])
+    assert linalg.support(v).tolist() == [True, False, True, False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0, np.nan), complex(np.inf, 0)])
+def test_support_rejects_nan_and_inf(bad):
+    v = np.array([1.0, 0.0, bad])
+    with pytest.raises(ValueError):
+        linalg.support(v)
+
+
 def test_numeric_rank_basic_cases():
     assert linalg.numeric_rank(np.eye(8)) == 8
     assert linalg.numeric_rank(np.zeros((4, 4))) == 0

@@ -50,6 +50,30 @@ def test_verify_witness_rejects_with_counterexamples():
     assert len(err.value.counterexamples) == 12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_verify_witness_rejects_nan_and_inf(bad):
+    m = ranklab.canonical_witness("NEQ", 2)
+    m[0, 1] = bad
+    with pytest.raises(ValueError):
+        ranklab.verify_ndet_witness(m, ranklab.build_comm_matrix("NEQ", 2))
+
+
+def test_small_witness_entry_keeps_its_acceptance_support():
+    # P(x,y) = c_x^2 |m_xy|^2: an entry 1e-6 of the others in the witness
+    # is accepted with probability ~1e-13 of the largest, which is nonzero
+    # on the amplitude scale
+    target = ranklab.build_comm_matrix("NEQ", 2)
+    m = ranklab.canonical_witness("NEQ", 2)
+    m[0, 1] *= 1e-6
+    assert ranklab.verify_ndet_witness(m, target).rank == 3
+    p = zoo.ndet_svd_protocol(m).protocol
+    w = ranklab.protocol_to_witness(p, target, seed=1)
+    assert w.rank <= 1 << (p.declared_cost - 1)
+    am = engine.acceptance_matrix(p)
+    assert 0 < am.values[0, 1] < 1e-9 * am.values.max()
+    assert np.array_equal(am.support(), target.values == 1)
+
+
 def test_eq_fullrank_audit():
     for n, trials in [(1, 10), (3, 100), (4, 100)]:
         rep = ranklab.eq_fullrank_audit(n, trials, seed=7)
@@ -71,6 +95,40 @@ def test_disj_triangular_audit():
         assert rep.ok, rep.failures
     obj = json.loads(rep.to_json())
     assert obj["ok"] is True
+
+
+def reference_structure_failures(fn, n, rows, cols):
+    """The audit's structural check as a loop over the ordered pattern."""
+    pattern = ranklab.build_comm_matrix(fn, n).values
+    failures = [{"kind": "diagonal", "i": i} for i in range(1 << n)
+                if not pattern[rows[i], cols[i]]]
+    for i in range(1 << n):
+        for j in range(i):
+            if pattern[rows[i], cols[j]]:
+                failures.append({"kind": "below-diagonal", "i": i, "j": j})
+    return failures
+
+
+def test_fullrank_audit_structure_matches_loop_reference():
+    flagged = 0
+    for n in (1, 2, 3, 4):
+        dim = 1 << n
+        identity = list(range(dim))
+        cases = [("EQ", identity, identity),
+                 ("EQ", identity[::-1], identity),
+                 ("DISJ", *ranklab.disj_ordering(n)),
+                 ("DISJ", identity, identity)]
+        for fn, rows, cols in cases:
+            rep = ranklab._fullrank_audit(fn, n, 0, 5, rows, cols)
+            want = reference_structure_failures(fn, n, rows, cols)
+            assert rep.failures == want, (fn, n, rows)
+            assert rep.ok == (not want)
+            flagged += bool(want)
+    # the identity ordering does not triangularize DISJ
+    rep = ranklab._fullrank_audit("DISJ", 2, 5, 5, range(4), range(4))
+    kinds = {f["kind"] for f in rep.failures}
+    assert kinds == {"diagonal", "below-diagonal"}
+    assert flagged == 8
 
 
 def test_scalarize_rejects_family_violating_hypothesis():
@@ -257,7 +315,7 @@ def transcript_families(p):
 def assert_family_check_matches_reference(a, b, target, tol=linalg.DEFAULT_TOL):
     """lemma2_scalarize accepts exactly when the reference norms have the
     target's pattern, and otherwise names the reference's first offender."""
-    pattern = ranklab._nonzero_pattern(reference_family_norms(a, b), tol)
+    pattern = linalg.support(reference_family_norms(a, b), tol)
     bad = np.argwhere(pattern != (target.values == 1))
     if bad.size == 0:
         assert ranklab.lemma2_scalarize(a, b, target, seed=1, tol=tol).success
