@@ -8,7 +8,7 @@ from .errors import (CapacityError, ContractViolationError,
                      PatternMismatchError, ProbabilisticFailureError,
                      QcommError)
 from .linalg import (DEFAULT_TOL, SvdResult, apply_on_qubits, exact_rank,
-                     is_unitary, numeric_rank, random_unitary, svd, tensor)
+                     is_unitary, numeric_rank, random_unitary, svd)
 from .ranklab import (CommMatrix, FoldedPolynomial, NdetWitness,
                       build_comm_matrix, canonical_witness,
                       disj_triangular_audit, eq_fullrank_audit,

@@ -225,6 +225,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if (getattr(args, "x", None) is None) != (getattr(args, "y", None) is None):
+        sys.stderr.write("error: --x and --y must be given together\n")
+        return 2
     try:
         return args.run(args)
     except (OSError, ValueError) as exc:

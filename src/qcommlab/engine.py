@@ -19,6 +19,10 @@ over all y, a Bob turn applies y's gates to states[:, y] over all x.
 ``simulate`` is the walk over one pair, ``acceptance_matrix`` the walk
 over all pairs in chunks of x rows, and ``yao_kremer_decompose`` applies
 each gate once to its stack of transcript branches.
+
+A ``Gate`` (defined in ``linalg``, re-exported here) is checked for
+unitarity once, when a step's build makes it, so the walk applies it to
+any number of chunks and branches without checking it again.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapacityError, ContractViolationError
+from .linalg import Gate
 
 ALICE = "alice"
 BOB = "bob"
@@ -120,17 +125,6 @@ class RegisterLayout:
     def bob_register(self) -> tuple:
         start = self.alice_qubits + self.channel_qubits
         return tuple(range(start, start + self.bob_qubits))
-
-
-@dataclass(frozen=True)
-class Gate:
-    """A unitary on an explicit tuple of global qubit indices."""
-
-    unitary: np.ndarray
-    targets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
 
 
 @dataclass(frozen=True)
@@ -244,8 +238,7 @@ def _evolve(lay: RegisterLayout, turns: list, rows: range,
             index = i - rows.start if alice else (slice(None), i)
             batch = states[index]
             for gate in gates:
-                batch = linalg.apply_on_qubits(batch, gate.unitary,
-                                               gate.targets)
+                batch = linalg.apply_on_qubits(batch, gate, gate.targets)
             states[index] = batch
     return states
 
@@ -403,7 +396,7 @@ def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
             side = side + claimed
         for gate in turn.gates[0]:
             positions = [side.index(t) for t in gate.targets]
-            mine = linalg.apply_on_qubits(mine, gate.unitary, positions)
+            mine = linalg.apply_on_qubits(mine, gate, positions)
         k = len(turn.window)
         if k:
             # branch c splits into c * 2^k + bits: the sender keeps the

@@ -1,11 +1,15 @@
 """Small dense complex linear algebra: SVD in the U*Sigma*V row-factor
 convention, the one "nonzero" rule ``support``, numeric and exact integer
-(Bareiss) rank, Kronecker products and qubit-subset unitary application.
+(Bareiss) rank, checked gates and qubit-subset unitary application.
+
+A ``Gate`` is checked once, when it is made: its matrix is square, of side
+2^len(targets) and unitary in its own dtype, and the gate keeps a
+read-only copy of it.  ``apply_on_qubits`` trusts a ``Gate`` and checks a
+raw matrix on every call.
 
 Conventions used throughout the package:
 
 * qubit 0 is the leftmost (most significant) tensor factor;
-* ``tensor(a, b)`` puts ``a`` in the most significant index block;
 * a state vector over n qubits has dimension 2**n and basis index
   ``b_0 b_1 ... b_{n-1}`` read as a big-endian integer.
 """
@@ -70,12 +74,6 @@ def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(support(svd(m).sigma, tol)))
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the left factor as the most significant
-    index block (works for vectors and matrices alike)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -84,15 +82,39 @@ def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(u @ u.conj().T - eye)) <= tol)
 
 
+@dataclass(frozen=True)
+class Gate:
+    """A unitary on an explicit tuple of global qubit indices.
+
+    Made only from a square matrix of side 2^len(targets) that passes
+    ``is_unitary`` (``ValueError`` and ``ContractViolationError``
+    otherwise); ``unitary`` is a read-only copy of it.
+    """
+
+    unitary: np.ndarray
+    targets: tuple
+
+    def __post_init__(self):
+        targets = tuple(self.targets)
+        u = np.array(self.unitary)
+        u.setflags(write=False)
+        if u.shape != (1 << len(targets),) * 2:
+            raise ValueError("unitary dimension does not match target count")
+        if not is_unitary(u):
+            raise ContractViolationError("operator is not unitary within 1e-9")
+        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "targets", targets)
+
+
 def apply_on_qubits(state, u, targets) -> np.ndarray:
     """Apply unitary ``u`` to the given qubits of ``state`` (identity
     elsewhere).  ``targets`` are qubit indices, most-significant-first.
 
-    ``state`` is one vector of length 2^n or a batch of shape
+    ``u`` is a ``Gate``, already checked, or a raw matrix, checked on
+    every call.  ``state`` is one vector of length 2^n or a batch of shape
     (batch, 2^n) whose rows all get ``u``.
     """
     state = np.asarray(state, dtype=complex)
-    u = np.asarray(u, dtype=complex)
     if state.ndim not in (1, 2):
         raise ValueError("state must be a vector or a batch of vectors")
     dim = state.shape[-1]
@@ -103,15 +125,15 @@ def apply_on_qubits(state, u, targets) -> np.ndarray:
     k = len(targets)
     if len(set(targets)) != k or any(t < 0 or t >= n for t in targets):
         raise ValueError(f"bad target qubits {targets} for {n} qubits")
-    if u.shape != (1 << k, 1 << k):
+    if not isinstance(u, Gate):
+        u = Gate(u, targets)
+    elif len(u.targets) != k:
         raise ValueError("unitary dimension does not match target count")
-    if not is_unitary(u):
-        raise ContractViolationError("operator is not unitary within 1e-9")
     batch = state.shape[:-1]
     axes = [len(batch) + t for t in targets]
     psi = np.moveaxis(state.reshape(batch + (2,) * n), axes, range(k))
     shape = psi.shape
-    psi = u @ psi.reshape(1 << k, -1)
+    psi = u.unitary @ psi.reshape(1 << k, -1)
     psi = np.moveaxis(psi.reshape(shape), range(k), axes)
     return psi.reshape(state.shape)
 

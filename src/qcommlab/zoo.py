@@ -54,10 +54,10 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
     lay = RegisterLayout(alice_qubits=0, channel_qubits=n + 1, bob_qubits=0)
     msg = tuple(range(1, n + 1))
     table = f.values
+    flips = [Gate(X1, (lay.channel_qubit(i + 1),)) for i in range(n)]
 
     def alice(xbits):
-        return [Gate(X1, (lay.channel_qubit(i + 1),))
-                for i, b in enumerate(xbits) if b]
+        return [gate for gate, b in zip(flips, xbits) if b]
 
     def bob(ybits):
         u = controlled_flip(table[:, engine.bits_to_int(ybits)])
@@ -110,7 +110,13 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     msg = tuple(range(1, q + 1))
     msg_glob = tuple(lay.channel_qubit(k) for k in msg)
     bob_reg = lay.bob_register
-    u_full = res.u
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    # Bob's gates before the flip depend on neither input: move message
+    # qubit i to the low bits of his register, then rotate by u
+    bob_fixed = [Gate(swap, (msg_glob[i], bob_reg[n - q + i]))
+                 for i in range(q)]
+    if n:
+        bob_fixed.append(Gate(res.u, bob_reg))
 
     def alice_send(xbits):
         xi = engine.bits_to_int(xbits)
@@ -121,27 +127,17 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
 
     def bob_reply(ybits):
         yi = engine.bits_to_int(ybits)
-        gates = []
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        for i in range(q):
-            # message qubit i -> low bits of Bob's register
-            gates.append(Gate(swap, (msg_glob[i], bob_reg[n - q + i])))
-        if n:
-            gates.append(Gate(u_full, bob_reg))
-        gates.append(Gate(controlled_flip(np.arange(dim) == yi),
-                          bob_reg + (lay.channel_qubit(0),)))
-        return gates
+        return bob_fixed + [Gate(controlled_flip(np.arange(dim) == yi),
+                                 bob_reg + (lay.channel_qubit(0),))]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
              ProtocolStep(BOB, (0,), bob_reply)]
     if dead.any():
-        swap_out = np.eye(4)[[0, 2, 1, 3]]
+        # move the (possibly 1) output bit into the fresh ancilla
+        clean = (Gate(swap, (0, lay.channel_qubit(0))),)
 
         def alice_clean(xbits):
-            if dead[engine.bits_to_int(xbits)]:
-                # move the (possibly 1) output bit into the fresh ancilla
-                return [Gate(swap_out, (0, lay.channel_qubit(0)))]
-            return []
+            return clean if dead[engine.bits_to_int(xbits)] else ()
 
         steps.append(ProtocolStep(ALICE, (), alice_clean))
     return NdetProtocolBundle(Protocol(lay, tuple(steps), input_bits=n),
@@ -367,15 +363,12 @@ class RecursionConfig:
     block_size_rule: Callable = _default_block_size
     base_threshold: int = 64
     kappa: float = 2.0
-    amplification_rounds_rule: Optional[Callable] = None
 
     def __post_init__(self):
         if self.base_threshold < 2:
             raise ValueError("base_threshold must be >= 2")
 
     def rounds(self, n: int) -> int:
-        if self.amplification_rounds_rule is not None:
-            return int(self.amplification_rounds_rule(n))
         return int(math.ceil(self.kappa * math.sqrt(n) / math.log2(n)))
 
 

@@ -85,6 +85,18 @@ def test_simulate_pair_and_matrix(capsys):
     assert code == 0 and json.loads(out)["n"] == 1
 
 
+def test_lone_input_is_usage_error(capsys):
+    for argv in (["intersect", "--n", "4", "--seed", "1", "--trials", "3",
+                  "--x", "1111"],
+                 ["intersect", "--n", "4", "--seed", "1", "--trials", "3",
+                  "--y", "1111"],
+                 ["simulate", "--fn", "EQ", "--n", "1", "--x", "1"],
+                 ["simulate", "--fn", "EQ", "--n", "1", "--y", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "--x and --y" in err
+
+
 def test_deterministic_output(capsys):
     args = ["intersect", "--n", "8", "--trials", "20", "--seed", "11"]
     code1, out1, _ = run(capsys, *args)

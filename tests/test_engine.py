@@ -319,6 +319,34 @@ def test_rank_bound_audit_corpus():
             assert engine.rank_bound_audit(entry.protocol).ok, entry.name
 
 
+def test_gates_checked_once_per_build(monkeypatch):
+    """acceptance_matrix checks each gate once, when it is made, however
+    many chunks of rows apply it."""
+    n = 4
+    protocol = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", n)).protocol
+    counts = {"checks": 0, "gates": 0}
+    is_unitary, post_init = linalg.is_unitary, engine.Gate.__post_init__
+
+    def counted_check(u, *args):
+        counts["checks"] += 1
+        return is_unitary(u, *args)
+
+    def counted_gate(gate):
+        counts["gates"] += 1
+        post_init(gate)
+
+    monkeypatch.setattr(linalg, "is_unitary", counted_check)
+    monkeypatch.setattr(engine.Gate, "__post_init__", counted_gate)
+    want = engine.acceptance_matrix(protocol).values
+    # Alice's 2^n states and Bob's 2^n flips; his swaps and rotation
+    # were made with the protocol
+    assert counts == {"checks": 2 << n, "gates": 2 << n}
+    counts.update(checks=0, gates=0)
+    monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", 1)
+    assert np.array_equal(engine.acceptance_matrix(protocol).values, want)
+    assert counts == {"checks": 2 << n, "gates": 2 << n}
+
+
 def test_as_bits_forms():
     assert engine.as_bits(5, 4) == (0, 1, 0, 1)
     assert engine.as_bits("0101", 4) == (0, 1, 0, 1)

@@ -96,14 +96,6 @@ def test_numeric_rank_matches_exact_oracle_on_integer_matrices():
         assert linalg.numeric_rank(m) == linalg.exact_rank(m)
 
 
-def test_tensor_vectors_and_matrices():
-    assert np.allclose(linalg.tensor([1, 0], [0, 1]), [0, 1, 0, 0])
-    assert np.allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-    h = np.array([1, 1]) / np.sqrt(2)
-    hm = np.array([1, -1]) / np.sqrt(2)
-    assert np.allclose(linalg.tensor(h, hm), np.array([1, -1, 1, -1]) / 2)
-
-
 def test_apply_on_qubits_msb_first():
     x = np.array([[0, 1], [1, 0]], dtype=float)
     s00 = np.array([1, 0, 0, 0], dtype=complex)
@@ -152,6 +144,33 @@ def test_apply_on_qubits_batch_axis():
         linalg.apply_on_qubits(batch, 2 * u, [3, 1])
     with pytest.raises(ValueError):
         linalg.apply_on_qubits(batch.reshape(3, 4, 4), u, [0, 1])
+
+
+def test_gate_checked_when_made():
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ContractViolationError):
+        linalg.Gate(2 * x, (0,))
+    with pytest.raises(ValueError):
+        linalg.Gate(np.eye(4), (0,))
+    gate = linalg.Gate(x, [1])
+    assert gate.targets == (1,) and gate.unitary.dtype == x.dtype
+    x[0, 0] = 5.0  # the gate holds its own copy
+    assert gate.unitary[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        gate.unitary[0, 0] = 5.0
+
+
+def test_apply_on_qubits_gate_matches_matrix():
+    rng = np.random.default_rng(11)
+    batch = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    for u in (linalg.random_unitary(4, rng), np.eye(4)[[0, 2, 1, 3]]):
+        gate = linalg.Gate(u, (0, 1))
+        for state, targets in ((batch, [3, 1]), (batch[0], [2, 0])):
+            got = linalg.apply_on_qubits(state, gate, targets)
+            want = linalg.apply_on_qubits(state, gate.unitary, targets)
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        linalg.apply_on_qubits(batch, gate, [0])
 
 
 def test_random_unitaries_are_unitary():
