@@ -79,8 +79,8 @@ def cmd_intersect(args) -> int:
         return 2
     rng = np.random.default_rng(args.seed)
     if args.x is not None and args.y is not None:
-        x = [int(c) for c in args.x]
-        y = [int(c) for c in args.y]
+        x = engine.bit_array(args.x).tolist()
+        y = engine.bit_array(args.y).tolist()
     else:
         x = rng.integers(0, 2, size=args.n).tolist()
         y = rng.integers(0, 2, size=args.n).tolist()
@@ -171,6 +171,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcomm", description="two-party protocol lab")
@@ -188,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fn", required=True,
                            choices=ranklab.FUNCTION_NAMES)
         if trials is not None:
-            p.add_argument("--trials", type=int, default=trials)
+            p.add_argument("--trials", type=_positive_int, default=trials)
 
     p = sub.add_parser("matrix", help="emit a communication matrix")
     common(p, "--format", fn=True)

@@ -16,7 +16,9 @@
   of the blocked recursion.
 * grover_state / qsearch: amplitude amplification of a start vector, and
   search with the growing random-cutoff schedule for an unknown number
-  of solutions.
+  of solutions.  A measurement is one uniform draw looked up in the CDF
+  of its iteration count, computed once per search, on the stream that
+  Generator.choice(dim, p=probs) used.
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
   cost, plus the closed-form cost model for the recursion.
@@ -146,7 +148,11 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
 
 @dataclass(frozen=True)
 class QSearchConfig:
-    rng_seed: int
+    """Seed and schedule of a search.  rng_seed is any seed that
+    np.random.default_rng accepts, such as an int or a (seed, trial)
+    tuple; equal seeds give equal results."""
+
+    rng_seed: int | Sequence[int] | np.random.SeedSequence
     schedule_growth: float = 1.2
     max_applications: Optional[int] = None
 
@@ -224,6 +230,21 @@ def grover_state(start, solutions, iterations: int) -> np.ndarray:
     return psi0 * amplification_factors(mask, theta, iterations)
 
 
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """CDF of the outcome law proportional to the weights, built exactly
+    as Generator.choice builds it from the normalised probabilities."""
+    probs = weights / weights.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One outcome from a CDF: the draw Generator.choice(dim, p=probs)
+    makes, one uniform on the same stream, without re-validating p."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass(frozen=True)
 class QSearchResult:
     outcome: Optional[int]
@@ -246,6 +267,7 @@ def qsearch(start, predicate, cfg: QSearchConfig) -> QSearchResult:
     theta = solution_angle(weight, mask)
     budget = cfg.budget_for(dim)
     rng = np.random.default_rng(cfg.rng_seed)
+    cdfs = {}  # iteration count -> CDF of the measurement
     m = 1.0
     cap = math.sqrt(dim)
     used = 0
@@ -254,9 +276,12 @@ def qsearch(start, predicate, cfg: QSearchConfig) -> QSearchResult:
     while used < budget:
         j = int(rng.integers(0, max(int(math.ceil(m)), 1)))
         j = min(j, budget - used)
-        probs = weight * amplification_factors(mask, theta, j) ** 2
-        probs /= probs.sum()
-        z = int(rng.choice(dim, p=probs))
+        # with no solutions θ = 0, and every j measures the start
+        key = j if theta else 0
+        if key not in cdfs:
+            cdfs[key] = _cdf(weight
+                             * amplification_factors(mask, theta, j) ** 2)
+        z = _draw(cdfs[key], rng)
         iterations += j
         measurements += 1
         used += j + 1
@@ -415,9 +440,7 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
         j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
         outer = amplification_factors(mask, solution_angle(weight1, mask),
                                       j_outer)
-        probs = weight1 * outer ** 2
-        probs /= probs.sum()
-        z = int(rng.choice(dim, p=probs))
+        z = _draw(_cdf(weight1 * outer ** 2), rng)
         # each outer iteration replays the in-block stage twice (do/undo)
         leaf_stage = j_leaf * query_cost
         cost += leaf_stage + j_outer * (query_cost + 2 * leaf_stage)

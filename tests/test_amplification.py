@@ -1,6 +1,8 @@
 """The closed-form amplification kernel against the dense loop it replaced,
-the search entry points' input checks, and a seeded regression grid."""
+the CDF sampler against the Generator.choice loops it replaced, the search
+entry points' input checks, and a seeded regression grid."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +31,80 @@ def dense_blocks(start, mask, iterations):
         state[mask] *= -1.0
         state = 2.0 * state.mean(axis=1, keepdims=True) - state
     return state
+
+
+def reference_qsearch(start, mask, cfg):
+    """Reference oracle: the random-cutoff schedule with every measurement
+    drawn by Generator.choice.  Returns (outcome, iterations, measurements)."""
+    dim = start.shape[0]
+    weight = np.abs(start) ** 2
+    theta = zoo.solution_angle(weight, mask)
+    budget = cfg.budget_for(dim)
+    rng = np.random.default_rng(cfg.rng_seed)
+    m, used, iterations, measurements = 1.0, 0, 0, 0
+    while used < budget:
+        j = min(int(rng.integers(0, max(int(math.ceil(m)), 1))), budget - used)
+        probs = weight * zoo.amplification_factors(mask, theta, j) ** 2
+        probs /= probs.sum()
+        z = int(rng.choice(dim, p=probs))
+        iterations += j
+        measurements += 1
+        used += j + 1
+        if mask[z]:
+            return z, iterations, measurements
+        m = min(m * cfg.schedule_growth, math.sqrt(dim))
+    return None, iterations, measurements
+
+
+def reference_recursive(x, y, rcfg, cfg):
+    """Reference oracle: the blocked recursion (and the flat search it
+    delegates to) with every measurement drawn by Generator.choice.
+    Returns (index, cost, iterations, measurements)."""
+    n = len(x)
+    both = np.array(x) & np.array(y)
+    b = rcfg.block_size_rule(n)
+    if n <= rcfg.base_threshold or b >= n:
+        k = max(int(math.ceil(math.log2(n))), 0)
+        if k == 0:
+            return (0 if both[0] else None), 2, 0, 1
+        dim = 1 << k
+        mask = np.zeros(dim, dtype=bool)
+        mask[:n] = both == 1
+        z, it, ms = reference_qsearch(uniform(dim), mask, cfg)
+        return z, it * 2 * (k + 1) + ms * (2 * k + 2), it, ms
+    nblocks = int(math.ceil(n / b))
+    jbits = max(int(math.ceil(math.log2(nblocks))), 0)
+    lbits = max(int(math.ceil(math.log2(b))), 0)
+    dim = 1 << (jbits + lbits)
+    ldim = 1 << lbits
+    blk, off = np.divmod(np.arange(dim), ldim)
+    pos = blk * b + off
+    mask = (off < b) & (pos < n)
+    mask[mask] = both[pos[mask]] == 1
+    blocks = mask.reshape(1 << jbits, ldim)
+    start = np.full(blocks.shape, 1.0 / dim)
+    leaf_theta = zoo.solution_angle(start, blocks)
+    rng = np.random.default_rng(cfg.rng_seed)
+    query_cost = 2 * (jbits + lbits + 1)
+    verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
+    cost, iterations, measurements = 0, 0, 0
+    for _ in range(rcfg.rounds(n)):
+        j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
+        leaf = zoo.amplification_factors(blocks, leaf_theta, j_leaf)
+        weight = (start * leaf ** 2).reshape(dim)
+        j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
+        outer = zoo.amplification_factors(
+            mask, zoo.solution_angle(weight, mask), j_outer)
+        probs = weight * outer ** 2
+        probs /= probs.sum()
+        z = int(rng.choice(dim, p=probs))
+        cost += j_leaf * query_cost * (1 + 2 * j_outer) \
+            + j_outer * query_cost + verify_cost
+        iterations += j_leaf + j_outer
+        measurements += 1
+        if mask[z]:
+            return int(pos[z]), cost, iterations, measurements
+    return None, cost, iterations, measurements
 
 
 def random_start(rng, dim):
@@ -115,6 +191,50 @@ def test_callable_predicate_matches_indices():
     a = zoo.qsearch(uniform(16), lambda z: z % 5 == 3, cfg)
     b = zoo.qsearch(uniform(16), [3, 8, 13], cfg)
     assert a == b and a.outcome in (3, 8, 13)
+
+
+def schedules(seed):
+    """One config per (schedule_growth, max_applications) pair."""
+    return [zoo.QSearchConfig(rng_seed=seed + (i,), schedule_growth=growth,
+                              max_applications=budget)
+            for i, (growth, budget) in enumerate(
+                itertools.product((1.2, 2.0), (None, 1, 7)))]
+
+
+def test_sampler_matches_choice_on_random_starts():
+    rng = np.random.default_rng(2003)
+    dims = [2, 3, 1100] + rng.integers(2, 1101, size=37).tolist()
+    for t, dim in enumerate(dims):
+        start = random_start(rng, dim)
+        single = np.zeros(dim, dtype=bool)
+        single[rng.integers(dim)] = True
+        for mask in (rng.random(dim) < 0.05 * rng.random(),
+                     np.zeros(dim, dtype=bool), single,
+                     np.ones(dim, dtype=bool)):
+            for cfg in schedules((t, dim)):
+                res = zoo.qsearch(start, np.flatnonzero(mask), cfg)
+                got = (res.outcome, res.iterations, res.measurements)
+                assert got == reference_qsearch(start, mask, cfg), \
+                    (dim, cfg, np.flatnonzero(mask)[:4])
+
+
+def test_recursion_sampler_matches_choice():
+    rng = np.random.default_rng(2004)
+    for n in (1, 3, 16, 17, 64, 100, 256, 1024):
+        one = [0] * n
+        one[(2 * n) // 3] = 1
+        inputs = {"disjoint": ([1] * n, [0] * n), "unique": (one, one),
+                  "dense": (rng.integers(0, 2, size=n).tolist(),
+                            rng.integers(0, 2, size=n).tolist()),
+                  "full": ([1] * n, [1] * n)}
+        for (kind, (x, y)), threshold in itertools.product(
+                inputs.items(), (2, 16, 64)):
+            rcfg = zoo.RecursionConfig(base_threshold=threshold)
+            for cfg in schedules((n, threshold)):
+                res = zoo.recursive_intersection(x, y, rcfg, cfg)
+                got = (res.index, res.cost, res.iterations, res.measurements)
+                assert got == reference_recursive(x, y, rcfg, cfg), \
+                    (n, kind, threshold, cfg)
 
 
 def _grid_inputs(n):

@@ -97,6 +97,25 @@ def test_lone_input_is_usage_error(capsys):
         assert "--x and --y" in err
 
 
+def test_trials_below_one_is_usage_error(capsys):
+    for cmd in (["intersect", "--n", "4", "--seed", "1"],
+                ["audit", "eq-fullrank", "--n", "4", "--seed", "1"],
+                ["audit", "disj-triangular", "--n", "4", "--seed", "1"],
+                ["audit", "monomial-rank", "--n", "4", "--seed", "1"]):
+        for trials in ("0", "-1", "-2"):
+            code, out, err = run(capsys, *cmd, "--trials", trials)
+            assert code == 2 and out == "", (cmd, trials)
+            assert "--trials" in err and "must be >= 1" in err
+
+
+def test_intersect_rejects_non_bit_inputs(capsys):
+    for x, y in (("01a0", "1111"), ("1111", "0120"), ("1 11", "1111")):
+        code, out, err = run(capsys, "intersect", "--n", "4", "--seed", "1",
+                             "--trials", "3", "--x", x, "--y", y)
+        assert code == 2 and out == "", (x, y)
+        assert "inputs must be 0/1 sequences" in err
+
+
 def test_deterministic_output(capsys):
     args = ["intersect", "--n", "8", "--trials", "20", "--seed", "11"]
     code1, out1, _ = run(capsys, *args)
