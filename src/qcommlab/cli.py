@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 assertion/agreement failure, 2 usage or I/O error.
 Randomized paths require an explicit --seed so runs are reproducible.
-Each subcommand accepts only the shared --seed/--tol/--format flags it reads.
+Each subcommand accepts only the shared --seed/--tol/--format flags it reads,
+and audit rank-bound and intersect --cost-only refuse the --seed, --trials,
+--x and --y flags they do not read.
 """
 
 from __future__ import annotations
@@ -199,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fn", required=True,
                            choices=ranklab.FUNCTION_NAMES)
         if trials is not None:
-            p.add_argument("--trials", type=_positive_int, default=trials)
+            # None marks --trials as not given; main fills in the default
+            p.add_argument("--trials", type=_positive_int, default=None)
+            p.set_defaults(trials_default=trials)
 
     p = sub.add_parser("matrix", help="emit a communication matrix")
     common(p, "--format", fn=True)
@@ -230,12 +234,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unread_flags(args):
+    """A mode's name and the flags given to it that it never reads:
+    ``audit rank-bound`` audits the fixed corpus and ``intersect
+    --cost-only`` runs no trials."""
+    if args.command == "audit" and args.name == "rank-bound":
+        mode, names = "audit rank-bound", ("seed", "trials")
+    elif args.command == "intersect" and args.cost_only:
+        mode, names = "intersect --cost-only", ("seed", "trials", "x", "y")
+    else:
+        return None, []
+    return mode, [f"--{name}" for name in names
+                  if getattr(args, name) is not None]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    mode, unread = _unread_flags(args)
+    if unread:
+        sys.stderr.write(f"error: {mode} does not read {', '.join(unread)}\n")
+        return 2
+    if getattr(args, "trials", 0) is None:
+        args.trials = args.trials_default
     if (getattr(args, "x", None) is None) != (getattr(args, "y", None) is None):
         sys.stderr.write("error: --x and --y must be given together\n")
         return 2

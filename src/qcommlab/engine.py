@@ -16,9 +16,16 @@ each Bob step once per y, since Alice's gates depend only on x and Bob's
 only on y.  ``_evolve`` then holds one state per pair in an array of shape
 (x, y, 2^total): an Alice turn applies x's gates to the batch states[x]
 over all y, a Bob turn applies y's gates to states[:, y] over all x.
-``simulate`` is the walk over one pair, ``acceptance_matrix`` the walk
-over all pairs in chunks of x rows, and ``yao_kremer_decompose`` applies
-each gate once to its stack of transcript branches.
+``simulate`` is the walk over one pair and ``acceptance_matrix`` the walk
+over all pairs in chunks of x rows.
+
+The Yao-Kremer decomposition walk ``_decompose`` is batched over inputs
+the same way.  A party's transcript branches depend only on its own
+input, so it holds Alice's as (x, transcripts, 2^side) and Bob's as
+(y, transcripts, 2^side) and applies input i's gates to stack i; the
+window split and the receiver's |bits> expansion act on every input at
+once.  ``yao_kremer_decompose`` is its one-pair case, and
+``output_families`` gives every input's output-bit-1 components.
 
 A ``Gate`` (defined in ``linalg``, re-exported here) is checked for
 unitarity once, when a step's build makes it, so the walk applies it to
@@ -28,7 +35,7 @@ any number of chunks and branches without checking it again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -320,6 +327,12 @@ class TranscriptDecomposition:
     ``pool_qubits`` as |0>.  a_vectors[i] depends only on Alice's input,
     b_vectors[i] only on Bob's.  ``out_bit_index`` is the transcript
     position of the last bit sent (-1 for a message-free protocol).
+
+    ``yao_kremer_decompose`` gives one pair's vectors, of shape
+    (transcripts, 2^side).  The walk over many inputs, ``_decompose``,
+    stacks them as (len(xs), transcripts, 2^side) for Alice and
+    (len(ys), ...) for Bob; ``output_components`` keeps that input axis,
+    and ``reconstruct`` needs one pair.
     """
 
     layout: RegisterLayout
@@ -348,10 +361,10 @@ class TranscriptDecomposition:
         """Per transcript, the output-bit-is-1 part split by side.
 
         Returns (a1, b1, holder): if Alice's side holds the output qubit,
-        a1[i] is a_vectors[i] projected on output=1 with that qubit removed
-        and b1 = b_vectors; symmetrically for Bob.  holder names the side.
-        If the output qubit was never sent it is |0> and both parts are
-        empty zero families.
+        a1[..., i, :] is a_vectors[..., i, :] projected on output=1 with
+        that qubit removed and b1 = b_vectors; symmetrically for Bob.
+        holder names the side.  If the output qubit was never sent it is
+        |0> and a1 is a zero family of a_vectors' shape.
         """
         out = self.layout.output_qubit
         if out in self.alice_side:
@@ -359,55 +372,69 @@ class TranscriptDecomposition:
             return _project_out(self.a_vectors, pos), self.b_vectors, ALICE
         if out in self.bob_side:
             pos = self.bob_side.index(out)
-            a1 = self.a_vectors
-            return a1, _project_out(self.b_vectors, pos), BOB
-        shape_a = (self.a_vectors.shape[0], self.a_vectors.shape[1])
-        return np.zeros(shape_a, dtype=complex), self.b_vectors, None
+            return self.a_vectors, _project_out(self.b_vectors, pos), BOB
+        return np.zeros(self.a_vectors.shape, dtype=complex), self.b_vectors, None
 
 
 def _project_out(vectors: np.ndarray, pos: int) -> np.ndarray:
-    """Keep the bit-at-pos = 1 component and drop that qubit."""
-    count, dim = vectors.shape
+    """Keep the bit-at-pos = 1 component of each vector along the last
+    axis and drop that qubit."""
+    dim = vectors.shape[-1]
     m = dim.bit_length() - 1
-    t = vectors.reshape([count] + [2] * m)
-    t = np.moveaxis(t, 1 + pos, 1)
-    return t[:, 1, ...].reshape(count, dim // 2)
+    t = vectors.reshape(vectors.shape[:-1] + (1 << pos, 2, 1 << (m - pos - 1)))
+    return t[..., 1, :].reshape(vectors.shape[:-1] + (dim // 2,))
 
 
-def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
+def _decompose(p: Protocol, xs: Sequence[tuple],
+               ys: Sequence[tuple]) -> TranscriptDecomposition:
+    """Transcript branches of every input in ``xs`` (Alice) and ``ys``
+    (Bob), from one walk: a_vectors[i] holds x_i's branches and
+    b_vectors[j] y_j's, since a party's branches depend only on its own
+    input."""
     ell = p.declared_cost
     if ell > MAX_TRANSCRIPT_BITS:
         raise CapacityError(f"2^{ell} transcripts exceed the decomposition budget")
-    x = as_bits(x, p.input_bits)
-    y = as_bits(y, p.input_bits)
     lay = p.layout
     sides = {ALICE: list(lay.alice_register), BOB: list(lay.bob_register)}
-    # one row per transcript so far, first sent bit most significant
-    branches = {party: np.eye(1, 1 << len(side), dtype=complex)
-                for party, side in sides.items()}
-    for turn in _compile(p, [x], [y]):
+    # per input, one row per transcript so far, first sent bit most
+    # significant
+    branches = {}
+    for party, inputs in ((ALICE, xs), (BOB, ys)):
+        branches[party] = np.zeros((len(inputs), 1, 1 << len(sides[party])),
+                                   dtype=complex)
+        branches[party][:, 0, 0] = 1.0
+    for turn in _compile(p, xs, ys):
         sender, receiver = turn.party, other_party(turn.party)
         side = sides[sender]
         mine, theirs = branches[sender], branches[receiver]
-        count = len(mine)
+        batch, count = mine.shape[:2]
         claimed = [g for g in turn.window if g not in side]
         if claimed:
-            mine = np.kron(mine, np.eye(1, 1 << len(claimed)))
+            # each vector gains the claimed qubits last, in |0>: entry for
+            # entry np.kron's product, without its reshaping overhead
+            zero = np.eye(1, 1 << len(claimed))[0]
+            mine = (mine[..., None] * zero).reshape(batch, count, -1)
             side = side + claimed
-        for gate in turn.gates[0]:
-            positions = [side.index(t) for t in gate.targets]
-            mine = linalg.apply_on_qubits(mine, gate, positions)
+        for i, gates in enumerate(turn.gates):
+            if not gates:
+                continue
+            stack = mine[i]
+            for gate in gates:
+                positions = [side.index(t) for t in gate.targets]
+                stack = linalg.apply_on_qubits(stack, gate, positions)
+            mine[i] = stack
         k = len(turn.window)
         if k:
             # branch c splits into c * 2^k + bits: the sender keeps the
             # row of its vector where the window reads bits, the
             # receiver's vector gains the window in state |bits>
             m = len(side)
-            kpos = [1 + side.index(g) for g in turn.window]
-            t = np.moveaxis(mine.reshape((count,) + (2,) * m), kpos,
-                            range(1, k + 1))
-            mine = t.reshape(count << k, 1 << (m - k))
-            theirs = np.kron(theirs, np.eye(1 << k))
+            kpos = [2 + side.index(g) for g in turn.window]
+            t = np.moveaxis(mine.reshape((batch, count) + (2,) * m), kpos,
+                            range(2, k + 2))
+            mine = t.reshape(batch, count << k, 1 << (m - k))
+            theirs = (theirs[:, :, None, :, None] * np.eye(1 << k)[:, None]
+                      ).reshape(len(theirs), count << k, -1)
             side = [q for q in side if q not in turn.window]
             sides[receiver] = sides[receiver] + list(turn.window)
         sides[sender] = side
@@ -425,6 +452,21 @@ def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
         b_vectors=branches[BOB],
         out_bit_index=ell - 1,
     )
+
+
+def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
+    """The decomposition of one pair's final state: the walk over [x], [y]."""
+    d = _decompose(p, [as_bits(x, p.input_bits)], [as_bits(y, p.input_bits)])
+    return replace(d, a_vectors=d.a_vectors[0], b_vectors=d.b_vectors[0])
+
+
+def output_families(p: Protocol) -> tuple:
+    """Output-bit-1 transcript components of every input, from one walk:
+    A_i(x) and B_i(y) as [transcripts, 2^n, dim] arrays."""
+    inputs = [as_bits(i, p.input_bits) for i in range(1 << p.input_bits)]
+    a1, b1, _ = _decompose(p, inputs, inputs).output_components()
+    return (np.ascontiguousarray(a1.swapaxes(0, 1)),
+            np.ascontiguousarray(b1.swapaxes(0, 1)))
 
 
 class RankBoundReport(NamedTuple):

@@ -298,19 +298,7 @@ def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
     if not np.array_equal(accept.support(tol), target.values == 1):
         raise ValueError(
             "protocol acceptance pattern does not compute the target")
-    dim = 1 << n
-    count = 1 << p.declared_cost
-    a_tab = b_tab = None
-    for xi in range(dim):
-        a1, _, _ = engine.yao_kremer_decompose(p, xi, 0).output_components()
-        if a_tab is None:
-            a_tab = np.zeros((count, dim, a1.shape[1]), dtype=complex)
-        a_tab[:, xi, :] = a1
-    for yi in range(dim):
-        _, b1, _ = engine.yao_kremer_decompose(p, 0, yi).output_components()
-        if b_tab is None:
-            b_tab = np.zeros((count, dim, b1.shape[1]), dtype=complex)
-        b_tab[:, yi, :] = b1
+    a_tab, b_tab = engine.output_families(p)
     live = (linalg.support(np.linalg.norm(a_tab, axis=(1, 2)), tol)
             & linalg.support(np.linalg.norm(b_tab, axis=(1, 2)), tol))
     s_idx = np.flatnonzero(live)

@@ -26,6 +26,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -113,12 +114,19 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     msg_glob = tuple(lay.channel_qubit(k) for k in msg)
     bob_reg = lay.bob_register
     swap = np.eye(4)[[0, 2, 1, 3]]
-    # Bob's gates before the flip depend on neither input: move message
-    # qubit i to the low bits of his register, then rotate by u
-    bob_fixed = [Gate(swap, (msg_glob[i], bob_reg[n - q + i]))
+    u = res.u
+
+    @functools.cache
+    def bob_fixed():
+        """Bob's gates before the flip, which depend on neither input:
+        move message qubit i to the low bits of his register, then rotate
+        by u.  Made on the first reply, once per protocol, so a caller
+        that only reads the cost never makes the 2^n x 2^n rotation."""
+        fixed = [Gate(swap, (msg_glob[i], bob_reg[n - q + i]))
                  for i in range(q)]
-    if n:
-        bob_fixed.append(Gate(res.u, bob_reg))
+        if n:
+            fixed.append(Gate(u, bob_reg))
+        return fixed
 
     def alice_send(xbits):
         xi = engine.bits_to_int(xbits)
@@ -129,8 +137,8 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
 
     def bob_reply(ybits):
         yi = engine.bits_to_int(ybits)
-        return bob_fixed + [Gate(controlled_flip(np.arange(dim) == yi),
-                                 bob_reg + (lay.channel_qubit(0),))]
+        return bob_fixed() + [Gate(controlled_flip(np.arange(dim) == yi),
+                                   bob_reg + (lay.channel_qubit(0),))]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
              ProtocolStep(BOB, (0,), bob_reply)]

@@ -1,6 +1,8 @@
 import json
 
-from qcommlab import cli
+import numpy as np
+
+from qcommlab import cli, engine, linalg
 
 
 def run(capsys, *argv):
@@ -144,3 +146,51 @@ def test_unread_flags_are_usage_errors(capsys):
                  ["simulate", "--fn", "EQ", "--n", "2", "--seed", "1"]):
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out == "", argv
+
+
+def test_mode_unread_flags_are_usage_errors(capsys):
+    rank_bound = ["audit", "rank-bound", "--n", "2"]
+    cost_only = ["intersect", "--n", "4", "--cost-only"]
+    for argv, message in (
+            (rank_bound + ["--trials", "5", "--seed", "5"],
+             "audit rank-bound does not read --seed, --trials"),
+            (rank_bound + ["--seed", "5"],
+             "audit rank-bound does not read --seed"),
+            (rank_bound + ["--trials", "100"],
+             "audit rank-bound does not read --trials"),
+            (cost_only + ["--seed", "1", "--trials", "9", "--x", "01",
+                          "--y", "10"],
+             "intersect --cost-only does not read --seed, --trials, --x, --y"),
+            (cost_only + ["--trials", "200"],
+             "intersect --cost-only does not read --trials"),
+            (cost_only + ["--x", "0101", "--y", "0101"],
+             "intersect --cost-only does not read --x, --y")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {message}\n"
+    code, out, _ = run(capsys, *rank_bound)
+    assert code == 0 and json.loads(out)["trials"] == 6
+    code, out, _ = run(capsys, *cost_only)
+    assert code == 0 and out == "cost_model 24\n"
+    # the modes that run trials keep their default counts
+    code, out, _ = run(capsys, "audit", "disj-triangular", "--n", "2",
+                       "--seed", "1")
+    assert code == 0 and json.loads(out)["trials"] == 100
+    code, out, _ = run(capsys, "intersect", "--n", "2", "--seed", "1")
+    assert code == 0 and "trials 200\n" in out
+
+
+def test_ndet_above_the_acceptance_guard_makes_no_gate(capsys, monkeypatch):
+    n = engine.ACCEPTANCE_N_GUARD + 1
+    checked = []
+    is_unitary = linalg.is_unitary
+
+    def counted(u, *args):
+        checked.append(np.shape(u))
+        return is_unitary(u, *args)
+
+    monkeypatch.setattr(linalg, "is_unitary", counted)
+    code, out, _ = run(capsys, "ndet", "--fn", "EQ", "--n", str(n))
+    assert code == 0
+    assert "acceptance pattern skipped" in out and "agree" in out
+    assert checked == []

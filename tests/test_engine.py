@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcommlab import engine, linalg, ranklab, zoo
 from qcommlab.engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
@@ -338,12 +339,13 @@ def test_gates_checked_once_per_build(monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", counted_check)
     monkeypatch.setattr(engine.Gate, "__post_init__", counted_gate)
     want = engine.acceptance_matrix(protocol).values
-    # Alice's 2^n states and Bob's 2^n flips; his swaps and rotation
-    # were made with the protocol
-    assert counts == {"checks": 2 << n, "gates": 2 << n}
+    # Alice's 2^n states and Bob's 2^n flips, and his n swaps and his
+    # rotation, made on his first reply
+    assert counts == {"checks": (2 << n) + n + 1, "gates": (2 << n) + n + 1}
     counts.update(checks=0, gates=0)
     monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", 1)
     assert np.array_equal(engine.acceptance_matrix(protocol).values, want)
+    # his swaps and rotation are not made again
     assert counts == {"checks": 2 << n, "gates": 2 << n}
 
 
@@ -365,3 +367,228 @@ def test_bit_array_forms():
     for bad in ("0120", "01 0", [0, 2], [0.5, 1], [[0, 1]], ["0", "x"]):
         with pytest.raises(ValueError):
             engine.bit_array(bad)
+
+
+def reference_yao_kremer_decompose(p, x, y):
+    """The per-pair decomposition the batched walk replaced: one pair's
+    branch stacks, evolved by that pair's gates."""
+    ell = p.declared_cost
+    if ell > engine.MAX_TRANSCRIPT_BITS:
+        raise CapacityError(f"2^{ell} transcripts exceed the decomposition budget")
+    x = engine.as_bits(x, p.input_bits)
+    y = engine.as_bits(y, p.input_bits)
+    lay = p.layout
+    sides = {ALICE: list(lay.alice_register), BOB: list(lay.bob_register)}
+    branches = {party: np.eye(1, 1 << len(side), dtype=complex)
+                for party, side in sides.items()}
+    for turn in engine._compile(p, [x], [y]):
+        sender, receiver = turn.party, engine.other_party(turn.party)
+        side = sides[sender]
+        mine, theirs = branches[sender], branches[receiver]
+        count = len(mine)
+        claimed = [g for g in turn.window if g not in side]
+        if claimed:
+            mine = np.kron(mine, np.eye(1, 1 << len(claimed)))
+            side = side + claimed
+        for gate in turn.gates[0]:
+            positions = [side.index(t) for t in gate.targets]
+            mine = linalg.apply_on_qubits(mine, gate, positions)
+        k = len(turn.window)
+        if k:
+            m = len(side)
+            kpos = [1 + side.index(g) for g in turn.window]
+            t = np.moveaxis(mine.reshape((count,) + (2,) * m), kpos,
+                            range(1, k + 1))
+            mine = t.reshape(count << k, 1 << (m - k))
+            theirs = np.kron(theirs, np.eye(1 << k))
+            side = [q for q in side if q not in turn.window]
+            sides[receiver] = sides[receiver] + list(turn.window)
+        sides[sender] = side
+        branches[sender], branches[receiver] = mine, theirs
+    sent = {q for step in p.steps for q in step.window}
+    pool = tuple(lay.channel_qubit(k)
+                 for k in range(lay.channel_qubits) if k not in sent)
+    return engine.TranscriptDecomposition(
+        layout=lay, ell=ell, alice_side=tuple(sides[ALICE]),
+        bob_side=tuple(sides[BOB]), pool_qubits=pool,
+        a_vectors=branches[ALICE], b_vectors=branches[BOB],
+        out_bit_index=ell - 1)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_decomposition(got, want):
+    assert (got.layout, got.ell, got.out_bit_index) == (
+        want.layout, want.ell, want.out_bit_index)
+    assert (got.alice_side, got.bob_side, got.pool_qubits) == (
+        want.alice_side, want.bob_side, want.pool_qubits)
+    assert same_bytes(got.a_vectors, want.a_vectors)
+    assert same_bytes(got.b_vectors, want.b_vectors)
+    (a1, b1, holder), (want_a1, want_b1, want_holder) = (
+        got.output_components(), want.output_components())
+    assert holder == want_holder
+    assert same_bytes(a1, want_a1) and same_bytes(b1, want_b1)
+
+
+def assert_decompositions_match_reference(p):
+    for xi in range(1 << p.input_bits):
+        for yi in range(1 << p.input_bits):
+            assert_same_decomposition(engine.yao_kremer_decompose(p, xi, yi),
+                                      reference_yao_kremer_decompose(p, xi, yi))
+
+
+def send_back_protocol():
+    """Alice -> Bob -> Alice: Bob returns channel qubit 0, then Alice sends
+    both (the protocol of test_three_turns_with_the_qubit_sent_back)."""
+    return random_protocol(2, RegisterLayout(1, 2, 1),
+                           [((0,), (0, 1)), ((0,), (1, 3)),
+                            ((0, 1), (0, 1, 2))], seed=4)
+
+
+def zero_row_svd_protocol(n, seed):
+    """svd protocol of a random matrix with zero rows 0 and 2: an Alice
+    ancilla and a zero-window clean-up turn."""
+    m = np.random.default_rng(seed).normal(size=(1 << n, 1 << n))
+    m[[0, 2]] = 0.0
+    p = zoo.ndet_svd_protocol(m).protocol
+    assert p.layout.alice_qubits == 1
+    assert len(p.steps) == 3 and p.steps[2].window == ()
+    return p
+
+
+def test_decompose_matches_per_pair_reference_on_corpus():
+    for n in (1, 2, 3, 4):
+        for entry in zoo.protocol_corpus(n):
+            assert_decompositions_match_reference(entry.protocol)
+
+
+def test_decompose_matches_per_pair_reference_sent_back_and_zero_rows():
+    assert_decompositions_match_reference(send_back_protocol())
+    for n in (2, 3):
+        assert_decompositions_match_reference(zero_row_svd_protocol(n, seed=n))
+
+
+def test_batched_walk_stacks_per_pair_branches():
+    """_decompose over any input lists gives x's branches in a_vectors[i]
+    for xs[i] and y's in b_vectors[j] for ys[j], with one build per step
+    and input."""
+    n = 2
+    builds = []
+
+    def counted(build):
+        def wrapper(bits):
+            builds.append(bits)
+            return build(bits)
+        return wrapper
+
+    protocols = [entry.protocol for entry in zoo.protocol_corpus(n)]
+    protocols += [send_back_protocol(), zero_row_svd_protocol(n, seed=5)]
+    inputs = [engine.as_bits(i, n) for i in range(1 << n)]
+    xs, ys = inputs[::-1], inputs[1:]
+    for p in protocols:
+        p = Protocol(p.layout, tuple(ProtocolStep(s.party, s.window,
+                                                  counted(s.build))
+                                     for s in p.steps), input_bits=n)
+        builds.clear()
+        d = engine._decompose(p, xs, ys)
+        assert len(builds) == sum(len(xs if s.party == ALICE else ys)
+                                  for s in p.steps)
+        assert d.a_vectors.shape[0] == len(xs)
+        assert d.b_vectors.shape[0] == len(ys)
+        a1, b1, holder = d.output_components()
+        for i, x in enumerate(xs):
+            want = reference_yao_kremer_decompose(p, x, ys[0])
+            assert same_bytes(d.a_vectors[i], want.a_vectors)
+            assert same_bytes(a1[i], want.output_components()[0])
+            assert holder == want.output_components()[2]
+        for j, y in enumerate(ys):
+            want = reference_yao_kremer_decompose(p, xs[0], y)
+            assert same_bytes(d.b_vectors[j], want.b_vectors)
+            assert same_bytes(b1[j], want.output_components()[1])
+
+
+def test_output_families_stack_per_pair_components():
+    for n in (1, 2, 3):
+        for entry in zoo.protocol_corpus(n):
+            p = entry.protocol
+            a, b = engine.output_families(p)
+            dim = 1 << n
+            want_a = np.stack([reference_yao_kremer_decompose(p, x, 0)
+                               .output_components()[0] for x in range(dim)],
+                              axis=1)
+            want_b = np.stack([reference_yao_kremer_decompose(p, 0, y)
+                               .output_components()[1] for y in range(dim)],
+                              axis=1)
+            assert same_bytes(a, want_a) and same_bytes(b, want_b), entry.name
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+
+
+@st.composite
+def small_protocols(draw):
+    """2-4 alternating steps on at most 6 qubits.  Each window is a set of
+    channel qubits the sender may send, and each step one target set of
+    qubits the sender may touch, with a random unitary per input.  The last
+    window holds the output qubit, channel qubit 0, whenever its sender
+    may send it."""
+    n = draw(st.integers(1, 2))
+    lay = RegisterLayout(draw(st.integers(0, 2)), draw(st.integers(1, 3)),
+                         draw(st.integers(0, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    registers = {ALICE: lay.alice_register, BOB: lay.bob_register}
+    owner = [None] * lay.channel_qubits
+    steps = []
+    count = draw(st.integers(2, 4))
+    for k in range(count):
+        party = ALICE if k % 2 == 0 else BOB
+        sendable = [c for c, o in enumerate(owner) if o in (None, party)]
+        window = tuple(draw(st.lists(st.sampled_from(sendable), unique=True,
+                                     max_size=2))) if sendable else ()
+        if k == count - 1 and 0 in sendable and 0 not in window:
+            window += (0,)
+        allowed = sorted(set(registers[party]).union(
+            lay.channel_qubit(c) for c in sendable
+            if owner[c] == party or c in window))
+        targets = tuple(draw(st.lists(st.sampled_from(allowed), unique=True,
+                                      min_size=1, max_size=3))) \
+            if allowed else ()
+        table = [linalg.random_unitary(1 << len(targets), rng)
+                 for _ in range(1 << n)] if targets else None
+
+        def build(bits, table=table, targets=targets):
+            if table is None:
+                return []
+            return [Gate(table[engine.bits_to_int(bits)], targets)]
+
+        steps.append(ProtocolStep(party, window, build))
+        for c in window:
+            owner[c] = engine.other_party(party)
+    return Protocol(lay, tuple(steps), input_bits=n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_protocols())
+def test_random_protocols_decompose_and_obey_the_rank_bound(p):
+    dim = 1 << p.input_bits
+    am = engine.acceptance_matrix(p)
+    a, b = engine.output_families(p)
+    for xi in range(dim):
+        for yi in range(dim):
+            state = engine.simulate(p, xi, yi).final_state
+            assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+            d = engine.yao_kremer_decompose(p, xi, yi)
+            assert np.max(np.abs(d.reconstruct() - state)) <= 1e-12
+            a1, b1, _ = d.output_components()
+            assert same_bytes(a[:, xi], a1) and same_bytes(b[:, yi], b1)
+    # the paper's identity P(x,y) = |sum_i A_i(x) (x) B_i(y)|^2 over the
+    # transcripts, with the output bit 1
+    branch = np.einsum("ixa,iyb->xyab", a, b)
+    assert np.max(np.abs(np.sum(np.abs(branch) ** 2, axis=(2, 3))
+                         - am.values)) <= 1e-12
+    if 0 in p.steps[-1].window:
+        # the output bit is sent last, so at most 2^(l-1) transcripts
+        # accept; a receiver that still acts on it can exceed the bound
+        bound = 1 << max(0, 2 * p.declared_cost - 2)
+        assert linalg.numeric_rank(am.values) <= bound

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qcommlab import engine, linalg, ranklab, zoo
-from qcommlab.errors import FamilyHypothesisError, PatternMismatchError
+from qcommlab.errors import (CapacityError, FamilyHypothesisError,
+                             PatternMismatchError)
 
 
 def test_build_comm_matrix_tables():
@@ -352,3 +353,56 @@ def test_family_check_names_first_offender_of_perturbed_family():
     assert assert_family_check_matches_reference(a, b, target)
     with pytest.raises(FamilyHypothesisError, match=r"= \(2, 1\)$"):
         ranklab.lemma2_scalarize(a, b, target)
+
+
+def reference_protocol_to_witness(p, target, seed=0, coeff_bits=24,
+                                  tol=linalg.DEFAULT_TOL):
+    """protocol_to_witness with the families built by one decomposition
+    per input of each party, 2^(n+1) walks, as before the batched walk."""
+    n = p.input_bits
+    if n != target.n:
+        raise ValueError("protocol and target disagree on n")
+    accept = engine.acceptance_matrix(p)
+    if not np.array_equal(accept.support(tol), target.values == 1):
+        raise ValueError(
+            "protocol acceptance pattern does not compute the target")
+    dim = 1 << n
+    count = 1 << p.declared_cost
+    a_tab = b_tab = None
+    for xi in range(dim):
+        a1, _, _ = engine.yao_kremer_decompose(p, xi, 0).output_components()
+        if a_tab is None:
+            a_tab = np.zeros((count, dim, a1.shape[1]), dtype=complex)
+        a_tab[:, xi, :] = a1
+    for yi in range(dim):
+        _, b1, _ = engine.yao_kremer_decompose(p, 0, yi).output_components()
+        if b_tab is None:
+            b_tab = np.zeros((count, dim, b1.shape[1]), dtype=complex)
+        b_tab[:, yi, :] = b1
+    live = (linalg.support(np.linalg.norm(a_tab, axis=(1, 2)), tol)
+            & linalg.support(np.linalg.norm(b_tab, axis=(1, 2)), tol))
+    s_idx = np.flatnonzero(live)
+    if s_idx.size == 0:
+        raise ValueError("protocol never accepts; no witness family")
+    trial = ranklab.lemma2_scalarize(a_tab[s_idx], b_tab[s_idx], target,
+                                     coeff_bits=coeff_bits, seed=seed, tol=tol)
+    return trial.witness
+
+
+def test_protocol_to_witness_matches_per_input_reference_on_corpus():
+    for n in (1, 2, 3, 4):
+        for entry in zoo.protocol_corpus(n):
+            got = ranklab.protocol_to_witness(entry.protocol, entry.target,
+                                              seed=n)
+            want = reference_protocol_to_witness(entry.protocol, entry.target,
+                                                 seed=n)
+            assert got.matrix.dtype == want.matrix.dtype, (entry.name, n)
+            assert got.matrix.tobytes() == want.matrix.tobytes(), (entry.name, n)
+            assert got.rank == want.rank and got.target is want.target
+
+
+def test_protocol_to_witness_above_the_acceptance_guard():
+    n = engine.ACCEPTANCE_N_GUARD + 1
+    target = ranklab.build_comm_matrix("EQ", n)
+    with pytest.raises(CapacityError):
+        ranklab.protocol_to_witness(zoo.trivial_exact_protocol(target), target)

@@ -252,3 +252,26 @@ def test_search_inputs_must_be_equal_length_bits(x, y):
         zoo.recursive_intersection(x, y, zoo.RecursionConfig(), cfg)
     with pytest.raises(ValueError):
         zoo.distributed_and_oracle(range(len(x)), x, y)
+
+
+def test_svd_protocol_makes_bobs_fixed_gates_on_his_first_reply(monkeypatch):
+    made = []
+    post_init = linalg.Gate.__post_init__
+
+    def counted(gate):
+        post_init(gate)
+        made.append(gate)
+
+    monkeypatch.setattr(linalg.Gate, "__post_init__", counted)
+    n = 3
+    p = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", n)).protocol
+    assert made == []
+    bob = p.steps[1].build
+    first = bob((0, 0, 0))
+    # his n swaps and his 2^n x 2^n rotation, then the flip at y
+    assert len(first) == len(made) == n + 2
+    assert first[n].unitary.shape == (1 << n, 1 << n)
+    second = bob((0, 1, 1))
+    assert len(made) == n + 3
+    assert all(a is b for a, b in zip(first[:-1], second[:-1]))
+    assert second[-1] is made[-1]
