@@ -18,8 +18,8 @@ from .ranklab import (CommMatrix, FoldedPolynomial, NdetWitness,
                       verify_ndet_witness)
 from .zoo import (IntersectionResult, NdetProtocolBundle, QSearchConfig,
                   RecursionConfig, bcw_intersection, cost_model,
-                  distributed_and_oracle, fit_cost_envelope, grover_state,
-                  log_star, ndet_svd_protocol, protocol_corpus, qsearch,
+                  fit_cost_envelope, grover_state, log_star,
+                  ndet_svd_protocol, protocol_corpus, qsearch,
                   recursive_intersection, trivial_exact_protocol)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -300,11 +300,12 @@ class AcceptanceMatrix:
         return cls(n=obj["n"], values=np.asarray(obj["values"]))
 
 
-def acceptance_matrix(p: Protocol, force: bool = False) -> AcceptanceMatrix:
+def acceptance_matrix(p: Protocol) -> AcceptanceMatrix:
     n = p.input_bits
-    if n > ACCEPTANCE_N_GUARD and not force:
+    if n > ACCEPTANCE_N_GUARD:
         raise CapacityError(
-            f"acceptance_matrix over 2^{2 * n} pairs; pass force=True to insist")
+            f"acceptance_matrix over 2^{2 * n} pairs; it tabulates only "
+            f"n <= {ACCEPTANCE_N_GUARD}")
     dim = 1 << n
     inputs = [as_bits(i, n) for i in range(dim)]
     turns = _compile(p, inputs, inputs)
@@ -325,8 +326,7 @@ class TranscriptDecomposition:
     significant) the branch state is a_vectors[i] on ``alice_side`` tensor
     b_vectors[i] on ``bob_side``; channel qubits never sent sit in
     ``pool_qubits`` as |0>.  a_vectors[i] depends only on Alice's input,
-    b_vectors[i] only on Bob's.  ``out_bit_index`` is the transcript
-    position of the last bit sent (-1 for a message-free protocol).
+    b_vectors[i] only on Bob's.
 
     ``yao_kremer_decompose`` gives one pair's vectors, of shape
     (transcripts, 2^side).  The walk over many inputs, ``_decompose``,
@@ -342,7 +342,6 @@ class TranscriptDecomposition:
     pool_qubits: tuple
     a_vectors: np.ndarray
     b_vectors: np.ndarray
-    out_bit_index: int
 
     def reconstruct(self) -> np.ndarray:
         lay = self.layout
@@ -450,7 +449,6 @@ def _decompose(p: Protocol, xs: Sequence[tuple],
         pool_qubits=pool,
         a_vectors=branches[ALICE],
         b_vectors=branches[BOB],
-        out_bit_index=ell - 1,
     )
 
 
@@ -475,10 +473,10 @@ class RankBoundReport(NamedTuple):
     ok: bool
 
 
-def rank_bound_audit(p: Protocol, tol: float = linalg.DEFAULT_TOL,
-                     force: bool = False) -> RankBoundReport:
+def rank_bound_audit(p: Protocol,
+                     tol: float = linalg.DEFAULT_TOL) -> RankBoundReport:
     """Check numeric_rank(P) <= 2^(2*cost - 2) on the acceptance matrix."""
-    mat = acceptance_matrix(p, force=force)
+    mat = acceptance_matrix(p)
     rank = linalg.numeric_rank(mat.values, tol)
     bound = 1 << max(0, 2 * p.declared_cost - 2)
     return RankBoundReport(rank=rank, bound=bound, ok=rank <= bound)

@@ -41,6 +41,12 @@ class SvdResult:
         k = self.sigma.shape[0]
         return (self.u[:, :k] * self.sigma) @ self.v[:k, :]
 
+    def rank(self, tol: float = DEFAULT_TOL) -> int:
+        """Number of singular values in the support (0 for a zero matrix)."""
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        return int(np.count_nonzero(support(self.sigma, tol)))
+
 
 def svd(m) -> SvdResult:
     """Singular value decomposition of ``m`` (the argument itself; callers
@@ -68,10 +74,8 @@ def support(values, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values in the support (0 for a zero matrix)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return int(np.count_nonzero(support(svd(m).sigma, tol)))
+    """Rank of m: ``svd(m).rank(tol)``."""
+    return svd(m).rank(tol)
 
 
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:

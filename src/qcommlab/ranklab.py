@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ FUNCTION_NAMES = ("EQ", "NEQ", "DISJ", "INT")
 COMM_N_GUARD = 10
 
 SCALARIZE_RETRY_BUDGET = 32
+# Lemma 2's coefficients are drawn from 2^COEFF_BITS values in [1, 2)
+COEFF_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -205,17 +207,14 @@ def disj_triangular_audit(n: int, trials: int, seed: int) -> AuditReport:
 
 @dataclass
 class ScalarizationTrial:
-    m: int
-    coeff_bits: int
+    """The first attempt whose zero pattern matched the target."""
+
     alpha: np.ndarray
     beta: np.ndarray
-    a_table: np.ndarray
-    b_table: np.ndarray
     v_table: np.ndarray
     success: bool
     attempt: int
-    witness: Optional[NdetWitness]
-    predicted_failure_bound: float
+    witness: NdetWitness
 
 
 def _family_hypothesis_check(a_family, b_family, target, tol):
@@ -238,12 +237,12 @@ def _family_hypothesis_check(a_family, b_family, target, tol):
 
 
 def lemma2_scalarize(a_family, b_family, target: CommMatrix,
-                     coeff_bits: int = 24, seed: int = 0,
+                     seed: int = 0,
                      tol: float = linalg.DEFAULT_TOL) -> ScalarizationTrial:
     """Collapse vector families to scalars with random coefficients.
 
     Given families with sum_i A_i(x) (x) B_i(y) = 0 iff target(x,y) = 0,
-    draws coefficient vectors alpha, beta from 2^coeff_bits equally spaced
+    draws coefficient vectors alpha, beta from 2^COEFF_BITS equally spaced
     values in [1, 2) and forms v(x,y) = sum_i (alpha.A_i(x))(beta.B_i(y)).
     The zero pattern of v matches the target with high probability; the
     resulting witness has rank at most the family size m.
@@ -256,33 +255,24 @@ def lemma2_scalarize(a_family, b_family, target: CommMatrix,
     if b_family.shape[0] != m:
         raise ValueError("family sizes disagree")
     _family_hypothesis_check(a_family, b_family, target, tol)
-    size = 1 << coeff_bits
-    ones = int(np.sum(target.values))
-    predicted = min(1.0, ones * 2.0 / size)
-    last = None
+    size = 1 << COEFF_BITS
     for attempt in range(SCALARIZE_RETRY_BUDGET):
         rng = np.random.default_rng([seed, attempt])
         alpha = 1.0 + rng.integers(0, size, size=a_family.shape[2]) / size
         beta = 1.0 + rng.integers(0, size, size=b_family.shape[2]) / size
-        a_table = a_family @ alpha
-        b_table = b_family @ beta
-        v = np.einsum("ix,iy->xy", a_table, b_table)
-        success = np.array_equal(linalg.support(v, tol), target.values == 1)
-        witness = verify_ndet_witness(v, target, tol) if success else None
-        last = ScalarizationTrial(
-            m=m, coeff_bits=coeff_bits, alpha=alpha, beta=beta,
-            a_table=a_table, b_table=b_table, v_table=v, success=success,
-            attempt=attempt, witness=witness,
-            predicted_failure_bound=predicted)
-        if success:
-            return last
+        v = np.einsum("ix,iy->xy", a_family @ alpha, b_family @ beta)
+        if np.array_equal(linalg.support(v, tol), target.values == 1):
+            return ScalarizationTrial(
+                alpha=alpha, beta=beta, v_table=v, success=True,
+                attempt=attempt, witness=verify_ndet_witness(v, target, tol))
+    predicted = min(1.0, int(np.sum(target.values)) * 2.0 / size)
     raise ProbabilisticFailureError(
         f"no pattern match in {SCALARIZE_RETRY_BUDGET} attempts "
         f"(per-attempt failure bound {predicted:.3g})")
 
 
 def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
-                        seed: int = 0, coeff_bits: int = 24,
+                        seed: int = 0,
                         tol: float = linalg.DEFAULT_TOL) -> NdetWitness:
     """Low-rank witness extracted from a protocol's accepting transcripts.
 
@@ -305,7 +295,7 @@ def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
     if s_idx.size == 0:
         raise ValueError("protocol never accepts; no witness family")
     trial = lemma2_scalarize(a_tab[s_idx], b_tab[s_idx], target,
-                             coeff_bits=coeff_bits, seed=seed, tol=tol)
+                             seed=seed, tol=tol)
     return trial.witness
 
 
@@ -317,6 +307,18 @@ def is_and_dependent(p: engine.AcceptanceMatrix,
     diag = np.diagonal(p.values)
     return bool(np.all(np.abs(p.values - diag[xs[:, None] & xs[None, :]])
                        <= tol))
+
+
+def _subset_sums(values, sign: int) -> np.ndarray:
+    """out[S] = sum over T subset of S of sign^|S - T| * values[T], for
+    values indexed by bitmask, in one whole-array pass per bit.  Sign 1
+    evaluates a polynomial's coefficients at every 0/1 point; sign -1
+    inverts that, the subset Moebius transform."""
+    out = np.array(values, dtype=float)
+    for b in range(out.size.bit_length() - 1):
+        t = out.reshape(-1, 2, 1 << b)  # axis 1 is bit b of the index
+        t[:, 1] += sign * t[:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -331,16 +333,10 @@ class FoldedPolynomial:
     coeffs: np.ndarray
 
     def evaluate(self, z: int) -> float:
-        total = 0.0
-        s = int(z)
-        # iterate over submasks of z
-        sub = s
-        while True:
-            total += self.coeffs[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & s
-        return total
+        """Value at the 0/1 point with bitmask z, 0 <= z < 2^n."""
+        if not 0 <= z < 1 << self.n:
+            raise ValueError(f"point {z} out of range for {self.n} variables")
+        return float(_subset_sums(self.coeffs, 1)[z])
 
     def monomial_count(self, tol: float = linalg.DEFAULT_TOL) -> int:
         return int(np.count_nonzero(linalg.support(self.coeffs, tol)))
@@ -355,18 +351,11 @@ def fold_to_polynomial(p: engine.AcceptanceMatrix,
     """
     if not is_and_dependent(p, tol):
         raise ValueError("acceptance matrix is not a function of x AND y")
-    dim = 1 << p.n
-    c = np.array(np.diagonal(p.values), dtype=float)
-    for b in range(p.n):
-        bit = 1 << b
-        for mask in range(dim):
-            if mask & bit:
-                c[mask] -= c[mask ^ bit]
-    poly = FoldedPolynomial(n=p.n, coeffs=c)
-    for z in range(dim):
-        if abs(poly.evaluate(z) - p.values[z, z]) > linalg.DEFAULT_TOL:
-            raise ValueError("transform failed to reproduce the diagonal")
-    return poly
+    diag = np.diagonal(p.values)
+    c = _subset_sums(diag, -1)
+    if np.any(np.abs(_subset_sums(c, 1) - diag) > linalg.DEFAULT_TOL):
+        raise ValueError("transform failed to reproduce the diagonal")
+    return FoldedPolynomial(n=p.n, coeffs=c)
 
 
 class MonomialRankReport(NamedTuple):
@@ -408,10 +397,8 @@ def nor_approx_audit(poly: FoldedPolynomial, eps: float) -> NorApproxReport:
     The 2^sqrt(n/12) monomial lower bound for such approximations is
     reported alongside, never asserted at these sizes.
     """
-    max_err = 0.0
-    for z in range(1 << poly.n):
-        want = 1.0 if z == 0 else 0.0
-        max_err = max(max_err, abs(poly.evaluate(z) - want))
+    nor = np.eye(1, 1 << poly.n)[0]  # 1 at the all-zero point only
+    max_err = float(np.max(np.abs(_subset_sums(poly.coeffs, 1) - nor)))
     return NorApproxReport(
         ok=max_err <= eps, max_error=max_err, eps=eps,
         monomials=poly.monomial_count(),

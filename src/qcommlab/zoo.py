@@ -1,7 +1,7 @@
 """Concrete protocols and search routines.
 
 * controlled_flip: the one builder of "flip the target where a 0/1 table
-  of the controls reads 1", used by Bob's gates and the AND oracle.
+  of the controls reads 1", used by Bob's gates.
 * trivial_exact_protocol: send x, compute f reversibly, cost n+1.
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
@@ -15,9 +15,10 @@
   probability vector.  Applied row by row it is also the in-block stage
   of the blocked recursion.
 * grover_state / qsearch: amplitude amplification of a start vector, and
-  search with the growing random-cutoff schedule for an unknown number
-  of solutions.  A measurement is one uniform draw looked up in the CDF
-  of its iteration count, computed once per search, on the stream that
+  search with BBHT's growing random-cutoff schedule for an unknown number
+  of solutions, within ceil(9 sqrt(dim)) oracle applications.  A
+  measurement is one uniform draw looked up in the CDF of its iteration
+  count, computed once per search, on the stream that
   Generator.choice(dim, p=probs) used.
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
@@ -28,17 +29,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import engine, linalg
 from .engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
-from .ranklab import CommMatrix
+from .ranklab import CommMatrix, build_comm_matrix, canonical_witness
 
 X1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _TINY = np.finfo(float).tiny
+# BBHT's lambda = 6/5 (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034): the
+# search's cutoff grows by this factor after each miss.  Their analysis
+# needs 1 < lambda < 4/3.
+SCHEDULE_GROWTH = 1.2
 
 
 def controlled_flip(table) -> np.ndarray:
@@ -96,7 +101,7 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     n = dim.bit_length() - 1
     res = linalg.svd(m.T)
     s = res.sigma.copy()
-    r = linalg.numeric_rank(m, tol)
+    r = res.rank(tol)  # m^T has the singular values of m
     if r == 0:
         lay = RegisterLayout(alice_qubits=0, channel_qubits=1, bob_qubits=0)
         return NdetProtocolBundle(Protocol(lay, (), input_bits=n), m, 0,
@@ -156,33 +161,16 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
 
 @dataclass(frozen=True)
 class QSearchConfig:
-    """Seed and schedule of a search.  rng_seed is any seed that
-    np.random.default_rng accepts, such as an int or a (seed, trial)
-    tuple; equal seeds give equal results."""
+    """Seed of a search: any seed that np.random.default_rng accepts, such
+    as an int or a (seed, trial) tuple; equal seeds give equal results."""
 
     rng_seed: int | Sequence[int] | np.random.SeedSequence
-    schedule_growth: float = 1.2
-    max_applications: Optional[int] = None
-
-    def __post_init__(self):
-        if not 1.0 < self.schedule_growth <= 2.0:
-            raise ValueError("schedule_growth must be in (1, 2]")
-        if self.max_applications is not None and self.max_applications < 1:
-            raise ValueError("max_applications must be >= 1")
-
-    def budget_for(self, dim: int) -> int:
-        if self.max_applications is not None:
-            return self.max_applications
-        return int(math.ceil(9.0 * math.sqrt(dim)))
 
 
-def _solution_mask(predicate, dim: int) -> np.ndarray:
-    """Mask of the solutions, given as a predicate on indices or as indices."""
-    if callable(predicate):
-        return np.fromiter((bool(predicate(z)) for z in range(dim)),
-                           dtype=bool, count=dim)
-    idx = predicate if isinstance(predicate, np.ndarray) \
-        else np.array(list(predicate))
+def _solution_mask(solutions, dim: int) -> np.ndarray:
+    """Mask of the solutions, given as indices."""
+    idx = solutions if isinstance(solutions, np.ndarray) \
+        else np.array(list(solutions))
     if idx.ndim != 1 or idx.size and (idx.dtype.kind not in "iu"
                                       or idx.min() < 0 or idx.max() >= dim):
         raise ValueError(f"solutions must be integer indices in [0, {dim})")
@@ -260,20 +248,21 @@ class QSearchResult:
     measurements: int
 
 
-def qsearch(start, predicate, cfg: QSearchConfig) -> QSearchResult:
+def qsearch(start, solutions, cfg: QSearchConfig) -> QSearchResult:
     """Search with the growing random-cutoff schedule, seeded.
 
-    Amplifies the unit start vector.  Returns a basis state satisfying the
-    predicate (never a non-solution) or none once the application budget
-    is spent; with at least one solution the overall success probability
-    is >= 1/2 for any budget covering the O(sqrt(dim/solutions)) schedule.
+    Amplifies the unit start vector.  Returns one of the solution indices
+    (never a non-solution) or none once ceil(9 sqrt(dim)) oracle
+    applications are spent; with at least one solution the overall
+    success probability is >= 1/2, as that budget covers the
+    O(sqrt(dim/solutions)) schedule.
     """
     psi0 = _start_vector(start)
     dim = psi0.shape[0]
-    mask = _solution_mask(predicate, dim)
+    mask = _solution_mask(solutions, dim)
     weight = np.abs(psi0) ** 2
     theta = solution_angle(weight, mask)
-    budget = cfg.budget_for(dim)
+    budget = int(math.ceil(9.0 * math.sqrt(dim)))
     rng = np.random.default_rng(cfg.rng_seed)
     cdfs = {}  # iteration count -> CDF of the measurement
     m = 1.0
@@ -295,52 +284,8 @@ def qsearch(start, predicate, cfg: QSearchConfig) -> QSearchResult:
         used += j + 1
         if mask[z]:
             return QSearchResult(z, iterations, measurements)
-        m = min(m * cfg.schedule_growth, cap)
+        m = min(m * SCHEDULE_GROWTH, cap)
     return QSearchResult(None, iterations, measurements)
-
-
-@dataclass(frozen=True)
-class AndOracleFragment:
-    """Distributed query |i>|b> -> |i>|b xor (x_i and y_i)|.
-
-    Communication cost is one round trip of the index plus target:
-    2 * (index qubits + 1).
-    """
-
-    block_indices: tuple
-    x_block: tuple
-    y_block: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "block_indices", tuple(self.block_indices))
-        object.__setattr__(self, "x_block", tuple(self.x_block))
-        object.__setattr__(self, "y_block", tuple(self.y_block))
-        if not (len(self.block_indices) == len(self.x_block)
-                == len(self.y_block) >= 1):
-            raise ValueError("block inputs must share a positive length")
-
-    @property
-    def index_qubits(self) -> int:
-        b = len(self.block_indices)
-        return max(int(math.ceil(math.log2(b))), 0)
-
-    @property
-    def cost(self) -> int:
-        return 2 * (self.index_qubits + 1)
-
-    def flips(self, i: int) -> bool:
-        return i < len(self.x_block) and bool(self.x_block[i] & self.y_block[i])
-
-    @property
-    def unitary(self) -> np.ndarray:
-        return controlled_flip(
-            [self.flips(i) for i in range(1 << self.index_qubits)])
-
-
-def distributed_and_oracle(block_indices, x_block, y_block) -> AndOracleFragment:
-    return AndOracleFragment(block_indices,
-                             engine.bit_array(x_block).tolist(),
-                             engine.bit_array(y_block).tolist())
 
 
 @dataclass(frozen=True)
@@ -378,7 +323,7 @@ def bcw_intersection(x, y, cfg: QSearchConfig) -> IntersectionResult:
         # single candidate: verify it classically and answer
         idx = 0 if x[0] & y[0] else None
         return IntersectionResult(idx, verify_cost, 0, 1)
-    query_cost = 2 * (k + 1)  # one distributed_and_oracle round trip
+    query_cost = 2 * (k + 1)  # the index and target there and back
     dim = 1 << k
     res = qsearch(np.full(dim, 1.0 / math.sqrt(dim)), np.flatnonzero(x & y),
                   cfg)
@@ -388,21 +333,20 @@ def bcw_intersection(x, y, cfg: QSearchConfig) -> IntersectionResult:
 
 
 def _default_block_size(n) -> int:
+    """Indices per block: ceil(log2(n)^2)."""
     return max(1, int(math.ceil(math.log2(n) ** 2)))
 
 
 @dataclass(frozen=True)
 class RecursionConfig:
-    block_size_rule: Callable = _default_block_size
+    """Inputs of at most base_threshold bits are searched flat, larger
+    ones in blocks of _default_block_size bits."""
+
     base_threshold: int = 64
-    kappa: float = 2.0
 
     def __post_init__(self):
         if self.base_threshold < 2:
             raise ValueError("base_threshold must be >= 2")
-
-    def rounds(self, n: int) -> int:
-        return int(math.ceil(self.kappa * math.sqrt(n) / math.log2(n)))
 
 
 def recursive_intersection(x, y, rcfg: RecursionConfig,
@@ -417,7 +361,7 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     """
     x, y = _input_pair(x, y)
     n = len(x)
-    b = rcfg.block_size_rule(n)
+    b = _default_block_size(n)
     if n <= rcfg.base_threshold or b >= n:
         return bcw_intersection(x, y, cfg)
     nblocks = int(math.ceil(n / b))
@@ -440,7 +384,7 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     cost = 0
     iterations = 0
     measurements = 0
-    for _ in range(rcfg.rounds(n)):
+    for _ in range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))):
         j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
         # the in-block stage amplifies every block about its uniform state
         leaf = amplification_factors(blocks, leaf_theta, j_leaf)
@@ -493,7 +437,7 @@ def cost_model(n, rcfg: Optional[RecursionConfig] = None,
             return 2.0
         if nn <= rcfg.base_threshold:
             return max(2.0, bcw_cost_model(nn, k, kp))
-        b = rcfg.block_size_rule(nn)
+        b = _default_block_size(nn)
         inner = bcw_cost_model(b, k, kp) if b >= nn else model(b)
         lg = math.log2(nn)
         rate = k * (inner + kp * lg) / lg
@@ -546,7 +490,6 @@ class CorpusEntry:
 
 def protocol_corpus(n: int) -> list:
     """Named protocols used by the cross-cutting audits."""
-    from .ranklab import build_comm_matrix, canonical_witness
     entries = []
     for fn in ("EQ", "DISJ", "INT"):
         target = build_comm_matrix(fn, n)

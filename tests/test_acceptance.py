@@ -115,8 +115,7 @@ def test_criterion_5_witness_pipeline_and_scalarization(capsys):
                       for i in range(count)])
     hits = 0
     for seed in range(1000):
-        trial = ranklab.lemma2_scalarize(a_tab, b_tab, target,
-                                         coeff_bits=24, seed=seed)
+        trial = ranklab.lemma2_scalarize(a_tab, b_tab, target, seed=seed)
         hits += trial.success and trial.attempt == 0
     ok &= hits >= 999
     details.append(f"scalarization {hits}/1000")
@@ -238,7 +237,7 @@ def test_criterion_9_amplitude_amplification(capsys):
         rates.append(hits / 200)
         ok &= hits / 200 >= 0.5
     empty = zoo.qsearch(np.full(8, 1 / math.sqrt(8)), [],
-                        zoo.QSearchConfig(rng_seed=0, max_applications=50))
+                        zoo.QSearchConfig(rng_seed=0))
     ok &= empty.outcome is None
     _report(capsys, 9, ok,
             f"exact N=4 one-step {exact}, success rates {rates}, "

@@ -411,8 +411,7 @@ def reference_yao_kremer_decompose(p, x, y):
     return engine.TranscriptDecomposition(
         layout=lay, ell=ell, alice_side=tuple(sides[ALICE]),
         bob_side=tuple(sides[BOB]), pool_qubits=pool,
-        a_vectors=branches[ALICE], b_vectors=branches[BOB],
-        out_bit_index=ell - 1)
+        a_vectors=branches[ALICE], b_vectors=branches[BOB])
 
 
 def same_bytes(a, b):
@@ -421,8 +420,7 @@ def same_bytes(a, b):
 
 
 def assert_same_decomposition(got, want):
-    assert (got.layout, got.ell, got.out_bit_index) == (
-        want.layout, want.ell, want.out_bit_index)
+    assert (got.layout, got.ell) == (want.layout, want.ell)
     assert (got.alice_side, got.bob_side, got.pool_qubits) == (
         want.alice_side, want.bob_side, want.pool_qubits)
     assert same_bytes(got.a_vectors, want.a_vectors)

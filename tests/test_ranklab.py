@@ -268,6 +268,65 @@ def test_monomial_rank_random_and_dependent():
             assert rep.ok, (n, rep)
 
 
+def reference_fold(diag):
+    """The bit-by-mask Moebius loop the subset-sum transform replaced."""
+    c = np.array(diag, dtype=float)
+    for b in range(c.size.bit_length() - 1):
+        bit = 1 << b
+        for mask in range(c.size):
+            if mask & bit:
+                c[mask] -= c[mask ^ bit]
+    return c
+
+
+def reference_evaluate(coeffs, z):
+    """The submask walk the subset-sum transform replaced."""
+    total = 0.0
+    sub = z
+    while True:
+        total += coeffs[sub]
+        if sub == 0:
+            return total
+        sub = (sub - 1) & z
+
+
+def test_subset_sums_match_the_loops_they_replaced():
+    rng = np.random.default_rng(2005)
+    for n in range(1, 9):
+        for _ in range(30):
+            am = ranklab.random_and_dependent_acceptance(n, rng)
+            poly = ranklab.fold_to_polynomial(am)
+            want = reference_fold(np.diagonal(am.values))
+            assert poly.coeffs.dtype == want.dtype
+            assert poly.coeffs.tobytes() == want.tobytes(), n
+            values = np.array([reference_evaluate(want, z)
+                               for z in range(1 << n)])
+            got = np.array([poly.evaluate(z) for z in range(1 << n)])
+            assert got.tobytes() == values.tobytes(), n
+            want_err = max(abs(v - (z == 0)) for z, v in enumerate(values))
+            assert ranklab.nor_approx_audit(poly, 1 / 3).max_error == want_err
+    # arbitrary reals: the fold does the loop's arithmetic, evaluation sums
+    # the same terms in another order
+    for n in range(1, 9):
+        xs = np.arange(1 << n)
+        g = rng.random(1 << n)
+        poly = ranklab.fold_to_polynomial(
+            engine.AcceptanceMatrix(n=n, values=g[xs[:, None] & xs[None, :]]))
+        want = reference_fold(g)
+        assert poly.coeffs.tobytes() == want.tobytes(), n
+        tol = (1 << n) * np.finfo(float).eps * np.sum(np.abs(want))
+        for z in range(1 << n):
+            assert abs(poly.evaluate(z) - reference_evaluate(want, z)) <= tol
+
+
+def test_evaluate_rejects_points_out_of_range():
+    poly = ranklab.FoldedPolynomial(n=2, coeffs=np.array([1.0, -1, -1, 1]))
+    assert poly.evaluate(3) == 0.0
+    for z in (-1, 4):
+        with pytest.raises(ValueError):
+            poly.evaluate(z)
+
+
 def test_nor_approx_audit():
     disj = engine.AcceptanceMatrix(
         n=2, values=ranklab.build_comm_matrix("DISJ", 2).values.astype(float))
@@ -355,8 +414,7 @@ def test_family_check_names_first_offender_of_perturbed_family():
         ranklab.lemma2_scalarize(a, b, target)
 
 
-def reference_protocol_to_witness(p, target, seed=0, coeff_bits=24,
-                                  tol=linalg.DEFAULT_TOL):
+def reference_protocol_to_witness(p, target, seed=0, tol=linalg.DEFAULT_TOL):
     """protocol_to_witness with the families built by one decomposition
     per input of each party, 2^(n+1) walks, as before the batched walk."""
     n = p.input_bits
@@ -385,7 +443,7 @@ def reference_protocol_to_witness(p, target, seed=0, coeff_bits=24,
     if s_idx.size == 0:
         raise ValueError("protocol never accepts; no witness family")
     trial = ranklab.lemma2_scalarize(a_tab[s_idx], b_tab[s_idx], target,
-                                     coeff_bits=coeff_bits, seed=seed, tol=tol)
+                                     seed=seed, tol=tol)
     return trial.witness
 
 

@@ -79,7 +79,7 @@ def test_grover_exact_on_four_states():
 
 
 def test_qsearch_empty_predicate_returns_none():
-    cfg = zoo.QSearchConfig(rng_seed=1, max_applications=50)
+    cfg = zoo.QSearchConfig(rng_seed=1)
     res = zoo.qsearch(np.full(4, 0.5), [], cfg)
     assert res.outcome is None
 
@@ -100,20 +100,6 @@ def test_qsearch_reproducible():
     a = zoo.qsearch(np.full(8, 1 / math.sqrt(8)), [5], cfg)
     b = zoo.qsearch(np.full(8, 1 / math.sqrt(8)), [5], cfg)
     assert a == b
-
-
-def test_distributed_and_oracle_tables():
-    frag = zoo.distributed_and_oracle([0], "1", "1")
-    assert frag.cost == 2 and frag.flips(0)
-    frag = zoo.distributed_and_oracle(range(4), "0010", "0110")
-    assert frag.cost == 2 * (2 + 1)
-    assert frag.flips(2) and not frag.flips(1)
-    u = frag.unitary
-    assert linalg.is_unitary(u)
-    # basis action: |i=2,b=0> -> |i=2,b=1>
-    v = np.zeros(8)
-    v[2 << 1] = 1.0
-    assert np.argmax(u @ v) == (2 << 1 | 1)
 
 
 def test_controlled_flip_matches_loop_construction():
@@ -156,7 +142,7 @@ def test_bcw_intersection_padding_never_creates_solutions():
 
 
 def test_recursive_intersection_delegates_when_block_covers_input():
-    rcfg = zoo.RecursionConfig(block_size_rule=lambda n: 16)
+    rcfg = zoo.RecursionConfig(base_threshold=2)
     for s in range(25):
         cfg = zoo.QSearchConfig(rng_seed=s)
         a = zoo.recursive_intersection("0010011000010001", "0110000001010001",
@@ -167,7 +153,7 @@ def test_recursive_intersection_delegates_when_block_covers_input():
 
 def test_recursive_intersection_single_common_index():
     rcfg = zoo.RecursionConfig(base_threshold=16)
-    assert rcfg.block_size_rule(64) == 36
+    assert zoo._default_block_size(64) == 36
     x = ["0"] * 64
     x[42] = "1"
     x = "".join(x)
@@ -195,8 +181,7 @@ def test_recursive_intersection_one_sided():
 def test_cost_model_values():
     assert zoo.cost_model(1) == 2.0
     # forced single block at n = 16: one level of the recursion formula
-    rcfg = zoo.RecursionConfig(base_threshold=2,
-                               block_size_rule=lambda n: 16)
+    rcfg = zoo.RecursionConfig(base_threshold=2)
     want = (math.sqrt(16) / 4.0) * (zoo.bcw_cost_model(16) + 1.0 * 4.0)
     assert zoo.cost_model(16, rcfg) == pytest.approx(want)
 
@@ -227,10 +212,6 @@ def test_log_star():
 
 def test_qsearch_config_validation():
     with pytest.raises(ValueError):
-        zoo.QSearchConfig(rng_seed=0, schedule_growth=2.5)
-    with pytest.raises(ValueError):
-        zoo.QSearchConfig(rng_seed=0, max_applications=0)
-    with pytest.raises(ValueError):
         zoo.RecursionConfig(base_threshold=1)
 
 
@@ -250,8 +231,6 @@ def test_search_inputs_must_be_equal_length_bits(x, y):
         zoo.bcw_intersection(x, y, cfg)
     with pytest.raises(ValueError):
         zoo.recursive_intersection(x, y, zoo.RecursionConfig(), cfg)
-    with pytest.raises(ValueError):
-        zoo.distributed_and_oracle(range(len(x)), x, y)
 
 
 def test_svd_protocol_makes_bobs_fixed_gates_on_his_first_reply(monkeypatch):
