@@ -83,8 +83,12 @@ def canonical_witness(name: str, n: int) -> np.ndarray:
 
     EQ uses the identity; NEQ uses x - y (rank 2); INT counts common ones
     (rank n, row 0 all zero); DISJ uses its own 0/1 table, which is full
-    rank by the complement-pairing triangular ordering.
+    rank by the complement-pairing triangular ordering.  Names and sizes
+    are those build_comm_matrix accepts.
     """
+    table = build_comm_matrix(name, n).values
+    if name == "DISJ":
+        return table.astype(float)
     dim = 1 << n
     xs = np.arange(dim)[:, None]
     ys = np.arange(dim)[None, :]
@@ -92,15 +96,11 @@ def canonical_witness(name: str, n: int) -> np.ndarray:
         return np.eye(dim)
     if name == "NEQ":
         return (xs - ys).astype(float)
-    if name == "INT":
-        common = np.bitwise_and(xs, ys)
-        counts = np.zeros((dim, dim))
-        for b in range(n):
-            counts += (common >> b) & 1
-        return counts
-    if name == "DISJ":
-        return build_comm_matrix("DISJ", n).values.astype(float)
-    raise ValueError(f"unknown function {name!r}")
+    common = np.bitwise_and(xs, ys)  # INT
+    counts = np.zeros((dim, dim))
+    for b in range(n):
+        counts += (common >> b) & 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -331,6 +331,12 @@ class FoldedPolynomial:
 
     n: int
     coeffs: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs)
+        if c.shape != (1 << self.n,):
+            raise ValueError(f"coeffs must be a vector of 2^{self.n} entries")
+        object.__setattr__(self, "coeffs", c)
 
     def evaluate(self, z: int) -> float:
         """Value at the 0/1 point with bitmask z, 0 <= z < 2^n."""

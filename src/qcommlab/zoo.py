@@ -27,7 +27,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -88,15 +87,17 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     """One-round protocol accepting with probability c_x^2 |m_xy|^2.
 
     Factor m^T = u diag(s) v; Alice sends the first 2^q amplitudes of
-    c_x * diag(s) v |x> on q = ceil(log2 r) qubits, Bob rotates by u on
-    his register and flips the output bit at |y>.  Rows of m that are all
-    zero have no unit state: Alice sends the all-zeros string instead and
-    cleans the output bit with a zero-length follow-up turn, so those
-    rows reject with certainty at unchanged cost.
+    c_x * diag(s) v |x> on q = ceil(log2 r) qubits.  Bob's register is
+    his own n - q qubits, in |0>, followed by the q message qubits, so it
+    holds c_x * diag(s) v |x> on n qubits; he rotates it by u and flips
+    the output bit at |y>, in one gate.  Rows of m that are all zero have
+    no unit state: Alice sends the all-zeros string instead and cleans the
+    output bit with a zero-length follow-up turn, so those rows reject
+    with certainty at unchanged cost.
     """
     m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != dim or dim & (dim - 1):
+    dim = m.shape[0] if m.ndim == 2 else 0
+    if m.shape != (dim, dim) or dim & (dim - 1):
         raise ValueError("matrix must be square with power-of-two size")
     n = dim.bit_length() - 1
     res = linalg.svd(m.T)
@@ -114,24 +115,10 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     c[~dead] = 1.0 / row_norms[~dead]
     q = max(int(math.ceil(math.log2(r))), 0)
     lay = RegisterLayout(alice_qubits=1 if dead.any() else 0,
-                         channel_qubits=1 + q, bob_qubits=n)
+                         channel_qubits=1 + q, bob_qubits=n - q)
     msg = tuple(range(1, q + 1))
     msg_glob = tuple(lay.channel_qubit(k) for k in msg)
-    bob_reg = lay.bob_register
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    u = res.u
-
-    @functools.cache
-    def bob_fixed():
-        """Bob's gates before the flip, which depend on neither input:
-        move message qubit i to the low bits of his register, then rotate
-        by u.  Made on the first reply, once per protocol, so a caller
-        that only reads the cost never makes the 2^n x 2^n rotation."""
-        fixed = [Gate(swap, (msg_glob[i], bob_reg[n - q + i]))
-                 for i in range(q)]
-        if n:
-            fixed.append(Gate(u, bob_reg))
-        return fixed
+    bob_targets = lay.bob_register + msg_glob + (lay.channel_qubit(0),)
 
     def alice_send(xbits):
         xi = engine.bits_to_int(xbits)
@@ -141,18 +128,19 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
         return [Gate(linalg.unitary_with_first_column(phi), msg_glob)]
 
     def bob_reply(ybits):
-        yi = engine.bits_to_int(ybits)
-        return bob_fixed() + [Gate(controlled_flip(np.arange(dim) == yi),
-                                   bob_reg + (lay.channel_qubit(0),))]
+        flip = controlled_flip(np.arange(dim) == engine.bits_to_int(ybits))
+        return [Gate(flip @ np.kron(res.u, np.eye(2)), bob_targets)]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
              ProtocolStep(BOB, (0,), bob_reply)]
     if dead.any():
-        # move the (possibly 1) output bit into the fresh ancilla
-        clean = (Gate(swap, (0, lay.channel_qubit(0))),)
+        swap = np.eye(4)[[0, 2, 1, 3]]
 
         def alice_clean(xbits):
-            return clean if dead[engine.bits_to_int(xbits)] else ()
+            # move the (possibly 1) output bit into the fresh ancilla
+            if not dead[engine.bits_to_int(xbits)]:
+                return []
+            return [Gate(swap, (0, lay.channel_qubit(0)))]
 
         steps.append(ProtocolStep(ALICE, (), alice_clean))
     return NdetProtocolBundle(Protocol(lay, tuple(steps), input_bits=n),

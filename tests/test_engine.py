@@ -339,13 +339,11 @@ def test_gates_checked_once_per_build(monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", counted_check)
     monkeypatch.setattr(engine.Gate, "__post_init__", counted_gate)
     want = engine.acceptance_matrix(protocol).values
-    # Alice's 2^n states and Bob's 2^n flips, and his n swaps and his
-    # rotation, made on his first reply
-    assert counts == {"checks": (2 << n) + n + 1, "gates": (2 << n) + n + 1}
+    # Alice's 2^n states and Bob's 2^n replies, one gate each
+    assert counts == {"checks": 2 << n, "gates": 2 << n}
     counts.update(checks=0, gates=0)
     monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", 1)
     assert np.array_equal(engine.acceptance_matrix(protocol).values, want)
-    # his swaps and rotation are not made again
     assert counts == {"checks": 2 << n, "gates": 2 << n}
 
 

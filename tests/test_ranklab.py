@@ -23,6 +23,15 @@ def test_build_comm_matrix_tables():
         ranklab.build_comm_matrix("EQ", 11)
 
 
+def test_canonical_witness_takes_the_sizes_and_names_of_the_tables():
+    for fn in ranklab.FUNCTION_NAMES:
+        for n in (0, -1, ranklab.COMM_N_GUARD + 1):
+            with pytest.raises(ValueError, match="n must be in"):
+                ranklab.canonical_witness(fn, n)
+    with pytest.raises(ValueError, match="unknown function"):
+        ranklab.canonical_witness("MAJ", 2)
+
+
 def test_comm_matrix_csv_matches_per_entry_format():
     cases = [(fn, n) for fn in ranklab.FUNCTION_NAMES for n in (1, 2, 3, 4)]
     for fn, n in cases + [("EQ", 10)]:
@@ -325,6 +334,15 @@ def test_evaluate_rejects_points_out_of_range():
     for z in (-1, 4):
         with pytest.raises(ValueError):
             poly.evaluate(z)
+
+
+def test_folded_polynomial_needs_one_coefficient_per_subset():
+    for n, coeffs in [(1, [1.0, 1, 1, 1]), (2, [1.0, 0]), (2, np.eye(2)),
+                      (0, [])]:
+        with pytest.raises(ValueError, match="coeffs must be"):
+            ranklab.FoldedPolynomial(n=n, coeffs=coeffs)
+    poly = ranklab.FoldedPolynomial(n=1, coeffs=[1.0, -1])
+    assert poly.monomial_count() == 2 and poly.evaluate(1) == 0.0
 
 
 def test_nor_approx_audit():

@@ -49,13 +49,13 @@ def test_svd_protocol_int_costs_log_n_plus_1():
 
 
 def test_svd_protocol_acceptance_formula():
-    for fn, n in [("EQ", 2), ("NEQ", 2), ("INT", 2), ("DISJ", 2),
-                  ("INT", 4)]:
-        m = ranklab.canonical_witness(fn, n)
-        bundle = zoo.ndet_svd_protocol(m)
-        am = engine.acceptance_matrix(bundle.protocol)
-        pred = bundle.per_row_norm[:, None] ** 2 * np.abs(m) ** 2
-        assert np.max(np.abs(am.values - pred)) <= 1e-9, (fn, n)
+    for fn in ranklab.FUNCTION_NAMES:
+        for n in range(1, 7):
+            m = ranklab.canonical_witness(fn, n)
+            bundle = zoo.ndet_svd_protocol(m)
+            am = engine.acceptance_matrix(bundle.protocol)
+            pred = bundle.per_row_norm[:, None] ** 2 * np.abs(m) ** 2
+            assert np.max(np.abs(am.values - pred)) <= 1e-12, (fn, n)
 
 
 def test_svd_protocol_dead_rows_reject_exactly():
@@ -233,7 +233,8 @@ def test_search_inputs_must_be_equal_length_bits(x, y):
         zoo.recursive_intersection(x, y, zoo.RecursionConfig(), cfg)
 
 
-def test_svd_protocol_makes_bobs_fixed_gates_on_his_first_reply(monkeypatch):
+def test_svd_protocol_replies_with_one_gate_on_bobs_qubits_and_message(
+        monkeypatch):
     made = []
     post_init = linalg.Gate.__post_init__
 
@@ -242,15 +243,28 @@ def test_svd_protocol_makes_bobs_fixed_gates_on_his_first_reply(monkeypatch):
         made.append(gate)
 
     monkeypatch.setattr(linalg.Gate, "__post_init__", counted)
-    n = 3
-    p = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", n)).protocol
-    assert made == []
-    bob = p.steps[1].build
-    first = bob((0, 0, 0))
-    # his n swaps and his 2^n x 2^n rotation, then the flip at y
-    assert len(first) == len(made) == n + 2
-    assert first[n].unitary.shape == (1 << n, 1 << n)
-    second = bob((0, 1, 1))
-    assert len(made) == n + 3
-    assert all(a is b for a, b in zip(first[:-1], second[:-1]))
-    assert second[-1] is made[-1]
+    for fn in ranklab.FUNCTION_NAMES:
+        for n in range(1, 7):
+            made.clear()
+            bundle = zoo.ndet_svd_protocol(ranklab.canonical_witness(fn, n))
+            p, lay = bundle.protocol, bundle.protocol.layout
+            assert made == [], (fn, n)
+            q = max(math.ceil(math.log2(bundle.r)), 0)
+            dead = int(np.any(bundle.per_row_norm == 0.0))
+            assert lay.total == dead + 1 + n, (fn, n)
+            assert lay.bob_qubits == n - q, (fn, n)
+            targets = (lay.bob_register
+                       + tuple(lay.channel_qubit(k) for k in range(1, q + 1))
+                       + (lay.channel_qubit(0),))
+            for y in range(1 << n):
+                reply = p.steps[1].build(engine.as_bits(y, n))
+                assert len(reply) == 1, (fn, n, y)
+                assert reply[0].targets == targets, (fn, n, y)
+                assert reply[0].unitary.shape == (2 << n, 2 << n), (fn, n, y)
+
+
+@pytest.mark.parametrize("m", [np.asarray(5.0), np.ones(4), np.ones((2, 4)),
+                               np.eye(3)], ids=["0-d", "1-D", "2x4", "3x3"])
+def test_svd_protocol_rejects_non_square_or_odd_size(m):
+    with pytest.raises(ValueError, match="square with power-of-two size"):
+        zoo.ndet_svd_protocol(m)
