@@ -252,9 +252,8 @@ def _evolve(lay: RegisterLayout, turns: list, rows: range,
 
 def _accept_probs(lay: RegisterLayout, states: np.ndarray) -> np.ndarray:
     """Probability that the output qubit reads 1, per state."""
-    t = states.reshape(states.shape[:-1] + (1 << lay.output_qubit, 2, -1))
-    ones = np.abs(t[..., 1, :]) ** 2
-    return np.sum(ones.reshape(states.shape[:-1] + (-1,)), axis=-1)
+    ones = _project_out(states, lay.output_qubit)
+    return np.sum(np.abs(ones) ** 2, axis=-1)
 
 
 def simulate(p: Protocol, x, y) -> SimulationResult:

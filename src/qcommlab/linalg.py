@@ -211,7 +211,4 @@ def unitary_with_first_column(phi) -> np.ndarray:
     # QR fixes the first column only up to phase; undo it.
     phase = np.vdot(q[:, 0], phi)
     q[:, 0] *= phase / abs(phase)
-    # Drop the column that became (numerically) dependent.
-    if q.shape[1] > dim:
-        q = q[:, :dim]
     return q

@@ -43,6 +43,8 @@ _TINY = np.finfo(float).tiny
 # search's cutoff grows by this factor after each miss.  Their analysis
 # needs 1 < lambda < 4/3.
 SCHEDULE_GROWTH = 1.2
+# c of the O(sqrt(n) c^(log* n)) envelope that fit_cost_envelope fits
+ENVELOPE_BASE = 2.0
 
 
 def controlled_flip(table) -> np.ndarray:
@@ -393,21 +395,21 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     return IntersectionResult(None, cost, iterations, measurements)
 
 
-def bcw_cost_model(n: float, k: float = 1.0, kp: float = 1.0) -> float:
-    """Closed-form cost of the flat search: O(sqrt n) distributed queries
-    of 2(log2 n + 1) qubits plus kp-weighted verification exchanges."""
+def bcw_cost_model(n: float, k: float = 1.0) -> float:
+    """Closed-form cost of the flat search: k sqrt(n) queries and as many
+    verifications, each of 2(log2 n + 1) qubits; 2 for n <= 1."""
     if n <= 1:
         return 2.0
     lg = math.log2(n)
-    return k * (2.0 + 2.0 * kp) * math.sqrt(n) * (lg + 1.0)
+    return k * 4.0 * math.sqrt(n) * (lg + 1.0)
 
 
 def cost_model(n, rcfg: Optional[RecursionConfig] = None,
-               k: float = 1.0, kp: float = 1.0) -> float:
-    """Closed-form cost bound for the blocked recursion.
+               k: float = 1.0) -> float:
+    """Closed-form cost bound for the blocked recursion, scaled by k.
 
-    cost(1) = 2; at or below the threshold the flat model applies; above
-    it, cost(n) = k * (sqrt(n)/log2 n) * (cost(block) + kp * log2 n).
+    At or below rcfg.base_threshold the flat model applies, at least 2;
+    above it, cost(n) = k * (sqrt(n)/log2 n) * (cost(block) + log2 n).
     The per-sqrt(n) rate is clamped from below by its threshold value so
     the model is monotone in n (one may always fall back to the flat
     method, so the bound stays valid).
@@ -415,21 +417,17 @@ def cost_model(n, rcfg: Optional[RecursionConfig] = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     rcfg = rcfg or RecursionConfig()
-
-    def ratio_floor() -> float:
-        return bcw_cost_model(rcfg.base_threshold, k, kp) \
-            / math.sqrt(rcfg.base_threshold)
+    threshold = rcfg.base_threshold
+    rate_floor = bcw_cost_model(threshold, k) / math.sqrt(threshold)
 
     def model(nn: float) -> float:
-        if nn <= 1:
-            return 2.0
-        if nn <= rcfg.base_threshold:
-            return max(2.0, bcw_cost_model(nn, k, kp))
+        if nn <= threshold:
+            return max(2.0, bcw_cost_model(nn, k))
         b = _default_block_size(nn)
-        inner = bcw_cost_model(b, k, kp) if b >= nn else model(b)
+        inner = bcw_cost_model(b, k) if b >= nn else model(b)
         lg = math.log2(nn)
-        rate = k * (inner + kp * lg) / lg
-        return math.sqrt(nn) * max(rate, ratio_floor())
+        rate = k * (inner + lg) / lg
+        return math.sqrt(nn) * max(rate, rate_floor)
 
     return float(model(n))
 
@@ -448,23 +446,21 @@ def log_star(n: float) -> int:
 
 @dataclass(frozen=True)
 class CostEnvelopeFit:
-    c: float
+    c: float  # always ENVELOPE_BASE
     kappa: float
     ratios: tuple
     log_stars: tuple
     monotone: bool
 
 
-def fit_cost_envelope(ns: Sequence[int],
-                      rcfg: Optional[RecursionConfig] = None,
-                      k: float = 1.0, kp: float = 1.0,
-                      c: float = 2.0) -> CostEnvelopeFit:
-    """Fit kappa so cost(n)/sqrt(n) <= kappa * c**log_star(n) on the probes."""
-    ratios = tuple(cost_model(n, rcfg, k, kp) / math.sqrt(n) for n in ns)
+def fit_cost_envelope(ns: Sequence[int]) -> CostEnvelopeFit:
+    """Fit kappa so cost_model(n)/sqrt(n) <= kappa * c**log_star(n) on the
+    probes, with c = ENVELOPE_BASE and the default recursion and k."""
+    ratios = tuple(cost_model(n) / math.sqrt(n) for n in ns)
     stars = tuple(log_star(n) for n in ns)
-    kappa = max(r / c ** s for r, s in zip(ratios, stars))
+    kappa = max(r / ENVELOPE_BASE ** s for r, s in zip(ratios, stars))
     monotone = all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
-    return CostEnvelopeFit(c=c, kappa=kappa, ratios=ratios,
+    return CostEnvelopeFit(c=ENVELOPE_BASE, kappa=kappa, ratios=ratios,
                            log_stars=stars, monotone=monotone)
 
 

@@ -118,6 +118,41 @@ def test_intersect_rejects_non_bit_inputs(capsys):
         assert "inputs must be 0/1 sequences" in err
 
 
+def test_intersect_rejects_inputs_of_the_wrong_length(capsys):
+    for n, x, y in (("3", "0101", "0101"), ("4", "0101", "010"),
+                    ("4", "01011", "01011")):
+        code, out, err = run(capsys, "intersect", "--n", n, "--seed", "1",
+                             "--trials", "3", "--x", x, "--y", y)
+        assert code == 2 and out == "", (n, x, y)
+        assert err == "input length does not match --n\n"
+
+
+def test_intersect_simulates_only_up_to_64_bits(capsys):
+    code, out, err = run(capsys, "intersect", "--n", "65", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "simulation capped at n = 64; use --cost-only\n"
+    code, out, _ = run(capsys, "intersect", "--n", "65", "--cost-only")
+    assert code == 0 and out.startswith("cost_model ")
+
+
+def test_non_integer_trials_is_usage_error(capsys):
+    for cmd in (["intersect", "--n", "4", "--seed", "1"],
+                ["audit", "eq-fullrank", "--n", "2", "--seed", "1"]):
+        code, out, err = run(capsys, *cmd, "--trials", "abc")
+        assert code == 2 and out == "", cmd
+        assert "argument --trials: invalid int value: 'abc'" in err
+
+
+def test_simulate_above_the_acceptance_guard_is_capacity_error(capsys):
+    n = engine.ACCEPTANCE_N_GUARD + 1
+    for protocol in ("trivial", "svd"):
+        code, out, err = run(capsys, "simulate", "--fn", "EQ", "--n", str(n),
+                             "--protocol", protocol)
+        assert code == 1 and out == "", protocol
+        assert err == (f"error: acceptance_matrix over 2^{2 * n} pairs; "
+                       f"it tabulates only n <= {n - 1}\n")
+
+
 def test_deterministic_output(capsys):
     args = ["intersect", "--n", "8", "--trials", "20", "--seed", "11"]
     code1, out1, _ = run(capsys, *args)

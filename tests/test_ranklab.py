@@ -5,7 +5,7 @@ import pytest
 
 from qcommlab import engine, linalg, ranklab, zoo
 from qcommlab.errors import (CapacityError, FamilyHypothesisError,
-                             PatternMismatchError)
+                             PatternMismatchError, ProbabilisticFailureError)
 
 
 def test_build_comm_matrix_tables():
@@ -51,6 +51,13 @@ def test_verify_witness_accepts_and_ranks():
     obj = json.loads(w.to_json())
     assert obj == {"target": "NEQ", "n": 3, "rank": 2, "pattern_ok": True,
                    "counterexamples": []}
+
+
+def test_verify_witness_rejects_wrong_shape():
+    target = ranklab.build_comm_matrix("EQ", 2)
+    for m in (np.eye(2), np.eye(8), np.ones(16), np.eye(4)[:, :3]):
+        with pytest.raises(ValueError, match="witness shape does not match"):
+            ranklab.verify_ndet_witness(m, target)
 
 
 def test_verify_witness_rejects_with_counterexamples():
@@ -152,7 +159,7 @@ def test_scalarize_rejects_family_violating_hypothesis():
         ranklab.lemma2_scalarize(a, b, ranklab.build_comm_matrix("EQ", 1))
 
 
-def test_scalarize_difference_family_for_neq():
+def neq1_difference_family():
     # a_1(x) = x, b_1(y) = 1, a_2(x) = 1, b_2(y) = -y: sum = x - y
     a = np.zeros((2, 2, 1))
     b = np.zeros((2, 2, 1))
@@ -161,10 +168,36 @@ def test_scalarize_difference_family_for_neq():
         b[0, v, 0] = 1.0
         a[1, v, 0] = 1.0
         b[1, v, 0] = -v
+    return a, b
+
+
+def test_scalarize_difference_family_for_neq():
+    a, b = neq1_difference_family()
     trial = ranklab.lemma2_scalarize(a, b, ranklab.build_comm_matrix("NEQ", 1),
                                      seed=3)
     assert trial.success and trial.witness.rank <= 2
     assert np.all(trial.alpha >= 1.0) and np.all(trial.alpha < 2.0)
+
+
+def test_scalarize_rejects_non_3d_families_and_disagreeing_sizes():
+    a, b = neq1_difference_family()
+    target = ranklab.build_comm_matrix("NEQ", 1)
+    for bad_a, bad_b in ((a[0], b), (a, b[0]), (a[..., None], b),
+                         (a, b[None])):
+        with pytest.raises(ValueError, match=r"families must be \[m, 2\^n"):
+            ranklab.lemma2_scalarize(bad_a, bad_b, target)
+    with pytest.raises(ValueError, match="family sizes disagree"):
+        ranklab.lemma2_scalarize(a, b[:1], target)
+
+
+def test_scalarize_failure_names_its_budget_and_bound(monkeypatch):
+    a, b = neq1_difference_family()
+    monkeypatch.setattr(ranklab, "SCALARIZE_RETRY_BUDGET", 0)
+    with pytest.raises(ProbabilisticFailureError) as err:
+        ranklab.lemma2_scalarize(a, b, ranklab.build_comm_matrix("NEQ", 1))
+    # 2 ones in the NEQ_1 table, each missed with probability <= 2 / 2^24
+    assert str(err.value) == ("no pattern match in 0 attempts "
+                              "(per-attempt failure bound 2.38e-07)")
 
 
 def test_scalarize_seeded_success_rate():
@@ -216,6 +249,27 @@ def test_protocol_to_witness_requires_matching_pattern():
     p = zoo.trivial_exact_protocol(ranklab.build_comm_matrix("EQ", 2))
     with pytest.raises(ValueError):
         ranklab.protocol_to_witness(p, ranklab.build_comm_matrix("DISJ", 2))
+
+
+def test_protocol_to_witness_rejects_a_target_of_another_size():
+    p = zoo.trivial_exact_protocol(ranklab.build_comm_matrix("EQ", 2))
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="disagree on n"):
+            ranklab.protocol_to_witness(p, ranklab.build_comm_matrix("EQ", n))
+
+
+def test_protocol_to_witness_of_a_protocol_that_never_accepts():
+    # rank 0: no message, so the output qubit is never sent and its
+    # output-1 components are the zero family
+    p = zoo.ndet_svd_protocol(np.zeros((4, 4))).protocol
+    assert p.declared_cost == 0
+    a1, b1, holder = engine.yao_kremer_decompose(p, 1, 2).output_components()
+    assert holder is None and not np.any(a1)
+    a_tab, b_tab = engine.output_families(p)
+    assert a_tab.shape[:2] == (1, 4) and not np.any(a_tab)
+    never = ranklab.CommMatrix(2, "never", np.zeros((4, 4), dtype=int))
+    with pytest.raises(ValueError, match="protocol never accepts"):
+        ranklab.protocol_to_witness(p, never)
 
 
 def test_is_and_dependent():

@@ -203,6 +203,67 @@ def test_cost_envelope_fit():
         assert r <= fit.kappa * fit.c ** s + 1e-9
 
 
+def reference_bcw_cost_model(n, k=1.0, kp=1.0):
+    """The flat model with its verification weight kp, which every caller
+    left at 1."""
+    if n <= 1:
+        return 2.0
+    lg = math.log2(n)
+    return k * (2.0 + 2.0 * kp) * math.sqrt(n) * (lg + 1.0)
+
+
+def reference_cost_model(n, rcfg=None, k=1.0, kp=1.0):
+    """The recursion model with kp, its rate floor rebuilt on every level
+    and its own n <= 1 branch."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rcfg = rcfg or zoo.RecursionConfig()
+
+    def ratio_floor():
+        return reference_bcw_cost_model(rcfg.base_threshold, k, kp) \
+            / math.sqrt(rcfg.base_threshold)
+
+    def model(nn):
+        if nn <= 1:
+            return 2.0
+        if nn <= rcfg.base_threshold:
+            return max(2.0, reference_bcw_cost_model(nn, k, kp))
+        b = zoo._default_block_size(nn)
+        inner = reference_bcw_cost_model(b, k, kp) if b >= nn else model(b)
+        lg = math.log2(nn)
+        rate = k * (inner + kp * lg) / lg
+        return math.sqrt(nn) * max(rate, ratio_floor())
+
+    return float(model(n))
+
+
+def reference_fit_cost_envelope(ns, rcfg=None, k=1.0, kp=1.0, c=2.0):
+    ratios = tuple(reference_cost_model(n, rcfg, k, kp) / math.sqrt(n)
+                   for n in ns)
+    stars = tuple(zoo.log_star(n) for n in ns)
+    kappa = max(r / c ** s for r, s in zip(ratios, stars))
+    monotone = all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
+    return zoo.CostEnvelopeFit(c=c, kappa=kappa, ratios=ratios,
+                               log_stars=stars, monotone=monotone)
+
+
+def test_cost_model_equals_the_reference_with_kp_and_c():
+    sizes = list(range(1, 400)) + [2 ** i for i in range(9, 65)]  # 455
+    for threshold in (2, 16, 64, 100, 1000):
+        rcfg = zoo.RecursionConfig(base_threshold=threshold)
+        for k in (0.1, 0.5, 1.0, 2.0, 8.0):
+            for n in sizes:
+                assert zoo.cost_model(n, rcfg, k) \
+                    == reference_cost_model(n, rcfg, k), (threshold, k, n)
+                assert zoo.bcw_cost_model(n, k) \
+                    == reference_bcw_cost_model(n, k), (k, n)
+    for ns in ([2 ** 4, 2 ** 8, 2 ** 16, 2 ** 32, 2 ** 64],
+               [1 << i for i in range(4, 21)]):
+        fit = zoo.fit_cost_envelope(ns)
+        assert fit == reference_fit_cost_envelope(ns)
+        assert fit.c == zoo.ENVELOPE_BASE == 2.0
+
+
 def test_log_star():
     assert zoo.log_star(2) == 1
     assert zoo.log_star(16) == 3
