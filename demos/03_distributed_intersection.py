@@ -39,7 +39,7 @@ def main():
     print(f"  found {hits}/50, mean cost {np.mean(costs):.1f} qubits")
 
     print()
-    print("Cost model envelope, C_n / (sqrt(n) log n) should stay bounded:")
+    print("Cost model envelope, C_n / sqrt(n) <= kappa * c^(log* n):")
     fit = zoo.fit_cost_envelope([2 ** 4, 2 ** 8, 2 ** 16, 2 ** 32, 2 ** 64])
     for n, r, ls in zip([2 ** 4, 2 ** 8, 2 ** 16, 2 ** 32, 2 ** 64],
                         fit.ratios, fit.log_stars):

@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 assertion/agreement failure, 2 usage or I/O error.
 Randomized paths require an explicit --seed so runs are reproducible.
-Each subcommand accepts only the shared --seed/--tol/--format flags it reads,
+Each subcommand accepts only the shared --seed/--format flags it reads,
 and audit rank-bound and intersect --cost-only refuse the --seed, --trials,
---x and --y flags they do not read.
+--x and --y flags they do not read.  Zero patterns and ranks use the
+package's one tolerance, linalg.DEFAULT_TOL; no flag sets it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import engine, linalg, ranklab, zoo
+from . import engine, ranklab, zoo
 from .errors import QcommError
 
 AUDIT_NAMES = ("rank-bound", "eq-fullrank", "disj-triangular", "monomial-rank")
@@ -47,7 +48,7 @@ def cmd_matrix(args) -> int:
 def cmd_ndet(args) -> int:
     target = ranklab.build_comm_matrix(args.fn, args.n)
     witness = ranklab.canonical_witness(args.fn, args.n)
-    bundle = zoo.ndet_svd_protocol(witness, tol=args.tol)
+    bundle = zoo.ndet_svd_protocol(witness)
     cost = bundle.protocol.declared_cost
     claimed = max(int(math.ceil(math.log2(bundle.r))), 0) + 1
     lines = [f"function {args.fn}_{args.n}",
@@ -57,7 +58,7 @@ def cmd_ndet(args) -> int:
     pattern_ok = True
     if args.n <= engine.ACCEPTANCE_N_GUARD:
         accept = engine.acceptance_matrix(bundle.protocol)
-        pattern_ok = bool(np.array_equal(accept.support(args.tol),
+        pattern_ok = bool(np.array_equal(accept.support(),
                                          target.values == 1))
         lines.append(f"acceptance pattern {'ok' if pattern_ok else 'MISMATCH'}")
     else:
@@ -127,7 +128,7 @@ def cmd_audit(args) -> int:
         corpus = zoo.protocol_corpus(args.n)
         failures = []
         for entry in corpus:
-            rep = engine.rank_bound_audit(entry.protocol, tol=args.tol)
+            rep = engine.rank_bound_audit(entry.protocol)
             if not rep.ok:
                 failures.append({"protocol": entry.name,
                                  "rank": rep.rank, "bound": rep.bound})
@@ -143,7 +144,7 @@ def cmd_audit(args) -> int:
         failures = []
         for t in range(args.trials):
             am = ranklab.random_and_dependent_acceptance(args.n, rng)
-            rep = ranklab.monomial_rank_audit(am, tol=args.tol)
+            rep = ranklab.monomial_rank_audit(am)
             if not rep.ok:
                 failures.append({"trial": t, "monomials": rep.monomials,
                                  "rank": rep.rank})
@@ -160,7 +161,7 @@ def cmd_simulate(args) -> int:
         proto = zoo.trivial_exact_protocol(target)
     else:
         proto = zoo.ndet_svd_protocol(
-            ranklab.canonical_witness(args.fn, args.n), tol=args.tol).protocol
+            ranklab.canonical_witness(args.fn, args.n)).protocol
     if args.x is not None and args.y is not None:
         res = engine.simulate(proto, args.x, args.y)
         _emit(json.dumps({"x": args.x, "y": args.y,
@@ -191,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *flags, fn=False, trials=None):
         shared = {"--seed": dict(type=int, default=None),
-                  "--tol": dict(type=float, default=linalg.DEFAULT_TOL),
                   "--format": dict(choices=("csv", "json"), default="csv")}
         p.add_argument("--n", type=int, required=True)
         for flag in flags:
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_matrix)
 
     p = sub.add_parser("ndet", help="SVD protocol cost vs log2(rank)+1")
-    common(p, "--tol", fn=True)
+    common(p, fn=True)
     p.set_defaults(run=cmd_ndet)
 
     p = sub.add_parser("intersect", help="intersection search trials")
@@ -222,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run a structural audit")
     p.add_argument("name", choices=AUDIT_NAMES)
-    common(p, "--seed", "--tol", trials=100)
+    common(p, "--seed", trials=100)
     p.set_defaults(run=cmd_audit)
 
     p = sub.add_parser("simulate", help="simulate a named protocol")
-    common(p, "--tol", "--format", fn=True)
+    common(p, "--format", fn=True)
     p.add_argument("--protocol", choices=("trivial", "svd"), default="trivial")
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None)

@@ -281,10 +281,10 @@ class AcceptanceMatrix:
             raise ValueError("acceptance probabilities out of [0,1] range")
         self.values = np.clip(v, 0.0, 1.0)
 
-    def support(self, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+    def support(self) -> np.ndarray:
         """Pairs accepted with nonzero probability.  A probability is a
         squared amplitude, so it is compared on the amplitude scale."""
-        return linalg.support(np.sqrt(self.values), tol)
+        return linalg.support(np.sqrt(self.values))
 
     def to_csv(self) -> str:
         lines = [",".join(format(v, ".12g") for v in row) for row in self.values]
@@ -472,10 +472,9 @@ class RankBoundReport(NamedTuple):
     ok: bool
 
 
-def rank_bound_audit(p: Protocol,
-                     tol: float = linalg.DEFAULT_TOL) -> RankBoundReport:
+def rank_bound_audit(p: Protocol) -> RankBoundReport:
     """Check numeric_rank(P) <= 2^(2*cost - 2) on the acceptance matrix."""
     mat = acceptance_matrix(p)
-    rank = linalg.numeric_rank(mat.values, tol)
+    rank = linalg.numeric_rank(mat.values)
     bound = 1 << max(0, 2 * p.declared_cost - 2)
     return RankBoundReport(rank=rank, bound=bound, ok=rank <= bound)

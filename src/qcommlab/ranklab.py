@@ -59,12 +59,17 @@ class CommMatrix:
         return json.dumps({"n": self.n, "values": self.values.tolist()})
 
 
-def build_comm_matrix(name: str, n: int) -> CommMatrix:
+def _input_grid(n: int) -> tuple:
+    """x indices as a column and y indices as a row of a 2^n x 2^n table;
+    the one size rule of the tables here is 1 <= n <= COMM_N_GUARD."""
     if n < 1 or n > COMM_N_GUARD:
         raise ValueError(f"n must be in 1..{COMM_N_GUARD}")
-    dim = 1 << n
-    xs = np.arange(dim)[:, None]
-    ys = np.arange(dim)[None, :]
+    xs = np.arange(1 << n)
+    return xs[:, None], xs[None, :]
+
+
+def build_comm_matrix(name: str, n: int) -> CommMatrix:
+    xs, ys = _input_grid(n)
     if name == "EQ":
         v = (xs == ys)
     elif name == "NEQ":
@@ -90,8 +95,7 @@ def canonical_witness(name: str, n: int) -> np.ndarray:
     if name == "DISJ":
         return table.astype(float)
     dim = 1 << n
-    xs = np.arange(dim)[:, None]
-    ys = np.arange(dim)[None, :]
+    xs, ys = _input_grid(n)
     if name == "EQ":
         return np.eye(dim)
     if name == "NEQ":
@@ -119,19 +123,18 @@ class NdetWitness:
         })
 
 
-def verify_ndet_witness(m, target: CommMatrix,
-                        tol: float = linalg.DEFAULT_TOL) -> NdetWitness:
+def verify_ndet_witness(m, target: CommMatrix) -> NdetWitness:
     """Accept m as a witness for target, or reject with counterexamples."""
     m = np.asarray(m)
     if m.shape != target.values.shape:
         raise ValueError("witness shape does not match the target table")
-    mism = np.argwhere(linalg.support(m, tol) != (target.values == 1))
+    mism = np.argwhere(linalg.support(m) != (target.values == 1))
     if mism.size:
         raise PatternMismatchError(
             f"{len(mism)} entries disagree with {target.name}_{target.n}",
             [(int(x), int(y)) for x, y in mism])
     return NdetWitness(matrix=m, target=target,
-                       rank=linalg.numeric_rank(m, tol))
+                       rank=linalg.numeric_rank(m))
 
 
 @dataclass
@@ -216,7 +219,7 @@ class ScalarizationTrial:
     witness: NdetWitness
 
 
-def _family_hypothesis_check(a_family, b_family, target, tol):
+def _family_hypothesis_check(a_family, b_family, target):
     """Sum_i A_i(x) (x) B_i(y) must vanish exactly on target's 0-set."""
     m, nx, da = a_family.shape
     _, ny, db = b_family.shape
@@ -232,7 +235,7 @@ def _family_hypothesis_check(a_family, b_family, target, tol):
     for xi in range(nx):
         total = (a_family[:, xi, :].T @ b_flat).reshape(da, ny, db)
         norms[xi] = np.linalg.norm(total, axis=(0, 2))
-    pattern = linalg.support(norms, tol)
+    pattern = linalg.support(norms)
     if not np.array_equal(pattern, target.values == 1):
         bad = np.argwhere(pattern != (target.values == 1))
         raise FamilyHypothesisError(
@@ -241,8 +244,7 @@ def _family_hypothesis_check(a_family, b_family, target, tol):
 
 
 def lemma2_scalarize(a_family, b_family, target: CommMatrix,
-                     seed: int = 0,
-                     tol: float = linalg.DEFAULT_TOL) -> ScalarizationTrial:
+                     seed: int = 0) -> ScalarizationTrial:
     """Collapse vector families to scalars with random coefficients.
 
     Given families with sum_i A_i(x) (x) B_i(y) = 0 iff target(x,y) = 0,
@@ -258,17 +260,17 @@ def lemma2_scalarize(a_family, b_family, target: CommMatrix,
     m = a_family.shape[0]
     if b_family.shape[0] != m:
         raise ValueError("family sizes disagree")
-    _family_hypothesis_check(a_family, b_family, target, tol)
+    _family_hypothesis_check(a_family, b_family, target)
     size = 1 << COEFF_BITS
     for attempt in range(SCALARIZE_RETRY_BUDGET):
         rng = np.random.default_rng([seed, attempt])
         alpha = 1.0 + rng.integers(0, size, size=a_family.shape[2]) / size
         beta = 1.0 + rng.integers(0, size, size=b_family.shape[2]) / size
         v = np.einsum("ix,iy->xy", a_family @ alpha, b_family @ beta)
-        if np.array_equal(linalg.support(v, tol), target.values == 1):
+        if np.array_equal(linalg.support(v), target.values == 1):
             return ScalarizationTrial(
                 alpha=alpha, beta=beta, v_table=v, success=True,
-                attempt=attempt, witness=verify_ndet_witness(v, target, tol))
+                attempt=attempt, witness=verify_ndet_witness(v, target))
     predicted = min(1.0, int(np.sum(target.values)) * 2.0 / size)
     raise ProbabilisticFailureError(
         f"no pattern match in {SCALARIZE_RETRY_BUDGET} attempts "
@@ -276,8 +278,7 @@ def lemma2_scalarize(a_family, b_family, target: CommMatrix,
 
 
 def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
-                        seed: int = 0,
-                        tol: float = linalg.DEFAULT_TOL) -> NdetWitness:
+                        seed: int = 0) -> NdetWitness:
     """Low-rank witness extracted from a protocol's accepting transcripts.
 
     The protocol must accept with positive probability exactly on the
@@ -289,28 +290,26 @@ def protocol_to_witness(p: engine.Protocol, target: CommMatrix,
     if n != target.n:
         raise ValueError("protocol and target disagree on n")
     accept = engine.acceptance_matrix(p)
-    if not np.array_equal(accept.support(tol), target.values == 1):
+    if not np.array_equal(accept.support(), target.values == 1):
         raise ValueError(
             "protocol acceptance pattern does not compute the target")
     a_tab, b_tab = engine.output_families(p)
-    live = (linalg.support(np.linalg.norm(a_tab, axis=(1, 2)), tol)
-            & linalg.support(np.linalg.norm(b_tab, axis=(1, 2)), tol))
+    live = (linalg.support(np.linalg.norm(a_tab, axis=(1, 2)))
+            & linalg.support(np.linalg.norm(b_tab, axis=(1, 2))))
     s_idx = np.flatnonzero(live)
     if s_idx.size == 0:
         raise ValueError("protocol never accepts; no witness family")
-    trial = lemma2_scalarize(a_tab[s_idx], b_tab[s_idx], target,
-                             seed=seed, tol=tol)
+    trial = lemma2_scalarize(a_tab[s_idx], b_tab[s_idx], target, seed=seed)
     return trial.witness
 
 
-def is_and_dependent(p: engine.AcceptanceMatrix,
-                     tol: float = linalg.DEFAULT_TOL) -> bool:
+def is_and_dependent(p: engine.AcceptanceMatrix) -> bool:
     """True when P(x,y) is a function of the bitwise AND of the inputs."""
     # in row-major order the first pair with x AND y = k is (k, k)
     xs = np.arange(1 << p.n)
     diag = np.diagonal(p.values)
     return bool(np.all(np.abs(p.values - diag[xs[:, None] & xs[None, :]])
-                       <= tol))
+                       <= linalg.DEFAULT_TOL))
 
 
 def _subset_sums(values, sign: int) -> np.ndarray:
@@ -348,18 +347,17 @@ class FoldedPolynomial:
             raise ValueError(f"point {z} out of range for {self.n} variables")
         return float(_subset_sums(self.coeffs, 1)[z])
 
-    def monomial_count(self, tol: float = linalg.DEFAULT_TOL) -> int:
-        return int(np.count_nonzero(linalg.support(self.coeffs, tol)))
+    def monomial_count(self) -> int:
+        return int(np.count_nonzero(linalg.support(self.coeffs)))
 
 
-def fold_to_polynomial(p: engine.AcceptanceMatrix,
-                       tol: float = linalg.DEFAULT_TOL) -> FoldedPolynomial:
+def fold_to_polynomial(p: engine.AcceptanceMatrix) -> FoldedPolynomial:
     """Restrict P to the diagonal g(z) = P(z,z) and expand in monomials.
 
     Requires an AND-dependent matrix; the coefficients come from the
     subset Moebius transform of g.
     """
-    if not is_and_dependent(p, tol):
+    if not is_and_dependent(p):
         raise ValueError("acceptance matrix is not a function of x AND y")
     diag = np.diagonal(p.values)
     c = _subset_sums(diag, -1)
@@ -374,12 +372,11 @@ class MonomialRankReport(NamedTuple):
     ok: bool
 
 
-def monomial_rank_audit(p: engine.AcceptanceMatrix,
-                        tol: float = linalg.DEFAULT_TOL) -> MonomialRankReport:
+def monomial_rank_audit(p: engine.AcceptanceMatrix) -> MonomialRankReport:
     """The monomial count of the folded polynomial equals rank(P)."""
-    poly = fold_to_polynomial(p, tol)
-    monomials = poly.monomial_count(tol)
-    rank = linalg.numeric_rank(p.values, tol)
+    poly = fold_to_polynomial(p)
+    monomials = poly.monomial_count()
+    rank = linalg.numeric_rank(p.values)
     return MonomialRankReport(monomials=monomials, rank=rank,
                               ok=monomials == rank)
 
@@ -416,9 +413,8 @@ def nor_approx_audit(poly: FoldedPolynomial, eps: float) -> NorApproxReport:
 
 
 def random_and_dependent_acceptance(n: int, rng) -> engine.AcceptanceMatrix:
-    """Random P(x,y) = g(x AND y) with g drawn from {0, 1/8, ..., 1}."""
-    dim = 1 << n
-    g = rng.integers(0, 9, size=dim) / 8.0
-    xs = np.arange(dim)[:, None]
-    ys = np.arange(dim)[None, :]
+    """Random P(x,y) = g(x AND y) with g drawn from {0, 1/8, ..., 1}, for
+    the n that build_comm_matrix accepts."""
+    xs, ys = _input_grid(n)
+    g = rng.integers(0, 9, size=1 << n) / 8.0
     return engine.AcceptanceMatrix(n=n, values=g[xs & ys])

@@ -85,7 +85,7 @@ class NdetProtocolBundle:
     per_row_norm: np.ndarray
 
 
-def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
+def ndet_svd_protocol(m) -> NdetProtocolBundle:
     """One-round protocol accepting with probability c_x^2 |m_xy|^2.
 
     Factor m^T = u diag(s) v; Alice sends the first 2^q amplitudes of
@@ -104,7 +104,7 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     n = dim.bit_length() - 1
     res = linalg.svd(m.T)
     s = res.sigma.copy()
-    r = res.rank(tol)  # m^T has the singular values of m
+    r = res.rank()  # m^T has the singular values of m
     if r == 0:
         lay = RegisterLayout(alice_qubits=0, channel_qubits=1, bob_qubits=0)
         return NdetProtocolBundle(Protocol(lay, (), input_bits=n), m, 0,
@@ -112,7 +112,7 @@ def ndet_svd_protocol(m, tol: float = linalg.DEFAULT_TOL) -> NdetProtocolBundle:
     s[r:] = 0.0
     phi_raw = (s[:, None] * res.v)  # column x = diag(s) v |x>
     row_norms = np.linalg.norm(phi_raw, axis=0)
-    dead = ~linalg.support(row_norms, tol)
+    dead = ~linalg.support(row_norms)
     c = np.zeros(dim)
     c[~dead] = 1.0 / row_norms[~dead]
     q = max(int(math.ceil(math.log2(r))), 0)
@@ -398,6 +398,8 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
 def bcw_cost_model(n: float, k: float = 1.0) -> float:
     """Closed-form cost of the flat search: k sqrt(n) queries and as many
     verifications, each of 2(log2 n + 1) qubits; 2 for n <= 1."""
+    if not math.isfinite(n):
+        raise ValueError("n must be finite")
     if n <= 1:
         return 2.0
     lg = math.log2(n)
@@ -414,8 +416,8 @@ def cost_model(n, rcfg: Optional[RecursionConfig] = None,
     the model is monotone in n (one may always fall back to the flat
     method, so the bound stays valid).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n < math.inf:
+        raise ValueError("n must be finite and >= 1")
     rcfg = rcfg or RecursionConfig()
     threshold = rcfg.base_threshold
     rate_floor = bcw_cost_model(threshold, k) / math.sqrt(threshold)
@@ -434,8 +436,8 @@ def cost_model(n, rcfg: Optional[RecursionConfig] = None,
 
 def log_star(n: float) -> int:
     """Iterated log2 count until the value drops to 1 or below."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not 0 < n < math.inf:
+        raise ValueError("n must be positive and finite")
     count = 0
     v = float(n)
     while v > 1.0:

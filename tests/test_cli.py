@@ -178,7 +178,11 @@ def test_unread_flags_are_usage_errors(capsys):
                  ["intersect", "--n", "4", "--seed", "1", "--tol", "1e-6"],
                  ["intersect", "--n", "4", "--seed", "1", "--format", "json"],
                  ["audit", "rank-bound", "--n", "2", "--format", "json"],
-                 ["simulate", "--fn", "EQ", "--n", "2", "--seed", "1"]):
+                 ["simulate", "--fn", "EQ", "--n", "2", "--seed", "1"],
+                 ["ndet", "--fn", "EQ", "--n", "2", "--tol", "1e-6"],
+                 ["audit", "eq-fullrank", "--n", "2", "--seed", "1",
+                  "--tol", "1e-6"],
+                 ["simulate", "--fn", "EQ", "--n", "2", "--tol", "1e-6"]):
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out == "", argv
 

@@ -88,6 +88,13 @@ def test_numeric_rank_basic_cases():
     assert linalg.numeric_rank(eq3) == 8
 
 
+def test_rank_tolerance_must_be_positive():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        linalg.numeric_rank(np.eye(2), 0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        linalg.svd(np.eye(2)).rank(-1e-9)
+
+
 def test_numeric_rank_matches_exact_oracle_on_integer_matrices():
     rng = np.random.default_rng(3)
     for _ in range(50):

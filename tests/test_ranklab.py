@@ -331,6 +331,13 @@ def test_monomial_rank_random_and_dependent():
             assert rep.ok, (n, rep)
 
 
+def test_random_and_dependent_acceptance_takes_the_sizes_of_the_tables():
+    rng = np.random.default_rng(0)
+    for n in (0, ranklab.COMM_N_GUARD + 1):
+        with pytest.raises(ValueError, match="n must be in"):
+            ranklab.random_and_dependent_acceptance(n, rng)
+
+
 def reference_fold(diag):
     """The bit-by-mask Moebius loop the subset-sum transform replaced."""
     c = np.array(diag, dtype=float)
@@ -444,16 +451,16 @@ def transcript_families(p):
             np.stack(b, axis=1).astype(complex))
 
 
-def assert_family_check_matches_reference(a, b, target, tol=linalg.DEFAULT_TOL):
+def assert_family_check_matches_reference(a, b, target):
     """lemma2_scalarize accepts exactly when the reference norms have the
     target's pattern, and otherwise names the reference's first offender."""
-    pattern = linalg.support(reference_family_norms(a, b), tol)
+    pattern = linalg.support(reference_family_norms(a, b))
     bad = np.argwhere(pattern != (target.values == 1))
     if bad.size == 0:
-        assert ranklab.lemma2_scalarize(a, b, target, seed=1, tol=tol).success
+        assert ranklab.lemma2_scalarize(a, b, target, seed=1).success
         return False
     with pytest.raises(FamilyHypothesisError) as err:
-        ranklab.lemma2_scalarize(a, b, target, seed=1, tol=tol)
+        ranklab.lemma2_scalarize(a, b, target, seed=1)
     offender = tuple(int(v) for v in bad[0])
     assert str(err.value).endswith(f"first offender (x,y) = {offender}")
     return True
@@ -486,14 +493,14 @@ def test_family_check_names_first_offender_of_perturbed_family():
         ranklab.lemma2_scalarize(a, b, target)
 
 
-def reference_protocol_to_witness(p, target, seed=0, tol=linalg.DEFAULT_TOL):
+def reference_protocol_to_witness(p, target, seed=0):
     """protocol_to_witness with the families built by one decomposition
     per input of each party, 2^(n+1) walks, as before the batched walk."""
     n = p.input_bits
     if n != target.n:
         raise ValueError("protocol and target disagree on n")
     accept = engine.acceptance_matrix(p)
-    if not np.array_equal(accept.support(tol), target.values == 1):
+    if not np.array_equal(accept.support(), target.values == 1):
         raise ValueError(
             "protocol acceptance pattern does not compute the target")
     dim = 1 << n
@@ -509,13 +516,13 @@ def reference_protocol_to_witness(p, target, seed=0, tol=linalg.DEFAULT_TOL):
         if b_tab is None:
             b_tab = np.zeros((count, dim, b1.shape[1]), dtype=complex)
         b_tab[:, yi, :] = b1
-    live = (linalg.support(np.linalg.norm(a_tab, axis=(1, 2)), tol)
-            & linalg.support(np.linalg.norm(b_tab, axis=(1, 2)), tol))
+    live = (linalg.support(np.linalg.norm(a_tab, axis=(1, 2)))
+            & linalg.support(np.linalg.norm(b_tab, axis=(1, 2))))
     s_idx = np.flatnonzero(live)
     if s_idx.size == 0:
         raise ValueError("protocol never accepts; no witness family")
     trial = ranklab.lemma2_scalarize(a_tab[s_idx], b_tab[s_idx], target,
-                                     seed=seed, tol=tol)
+                                     seed=seed)
     return trial.witness
 
 

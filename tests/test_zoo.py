@@ -271,6 +271,14 @@ def test_log_star():
     assert zoo.log_star(2 ** 64) == 5
 
 
+def test_cost_functions_reject_non_finite_n():
+    # NaN first, so a log_star that loops on inf fails before it hangs
+    for n in (math.nan, math.inf, -math.inf):
+        for f in (zoo.log_star, zoo.cost_model, zoo.bcw_cost_model):
+            with pytest.raises(ValueError, match="n must be"):
+                f(n)
+
+
 def test_qsearch_config_validation():
     with pytest.raises(ValueError):
         zoo.RecursionConfig(base_threshold=1)
