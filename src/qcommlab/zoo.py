@@ -1,7 +1,8 @@
 """Concrete protocols and search routines.
 
 * controlled_flip: the one builder of "flip the target where a 0/1 table
-  of the controls reads 1", used by Bob's gates.
+  of the controls reads 1", used by Bob's gates: as a matrix in the
+  trivial protocol, and as its row order in the SVD protocol's reply.
 * trivial_exact_protocol: send x, compute f reversibly, cost n+1.
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
@@ -47,14 +48,18 @@ SCHEDULE_GROWTH = 1.2
 ENVELOPE_BASE = 2.0
 
 
+def _flip_rows(table) -> np.ndarray:
+    """Row order of the controlled flip: taking rows of M in this order
+    gives controlled_flip(table) @ M."""
+    flip = engine.bit_array(table)
+    return np.arange(2 * flip.size) ^ np.repeat(flip, 2)
+
+
 def controlled_flip(table) -> np.ndarray:
     """Permutation on (controls..., target): flip the target iff
     table[c] is 1, where c is the controls' value."""
-    flip = engine.bit_array(table)
-    cols = np.arange(2 * flip.size)
-    u = np.zeros((cols.size, cols.size))
-    u[cols ^ np.repeat(flip, 2), cols] = 1.0
-    return u
+    rows = _flip_rows(table)
+    return np.eye(rows.size)[rows]
 
 
 def trivial_exact_protocol(f: CommMatrix) -> Protocol:
@@ -92,10 +97,12 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     c_x * diag(s) v |x> on q = ceil(log2 r) qubits.  Bob's register is
     his own n - q qubits, in |0>, followed by the q message qubits, so it
     holds c_x * diag(s) v |x> on n qubits; he rotates it by u and flips
-    the output bit at |y>, in one gate.  Rows of m that are all zero have
-    no unit state: Alice sends the all-zeros string instead and cleans the
-    output bit with a zero-length follow-up turn, so those rows reject
-    with certainty at unchanged cost.
+    the output bit at |y>, in one gate: u (x) I2, placed on the even and
+    on the odd rows and columns, with rows 2y and 2y+1 swapped (no kron,
+    no product with a permutation matrix).  Rows of m that are all zero
+    have no unit state: Alice sends the all-zeros string instead and
+    cleans the output bit with a zero-length follow-up turn, so those
+    rows reject with certainty at unchanged cost.
     """
     m = np.asarray(m, dtype=complex)
     dim = m.shape[0] if m.ndim == 2 else 0
@@ -130,8 +137,11 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
         return [Gate(linalg.unitary_with_first_column(phi), msg_glob)]
 
     def bob_reply(ybits):
-        flip = controlled_flip(np.arange(dim) == engine.bits_to_int(ybits))
-        return [Gate(flip @ np.kron(res.u, np.eye(2)), bob_targets)]
+        rot = np.zeros((2 * dim, 2 * dim), dtype=complex)  # u (x) I2
+        rot[0::2, 0::2] = res.u
+        rot[1::2, 1::2] = res.u
+        rows = _flip_rows(np.arange(dim) == engine.bits_to_int(ybits))
+        return [Gate(rot[rows], bob_targets)]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
              ProtocolStep(BOB, (0,), bob_reply)]
@@ -395,11 +405,21 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     return IntersectionResult(None, cost, iterations, measurements)
 
 
+def _require_finite(n) -> None:
+    """ValueError unless n converts to a finite float (an int above the
+    float range does not)."""
+    try:
+        finite = math.isfinite(n)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("n must be finite")
+
+
 def bcw_cost_model(n: float, k: float = 1.0) -> float:
     """Closed-form cost of the flat search: k sqrt(n) queries and as many
     verifications, each of 2(log2 n + 1) qubits; 2 for n <= 1."""
-    if not math.isfinite(n):
-        raise ValueError("n must be finite")
+    _require_finite(n)
     if n <= 1:
         return 2.0
     lg = math.log2(n)
@@ -416,8 +436,9 @@ def cost_model(n, rcfg: Optional[RecursionConfig] = None,
     the model is monotone in n (one may always fall back to the flat
     method, so the bound stays valid).
     """
-    if not 1 <= n < math.inf:
-        raise ValueError("n must be finite and >= 1")
+    _require_finite(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rcfg = rcfg or RecursionConfig()
     threshold = rcfg.base_threshold
     rate_floor = bcw_cost_model(threshold, k) / math.sqrt(threshold)
@@ -436,8 +457,9 @@ def cost_model(n, rcfg: Optional[RecursionConfig] = None,
 
 def log_star(n: float) -> int:
     """Iterated log2 count until the value drops to 1 or below."""
-    if not 0 < n < math.inf:
-        raise ValueError("n must be positive and finite")
+    _require_finite(n)
+    if n <= 0:
+        raise ValueError("n must be positive")
     count = 0
     v = float(n)
     while v > 1.0:

@@ -58,6 +58,13 @@ def test_intersect_cost_only(capsys):
     assert code == 0 and out.startswith("cost_model ")
 
 
+def test_intersect_cost_only_rejects_n_above_the_float_range(capsys):
+    code, out, err = run(capsys, "intersect", "--n", str(10 ** 400),
+                         "--cost-only")
+    assert code == 2 and out == ""
+    assert err == "error: n must be finite\n"
+
+
 def test_intersect_requires_seed(capsys):
     code, _, err = run(capsys, "intersect", "--n", "4")
     assert code == 2 and "--seed" in err

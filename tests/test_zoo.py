@@ -48,12 +48,14 @@ def test_svd_protocol_int_costs_log_n_plus_1():
         assert bundle.protocol.declared_cost == int(math.log2(n)) + 1
 
 
-def test_svd_protocol_acceptance_formula():
+def test_svd_protocols_have_one_sided_error():
     for fn in ranklab.FUNCTION_NAMES:
-        for n in range(1, 7):
+        for n in range(1, engine.ACCEPTANCE_N_GUARD + 1):
             m = ranklab.canonical_witness(fn, n)
+            target = ranklab.build_comm_matrix(fn, n)
             bundle = zoo.ndet_svd_protocol(m)
             am = engine.acceptance_matrix(bundle.protocol)
+            assert np.array_equal(am.support(), target.values == 1), (fn, n)
             pred = bundle.per_row_norm[:, None] ** 2 * np.abs(m) ** 2
             assert np.max(np.abs(am.values - pred)) <= 1e-12, (fn, n)
 
@@ -279,6 +281,16 @@ def test_cost_functions_reject_non_finite_n():
                 f(n)
 
 
+def test_cost_functions_reject_ints_above_the_float_range():
+    for f in (zoo.log_star, zoo.cost_model, zoo.bcw_cost_model):
+        with pytest.raises(ValueError, match="^n must be finite$"):
+            f(10 ** 400)
+    # the largest power of ten that still converts is accepted
+    assert zoo.log_star(10 ** 308) == 5
+    assert math.isfinite(zoo.cost_model(10 ** 308))
+    assert math.isfinite(zoo.bcw_cost_model(10 ** 308))
+
+
 def test_qsearch_config_validation():
     with pytest.raises(ValueError):
         zoo.RecursionConfig(base_threshold=1)
@@ -337,3 +349,37 @@ def test_svd_protocol_replies_with_one_gate_on_bobs_qubits_and_message(
 def test_svd_protocol_rejects_non_square_or_odd_size(m):
     with pytest.raises(ValueError, match="square with power-of-two size"):
         zoo.ndet_svd_protocol(m)
+
+
+def reference_bob_reply(u, y):
+    """Bob's SVD reply as first written: the flip at |y> as a permutation
+    matrix times u (x) I2."""
+    dim = u.shape[0]
+    return zoo.controlled_flip(np.arange(dim) == y) @ np.kron(u, np.eye(2))
+
+
+def _witnesses_for_reply_oracle():
+    for fn in ranklab.FUNCTION_NAMES:
+        for n in range(1, 7):
+            yield f"{fn}-{n}", ranklab.canonical_witness(fn, n)
+    # complex witnesses with zero rows: Alice's dead-row clean-up turn
+    rng = np.random.default_rng(13)
+    for n in (2, 3):
+        dim = 1 << n
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m[[0, dim - 1]] = 0.0
+        yield f"dead-rows-{n}", m
+
+
+def test_svd_reply_equals_the_flip_times_kron_reference():
+    for name, m in _witnesses_for_reply_oracle():
+        bundle = zoo.ndet_svd_protocol(m)
+        if name.startswith("dead-rows"):
+            assert len(bundle.protocol.steps) == 3, name  # the clean-up turn
+        n = bundle.protocol.input_bits
+        u = linalg.svd(np.asarray(m, dtype=complex).T).u
+        for y in range(1 << n):
+            (gate,) = bundle.protocol.steps[1].build(engine.as_bits(y, n))
+            # exact; only the sign of a zero may differ
+            assert np.array_equal(gate.unitary, reference_bob_reply(u, y)), \
+                (name, y)
