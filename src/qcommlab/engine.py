@@ -28,8 +28,9 @@ once.  ``yao_kremer_decompose`` is its one-pair case, and
 ``output_families`` gives every input's output-bit-1 components.
 
 A ``Gate`` (defined in ``linalg``, re-exported here) is checked for
-unitarity once, when a step's build makes it, so the walk applies it to
-any number of chunks and branches without checking it again.
+unitarity once, when it is made, so the walk applies it to any number of
+chunks and branches without checking it again; a gate that
+``Gate.with_rows`` permutes from a checked one is not checked at all.
 """
 
 from __future__ import annotations

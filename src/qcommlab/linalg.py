@@ -4,8 +4,9 @@ convention, the one "nonzero" rule ``support``, numeric and exact integer
 
 A ``Gate`` is checked once, when it is made: its matrix is square, of side
 2^len(targets) and unitary in its own dtype, and the gate keeps a
-read-only copy of it.  ``apply_on_qubits`` trusts a ``Gate`` and checks a
-raw matrix on every call.
+read-only copy of it.  ``Gate.with_rows`` permutes a checked gate's rows
+without a second check.  ``apply_on_qubits`` trusts a ``Gate`` and checks
+a raw matrix on every call.
 
 Conventions used throughout the package:
 
@@ -92,7 +93,8 @@ class Gate:
 
     Made only from a square matrix of side 2^len(targets) that passes
     ``is_unitary`` (``ValueError`` and ``ContractViolationError``
-    otherwise); ``unitary`` is a read-only copy of it.
+    otherwise), or by ``with_rows`` from such a gate; ``unitary`` is a
+    read-only copy of it.
     """
 
     unitary: np.ndarray
@@ -108,6 +110,27 @@ class Gate:
             raise ContractViolationError("operator is not unitary within 1e-9")
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "targets", targets)
+
+    def with_rows(self, rows) -> "Gate":
+        """The gate whose matrix is ``self.unitary[rows]``, on the same
+        targets.
+
+        ``rows`` must be an integer permutation of range(2^len(targets))
+        (``ValueError`` otherwise), checked by a sort.  The unitarity check
+        is not run again: a permutation matrix P is unitary, so P·U is
+        unitary when U is, with the same max|UU^H - I|.
+        """
+        rows = np.asarray(rows)
+        dim = self.unitary.shape[0]
+        if (rows.shape != (dim,) or rows.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(rows), np.arange(dim))):
+            raise ValueError(f"rows must be a permutation of range({dim})")
+        u = self.unitary[rows]
+        u.setflags(write=False)
+        gate = object.__new__(Gate)
+        object.__setattr__(gate, "unitary", u)
+        object.__setattr__(gate, "targets", self.targets)
+        return gate
 
 
 def apply_on_qubits(state, u, targets) -> np.ndarray:

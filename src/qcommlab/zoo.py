@@ -1,8 +1,10 @@
 """Concrete protocols and search routines.
 
-* controlled_flip: the one builder of "flip the target where a 0/1 table
-  of the controls reads 1", used by Bob's gates: as a matrix in the
-  trivial protocol, and as its row order in the SVD protocol's reply.
+* _flip_rows: the one builder of "flip the target where a 0/1 table of
+  the controls reads 1", as a row order.  Bob's reply in both protocols
+  below is one base gate, made and checked once per protocol on his first
+  reply, with its rows taken in this order (Gate.with_rows): the identity
+  in the trivial protocol, u (x) I2 in the SVD protocol.
 * trivial_exact_protocol: send x, compute f reversibly, cost n+1.
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
@@ -28,6 +30,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -49,34 +52,38 @@ ENVELOPE_BASE = 2.0
 
 
 def _flip_rows(table) -> np.ndarray:
-    """Row order of the controlled flip: taking rows of M in this order
-    gives controlled_flip(table) @ M."""
+    """Row order of the controlled flip on (controls..., target), which
+    flips the target iff table[c] is 1, where c is the controls' value:
+    taking the rows of M in this order applies the flip after M."""
     flip = engine.bit_array(table)
     return np.arange(2 * flip.size) ^ np.repeat(flip, 2)
 
 
-def controlled_flip(table) -> np.ndarray:
-    """Permutation on (controls..., target): flip the target iff
-    table[c] is 1, where c is the controls' value."""
-    rows = _flip_rows(table)
-    return np.eye(rows.size)[rows]
-
-
 def trivial_exact_protocol(f: CommMatrix) -> Protocol:
-    """Alice sends x verbatim; Bob computes f(x,y) into the output bit."""
+    """Alice sends x verbatim; Bob computes f(x,y) into the output bit.
+
+    Both parties' gates are made on first use, once per protocol, so a
+    caller that only reads the cost makes no gate."""
     n = f.n
     lay = RegisterLayout(alice_qubits=0, channel_qubits=n + 1, bob_qubits=0)
     msg = tuple(range(1, n + 1))
     table = f.values
-    flips = [Gate(X1, (lay.channel_qubit(i + 1),)) for i in range(n)]
+
+    @functools.cache
+    def flips():
+        return [Gate(X1, (lay.channel_qubit(k),)) for k in msg]
+
+    @functools.cache
+    def bob_base():
+        targets = tuple(lay.channel_qubit(k) for k in msg + (0,))
+        return Gate(np.eye(2 << n), targets)
 
     def alice(xbits):
-        return [gate for gate, b in zip(flips, xbits) if b]
+        return [gate for gate, b in zip(flips(), xbits) if b]
 
     def bob(ybits):
-        u = controlled_flip(table[:, engine.bits_to_int(ybits)])
-        targets = tuple(lay.channel_qubit(i + 1) for i in range(n))
-        return [Gate(u, targets + (lay.channel_qubit(0),))]
+        rows = _flip_rows(table[:, engine.bits_to_int(ybits)])
+        return [bob_base().with_rows(rows)]
 
     return Protocol(lay, (ProtocolStep(ALICE, msg, alice),
                           ProtocolStep(BOB, (0,), bob)), input_bits=n)
@@ -98,11 +105,13 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     his own n - q qubits, in |0>, followed by the q message qubits, so it
     holds c_x * diag(s) v |x> on n qubits; he rotates it by u and flips
     the output bit at |y>, in one gate: u (x) I2, placed on the even and
-    on the odd rows and columns, with rows 2y and 2y+1 swapped (no kron,
-    no product with a permutation matrix).  Rows of m that are all zero
-    have no unit state: Alice sends the all-zeros string instead and
-    cleans the output bit with a zero-length follow-up turn, so those
-    rows reject with certainty at unchanged cost.
+    on the odd rows and columns (no kron), with rows 2y and 2y+1 swapped
+    (no product with a permutation matrix).  u (x) I2 is made and checked
+    once, on Bob's first reply, and each reply is its Gate.with_rows, so a
+    caller that only reads the cost makes no gate.  Rows of m that are all
+    zero have no unit state: Alice sends the all-zeros string instead and
+    cleans the output bit with a zero-length follow-up turn, so those rows
+    reject with certainty at unchanged cost.
     """
     m = np.asarray(m, dtype=complex)
     dim = m.shape[0] if m.ndim == 2 else 0
@@ -136,12 +145,16 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
         phi = (c[xi] * phi_raw[:1 << q, xi]).astype(complex)
         return [Gate(linalg.unitary_with_first_column(phi), msg_glob)]
 
-    def bob_reply(ybits):
+    @functools.cache
+    def bob_base():
         rot = np.zeros((2 * dim, 2 * dim), dtype=complex)  # u (x) I2
         rot[0::2, 0::2] = res.u
         rot[1::2, 1::2] = res.u
+        return Gate(rot, bob_targets)
+
+    def bob_reply(ybits):
         rows = _flip_rows(np.arange(dim) == engine.bits_to_int(ybits))
-        return [Gate(rot[rows], bob_targets)]
+        return [bob_base().with_rows(rows)]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
              ProtocolStep(BOB, (0,), bob_reply)]

@@ -322,7 +322,8 @@ def test_rank_bound_audit_corpus():
 
 def test_gates_checked_once_per_build(monkeypatch):
     """acceptance_matrix checks each gate once, when it is made, however
-    many chunks of rows apply it."""
+    many chunks of rows apply it; Bob's replies are rows of one base gate,
+    checked once per protocol."""
     n = 4
     protocol = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", n)).protocol
     counts = {"checks": 0, "gates": 0}
@@ -339,12 +340,32 @@ def test_gates_checked_once_per_build(monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", counted_check)
     monkeypatch.setattr(engine.Gate, "__post_init__", counted_gate)
     want = engine.acceptance_matrix(protocol).values
-    # Alice's 2^n states and Bob's 2^n replies, one gate each
-    assert counts == {"checks": 2 << n, "gates": 2 << n}
+    # Alice's 2^n states, one gate each, and Bob's base
+    assert counts == {"checks": (1 << n) + 1, "gates": (1 << n) + 1}
     counts.update(checks=0, gates=0)
     monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", 1)
     assert np.array_equal(engine.acceptance_matrix(protocol).values, want)
-    assert counts == {"checks": 2 << n, "gates": 2 << n}
+    # the protocol already holds Bob's base
+    assert counts == {"checks": 1 << n, "gates": 1 << n}
+
+
+def test_simulate_checks_bobs_base_once_per_protocol(monkeypatch):
+    n = 5
+    protocol = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", n)).protocol
+    sides = []
+    is_unitary = linalg.is_unitary
+
+    def counted_check(u, *args):
+        sides.append(u.shape[0])
+        return is_unitary(u, *args)
+
+    monkeypatch.setattr(linalg, "is_unitary", counted_check)
+    rng = np.random.default_rng(5)
+    for x, y in rng.integers(0, 1 << n, size=(16, 2)):
+        engine.simulate(protocol, int(x), int(y))
+    # Alice's state on the n message qubits per call, and Bob's base on
+    # them and the output bit once
+    assert sorted(sides) == [1 << n] * 16 + [2 << n]
 
 
 def test_as_bits_forms():

@@ -167,6 +167,32 @@ def test_gate_checked_when_made():
         gate.unitary[0, 0] = 5.0
 
 
+def test_gate_with_rows_permutes_a_checked_gate():
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 3, 4):
+        dim = 1 << k
+        targets = tuple(rng.permutation(6)[:k].tolist())
+        gate = linalg.Gate(linalg.random_unitary(dim, rng), targets)
+        for _ in range(5):
+            rows = rng.permutation(dim)
+            permuted = gate.with_rows(rows)
+            assert np.array_equal(permuted.unitary, gate.unitary[rows])
+            assert permuted.targets == targets
+            assert linalg.is_unitary(permuted.unitary)
+            with pytest.raises(ValueError):
+                permuted.unitary[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("rows", [[0, 0, 2, 3], [0, 1, 2, 4], [1, 0, 2],
+                                  [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]]],
+                         ids=["repeated", "out-of-range", "short", "float",
+                              "2-D"])
+def test_gate_with_rows_rejects_non_permutations(rows):
+    gate = linalg.Gate(np.eye(4), (0, 1))
+    with pytest.raises(ValueError, match="permutation"):
+        gate.with_rows(rows)
+
+
 def test_apply_on_qubits_gate_matches_matrix():
     rng = np.random.default_rng(11)
     batch = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))

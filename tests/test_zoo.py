@@ -113,9 +113,9 @@ def test_controlled_flip_matches_loop_construction():
         for c in range(1 << k):
             for t in range(2):
                 want[(c << 1) | (t ^ int(table[c])), (c << 1) | t] = 1.0
-        assert np.array_equal(zoo.controlled_flip(table), want)
+        assert np.array_equal(np.eye(dim)[zoo._flip_rows(table)], want)
     with pytest.raises(ValueError):
-        zoo.controlled_flip([0, 2])
+        zoo._flip_rows([0, 2])
 
 
 def test_bcw_intersection_examples():
@@ -355,7 +355,8 @@ def reference_bob_reply(u, y):
     """Bob's SVD reply as first written: the flip at |y> as a permutation
     matrix times u (x) I2."""
     dim = u.shape[0]
-    return zoo.controlled_flip(np.arange(dim) == y) @ np.kron(u, np.eye(2))
+    flip = np.eye(2 * dim)[zoo._flip_rows(np.arange(dim) == y)]
+    return flip @ np.kron(u, np.eye(2))
 
 
 def _witnesses_for_reply_oracle():
@@ -383,3 +384,45 @@ def test_svd_reply_equals_the_flip_times_kron_reference():
             # exact; only the sign of a zero may differ
             assert np.array_equal(gate.unitary, reference_bob_reply(u, y)), \
                 (name, y)
+
+
+def test_trivial_reply_is_the_identity_with_flipped_rows():
+    for fn in ("EQ", "DISJ", "INT"):
+        for n in range(1, 5):
+            target = ranklab.build_comm_matrix(fn, n)
+            p = zoo.trivial_exact_protocol(target)
+            targets = tuple(range(1, n + 1)) + (0,)
+            for y in range(1 << n):
+                (gate,) = p.steps[1].build(engine.as_bits(y, n))
+                want = np.eye(2 << n)[zoo._flip_rows(target.values[:, y])]
+                assert np.array_equal(gate.unitary, want), (fn, n, y)
+                assert gate.unitary.dtype == want.dtype, (fn, n, y)
+                assert gate.targets == targets, (fn, n, y)
+
+
+def test_building_a_protocol_makes_no_gate(monkeypatch):
+    made = []
+    post_init, with_rows = linalg.Gate.__post_init__, linalg.Gate.with_rows
+
+    def counted_init(gate):
+        made.append("checked")
+        post_init(gate)
+
+    def counted_rows(gate, rows):
+        made.append("permuted")
+        return with_rows(gate, rows)
+
+    monkeypatch.setattr(linalg.Gate, "__post_init__", counted_init)
+    monkeypatch.setattr(linalg.Gate, "with_rows", counted_rows)
+    n = 8
+    protocols = [zoo.ndet_svd_protocol(ranklab.canonical_witness(fn, n))
+                 .protocol for fn in ranklab.FUNCTION_NAMES]
+    protocols += [zoo.trivial_exact_protocol(ranklab.build_comm_matrix(fn, n))
+                  for fn in ("EQ", "DISJ", "INT")]
+    assert made == []
+    # Bob's base is made and checked on his first reply only
+    bob = protocols[0].steps[1]
+    bob.build(engine.as_bits(3, n))
+    assert made == ["checked", "permuted"]
+    bob.build(engine.as_bits(5, n))
+    assert made == ["checked", "permuted", "permuted"]
