@@ -70,6 +70,8 @@ def cmd_ndet(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
     rcfg = zoo.RecursionConfig()
     if args.cost_only:
         _emit(f"cost_model {zoo.cost_model(args.n, rcfg):.6g}\n", args.out)

@@ -14,15 +14,18 @@
   the state in span(good part, bad part) of the start, so j iterations
   scale the good part by sin((2j+1)θ)/sin θ and the bad part by
   cos((2j+1)θ)/cos θ, where sin²θ is the start's weight on the
-  solutions.  θ is computed once per search, so a measurement costs one
-  probability vector.  Applied row by row it is also the in-block stage
-  of the blocked recursion.
+  solutions.  Applied row by row it is also the in-block stage of the
+  blocked recursion.
+* _measure: the one measurement of both search loops.  It is one uniform
+  draw looked up in a CDF, on the stream that
+  Generator.choice(dim, p=probs) used, and each CDF is built once per
+  search, the first time its law is drawn: per iteration count j in
+  qsearch, per (j_leaf, j_outer) in the blocked recursion.  With no
+  solution every angle is 0 and every law is the start's, so such a
+  search builds one CDF.
 * grover_state / qsearch: amplitude amplification of a start vector, and
   search with BBHT's growing random-cutoff schedule for an unknown number
-  of solutions, within ceil(9 sqrt(dim)) oracle applications.  A
-  measurement is one uniform draw looked up in the CDF of its iteration
-  count, computed once per search, on the stream that
-  Generator.choice(dim, p=probs) used.
+  of solutions, within ceil(9 sqrt(dim)) oracle applications.
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
   cost, plus the closed-form cost model for the recursion.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -254,6 +258,16 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _measure(cdfs: dict, key, rng: np.random.Generator, law, *args) -> int:
+    """One measurement of a search: cdfs holds the CDF of each law the
+    search has drawn from, by key; a new key builds its CDF from
+    law(*args), the law's unnormalised weights."""
+    cdf = cdfs.get(key)
+    if cdf is None:
+        cdf = cdfs[key] = _cdf(law(*args))
+    return _draw(cdf, rng)
+
+
 @dataclass(frozen=True)
 class QSearchResult:
     outcome: Optional[int]
@@ -278,6 +292,10 @@ def qsearch(start, solutions, cfg: QSearchConfig) -> QSearchResult:
     budget = int(math.ceil(9.0 * math.sqrt(dim)))
     rng = np.random.default_rng(cfg.rng_seed)
     cdfs = {}  # iteration count -> CDF of the measurement
+
+    def law(j):
+        return weight * amplification_factors(mask, theta, j) ** 2
+
     m = 1.0
     cap = math.sqrt(dim)
     used = 0
@@ -287,11 +305,7 @@ def qsearch(start, solutions, cfg: QSearchConfig) -> QSearchResult:
         j = int(rng.integers(0, max(int(math.ceil(m)), 1)))
         j = min(j, budget - used)
         # with no solutions θ = 0, and every j measures the start
-        key = j if theta else 0
-        if key not in cdfs:
-            cdfs[key] = _cdf(weight
-                             * amplification_factors(mask, theta, j) ** 2)
-        z = _draw(cdfs[key], rng)
+        z = _measure(cdfs, j if theta else 0, rng, law, j)
         iterations += j
         measurements += 1
         used += j + 1
@@ -328,7 +342,12 @@ def bcw_intersection(x, y, cfg: QSearchConfig) -> IntersectionResult:
     measured candidate is verified classically for 2 log2 n + 2 qubits,
     so the answer is never a false positive.
     """
-    x, y = _input_pair(x, y)
+    return _bcw(*_input_pair(x, y), cfg)
+
+
+def _bcw(x: np.ndarray, y: np.ndarray,
+         cfg: QSearchConfig) -> IntersectionResult:
+    """bcw_intersection on inputs that _input_pair has checked."""
     n = len(x)
     k = max(int(math.ceil(math.log2(n))), 0)
     verify_cost = 2 * k + 2
@@ -358,6 +377,9 @@ class RecursionConfig:
     base_threshold: int = 64
 
     def __post_init__(self):
+        if isinstance(self.base_threshold, bool) \
+                or not isinstance(self.base_threshold, numbers.Integral):
+            raise ValueError("base_threshold must be an integer")
         if self.base_threshold < 2:
             raise ValueError("base_threshold must be >= 2")
 
@@ -376,7 +398,7 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     n = len(x)
     b = _default_block_size(n)
     if n <= rcfg.base_threshold or b >= n:
-        return bcw_intersection(x, y, cfg)
+        return _bcw(x, y, cfg)
     nblocks = int(math.ceil(n / b))
     jbits = max(int(math.ceil(math.log2(nblocks))), 0)
     lbits = max(int(math.ceil(math.log2(b))), 0)
@@ -391,21 +413,29 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     blocks = mask.reshape(1 << jbits, ldim)
     uniform = np.full(blocks.shape, 1.0 / dim)  # weights of the start
     leaf_theta = solution_angle(uniform, blocks)
+    solvable = mask.any()
     rng = np.random.default_rng(cfg.rng_seed)
+    cdfs = {}  # (j_leaf, j_outer) -> CDF of the measurement
     query_cost = 2 * (jbits + lbits + 1)
     verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
     cost = 0
     iterations = 0
     measurements = 0
-    for _ in range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))):
-        j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
+
+    def law(j_leaf, j_outer):
         # the in-block stage amplifies every block about its uniform state
         leaf = amplification_factors(blocks, leaf_theta, j_leaf)
         weight1 = (uniform * leaf ** 2).reshape(dim)
-        j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
         outer = amplification_factors(mask, solution_angle(weight1, mask),
                                       j_outer)
-        z = _draw(_cdf(weight1 * outer ** 2), rng)
+        return weight1 * outer ** 2
+
+    for _ in range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))):
+        j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
+        j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
+        # with no solutions every θ is 0, and every round measures the start
+        key = (j_leaf, j_outer) if solvable else 0
+        z = _measure(cdfs, key, rng, law, j_leaf, j_outer)
         # each outer iteration replays the in-block stage twice (do/undo)
         leaf_stage = j_leaf * query_cost
         cost += leaf_stage + j_outer * (query_cost + 2 * leaf_stage)

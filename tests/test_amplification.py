@@ -233,7 +233,8 @@ def _grid_inputs(n):
              rng.integers(0, 2, size=n).tolist())
     one = [0] * n
     one[n // 3] = 1
-    return {"dense": dense, "unique": (one, one)}
+    return {"dense": dense, "unique": (one, one),
+            "disjoint": ([1] * n, [0] * n)}
 
 
 # (index, cost, iterations, measurements) for rng seeds 0..3, recorded with
@@ -264,6 +265,10 @@ GRID = {
                              (85, 360, 10, 10), (85, 486, 15, 12)],
     (256, "unique", "rec"): [(85, 360, 7, 1), (85, 486, 9, 4), (85, 126, 6, 1),
                              (85, 270, 9, 2)],
+    (1024, "disjoint", "rec"): [(None, 6178, 55, 7), (None, 5026, 49, 7),
+                                (None, 4738, 59, 7), (None, 4234, 48, 7)],
+    (1024, "unique", "rec"): [(341, 1774, 13, 1), (341, 1648, 17, 4),
+                              (341, 766, 11, 1), (341, 238, 9, 1)],
 }
 
 
@@ -279,3 +284,51 @@ def test_seeded_searches_unchanged():
             got.append((res.index, res.cost, res.iterations,
                         res.measurements))
         assert got == want, (n, kind, fn)
+
+
+def recursion_draws(n, cfg, rounds):
+    """(j_leaf, j_outer) of the first rounds of the blocked search at n,
+    replayed from its seed."""
+    b = max(1, int(math.ceil(math.log2(n) ** 2)))
+    nblocks = int(math.ceil(n / b))
+    ldim = 1 << max(int(math.ceil(math.log2(b))), 0)
+    rng = np.random.default_rng(cfg.rng_seed)
+    draws = []
+    for _ in range(rounds):
+        j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
+        j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
+        rng.random()  # the measurement
+        draws.append((j_leaf, j_outer))
+    return draws
+
+
+def test_each_measurement_law_is_built_once_per_search(monkeypatch):
+    built = []
+    cdf = zoo._cdf
+
+    def counting_cdf(weights):
+        built.append(weights.shape)
+        return cdf(weights)
+
+    monkeypatch.setattr(zoo, "_cdf", counting_cdf)
+    n = 1024
+    inputs = _grid_inputs(n)
+    repeated = False
+    for threshold in (16, 64):
+        rcfg = zoo.RecursionConfig(base_threshold=threshold)
+        for s in range(16):
+            cfg = zoo.QSearchConfig(rng_seed=s)
+            built.clear()
+            res = zoo.recursive_intersection(*inputs["disjoint"], rcfg, cfg)
+            # no common index: every round measures the start
+            assert (res.index, res.measurements, len(built)) == (None, 7, 1)
+            for kind in ("unique", "dense"):
+                built.clear()
+                res = zoo.recursive_intersection(*inputs[kind], rcfg, cfg)
+                draws = recursion_draws(n, cfg, res.measurements)
+                assert len(built) == len(set(draws)), (threshold, s, kind)
+                repeated |= len(set(draws)) < len(draws)
+    assert repeated  # some search drew one (j_leaf, j_outer) twice
+    built.clear()
+    res = zoo.qsearch(uniform(64), [], zoo.QSearchConfig(rng_seed=0))
+    assert res.outcome is None and res.measurements > 1 and len(built) == 1

@@ -65,6 +65,14 @@ def test_intersect_cost_only_rejects_n_above_the_float_range(capsys):
     assert err == "error: n must be finite\n"
 
 
+def test_intersect_rejects_n_below_one(capsys):
+    for n in ("0", "-3"):
+        for mode in (["--seed", "1"], ["--cost-only"]):
+            code, out, err = run(capsys, "intersect", "--n", n, *mode)
+            assert code == 2 and out == "", (n, mode)
+            assert err == "error: n must be >= 1\n", (n, mode)
+
+
 def test_intersect_requires_seed(capsys):
     code, _, err = run(capsys, "intersect", "--n", "4")
     assert code == 2 and "--seed" in err

@@ -294,6 +294,15 @@ def test_cost_functions_reject_ints_above_the_float_range():
 def test_qsearch_config_validation():
     with pytest.raises(ValueError):
         zoo.RecursionConfig(base_threshold=1)
+    # integer types other than int are accepted
+    assert zoo.RecursionConfig(base_threshold=np.int64(16)).base_threshold == 16
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 16.5, True],
+                         ids=["nan", "inf", "non-integer", "bool"])
+def test_base_threshold_must_be_an_integer(threshold):
+    with pytest.raises(ValueError, match="^base_threshold must be an integer$"):
+        zoo.RecursionConfig(base_threshold=threshold)
 
 
 def test_protocol_corpus_costs():
