@@ -160,6 +160,8 @@ def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
     zeros below it, which makes every such matrix triangular."""
     if n > 8:
         raise ValueError("n > 8 not supported by this audit")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     dim = 1 << n
     pattern = build_comm_matrix(fn, n).values
     perm = pattern[np.ix_(rows, cols)]

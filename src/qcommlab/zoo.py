@@ -16,16 +16,16 @@
   cos((2j+1)θ)/cos θ, where sin²θ is the start's weight on the
   solutions.  Applied row by row it is also the in-block stage of the
   blocked recursion.
-* _measure: the one measurement of both search loops.  It is one uniform
-  draw looked up in a CDF, on the stream that
-  Generator.choice(dim, p=probs) used, and each CDF is built once per
-  search, the first time its law is drawn: per iteration count j in
-  qsearch, per (j_leaf, j_outer) in the blocked recursion.  With no
-  solution every angle is 0 and every law is the start's, so such a
-  search builds one CDF.
+* _search: the one search loop.  Each round measures law(*js) for the
+  next js of a schedule generator (BBHT's in qsearch, fixed rounds of
+  (j_leaf, j_outer) in the blocked recursion) with one uniform draw on the
+  stream that Generator.choice(dim, p=probs) used, and the first outcome
+  in the mask ends the search.  Each law's CDF is built once per search;
+  with no solution every angle is 0 and every law is the start's, so
+  every round shares one key and the search builds one CDF.
 * grover_state / qsearch: amplitude amplification of a start vector, and
   search with BBHT's growing random-cutoff schedule for an unknown number
-  of solutions, within ceil(9 sqrt(dim)) oracle applications.
+  of solutions, until ceil(9 sqrt(dim)) oracle applications are spent.
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
   cost, plus the closed-form cost model for the recursion.
@@ -232,10 +232,18 @@ def amplification_factors(mask: np.ndarray, theta,
     return np.where(mask, good[..., None], bad[..., None])
 
 
+def _require_int(value, name: str) -> None:
+    """ValueError unless value has an integer type other than bool (numpy
+    integers included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+
+
 def grover_state(start, solutions, iterations: int) -> np.ndarray:
     """State after the given number of amplification iterations on a unit
     start vector."""
     psi0 = _start_vector(start)
+    _require_int(iterations, "iterations")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     mask = _solution_mask(solutions, psi0.shape[0])
@@ -252,20 +260,38 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """One outcome from a CDF: the draw Generator.choice(dim, p=probs)
-    makes, one uniform on the same stream, without re-validating p."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _search(rng, mask, solvable, law, schedule) -> tuple:
+    """Measure law(*js), unnormalised weights, for each js of the schedule
+    until an outcome lies in mask; return it (or None) and every round's
+    js.  Each law's CDF is built once; unsolvable rounds share one."""
+    cdfs = {}  # js, or 0 with no solution -> CDF of the measurement
+    rounds = []
+    for js in schedule:
+        key = js if solvable else 0
+        cdf = cdfs.get(key)
+        if cdf is None:
+            cdf = cdfs[key] = _cdf(law(*js))
+        rounds.append(js)
+        z = int(cdf.searchsorted(rng.random(), side="right"))
+        if mask[z]:
+            return z, rounds
+    return None, rounds
 
 
-def _measure(cdfs: dict, key, rng: np.random.Generator, law, *args) -> int:
-    """One measurement of a search: cdfs holds the CDF of each law the
-    search has drawn from, by key; a new key builds its CDF from
-    law(*args), the law's unnormalised weights."""
-    cdf = cdfs.get(key)
-    if cdf is None:
-        cdf = cdfs[key] = _cdf(law(*args))
-    return _draw(cdf, rng)
+def _bbht_schedule(rng: np.random.Generator, dim: int):
+    """BBHT's rounds (j,): j is uniform below a cutoff that starts at 1 and
+    grows by SCHEDULE_GROWTH after each miss, up to sqrt(dim), until
+    ceil(9 sqrt(dim)) oracle applications (j per round, plus its
+    measurement) are spent; a j is clamped to what is left of that budget,
+    so the measurement of the last round can be one past it."""
+    budget = int(math.ceil(9.0 * math.sqrt(dim)))
+    cap = math.sqrt(dim)
+    m, used = 1.0, 0
+    while used < budget:
+        j = min(int(rng.integers(0, max(int(math.ceil(m)), 1))), budget - used)
+        yield (j,)
+        used += j + 1
+        m = min(m * SCHEDULE_GROWTH, cap)
 
 
 @dataclass(frozen=True)
@@ -289,30 +315,14 @@ def qsearch(start, solutions, cfg: QSearchConfig) -> QSearchResult:
     mask = _solution_mask(solutions, dim)
     weight = np.abs(psi0) ** 2
     theta = solution_angle(weight, mask)
-    budget = int(math.ceil(9.0 * math.sqrt(dim)))
     rng = np.random.default_rng(cfg.rng_seed)
-    cdfs = {}  # iteration count -> CDF of the measurement
 
     def law(j):
         return weight * amplification_factors(mask, theta, j) ** 2
 
-    m = 1.0
-    cap = math.sqrt(dim)
-    used = 0
-    iterations = 0
-    measurements = 0
-    while used < budget:
-        j = int(rng.integers(0, max(int(math.ceil(m)), 1)))
-        j = min(j, budget - used)
-        # with no solutions θ = 0, and every j measures the start
-        z = _measure(cdfs, j if theta else 0, rng, law, j)
-        iterations += j
-        measurements += 1
-        used += j + 1
-        if mask[z]:
-            return QSearchResult(z, iterations, measurements)
-        m = min(m * SCHEDULE_GROWTH, cap)
-    return QSearchResult(None, iterations, measurements)
+    # with no solutions θ = 0, and every j measures the start
+    z, rounds = _search(rng, mask, bool(theta), law, _bbht_schedule(rng, dim))
+    return QSearchResult(z, sum(map(sum, rounds)), len(rounds))
 
 
 @dataclass(frozen=True)
@@ -377,9 +387,7 @@ class RecursionConfig:
     base_threshold: int = 64
 
     def __post_init__(self):
-        if isinstance(self.base_threshold, bool) \
-                or not isinstance(self.base_threshold, numbers.Integral):
-            raise ValueError("base_threshold must be an integer")
+        _require_int(self.base_threshold, "base_threshold")
         if self.base_threshold < 2:
             raise ValueError("base_threshold must be >= 2")
 
@@ -413,56 +421,50 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     blocks = mask.reshape(1 << jbits, ldim)
     uniform = np.full(blocks.shape, 1.0 / dim)  # weights of the start
     leaf_theta = solution_angle(uniform, blocks)
-    solvable = mask.any()
     rng = np.random.default_rng(cfg.rng_seed)
-    cdfs = {}  # (j_leaf, j_outer) -> CDF of the measurement
     query_cost = 2 * (jbits + lbits + 1)
     verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
-    cost = 0
-    iterations = 0
-    measurements = 0
+    leaf_cut = int(math.ceil(math.sqrt(ldim)))
+    outer_cut = int(math.ceil(math.sqrt(2 * nblocks)))
+    fixed = range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n))))
+    schedule = ((int(rng.integers(0, leaf_cut)),
+                 int(rng.integers(0, outer_cut))) for _ in fixed)
 
     def law(j_leaf, j_outer):
         # the in-block stage amplifies every block about its uniform state
         leaf = amplification_factors(blocks, leaf_theta, j_leaf)
         weight1 = (uniform * leaf ** 2).reshape(dim)
-        outer = amplification_factors(mask, solution_angle(weight1, mask),
-                                      j_outer)
-        return weight1 * outer ** 2
+        theta = solution_angle(weight1, mask)
+        return weight1 * amplification_factors(mask, theta, j_outer) ** 2
 
-    for _ in range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))):
-        j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
-        j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
-        # with no solutions every θ is 0, and every round measures the start
-        key = (j_leaf, j_outer) if solvable else 0
-        z = _measure(cdfs, key, rng, law, j_leaf, j_outer)
-        # each outer iteration replays the in-block stage twice (do/undo)
-        leaf_stage = j_leaf * query_cost
-        cost += leaf_stage + j_outer * (query_cost + 2 * leaf_stage)
-        cost += verify_cost
-        iterations += j_leaf + j_outer
-        measurements += 1
-        if mask[z]:
-            return IntersectionResult(int(pos[z]), cost, iterations,
-                                      measurements)
-    return IntersectionResult(None, cost, iterations, measurements)
+    # with no solutions every θ is 0, and every round measures the start
+    z, rounds = _search(rng, mask, mask.any(), law, schedule)
+    # each outer iteration replays the in-block stage twice (do/undo)
+    cost = sum(j_leaf * query_cost * (1 + 2 * j_outer) + j_outer * query_cost
+               + verify_cost for j_leaf, j_outer in rounds)
+    return IntersectionResult(None if z is None else int(pos[z]), cost,
+                              sum(map(sum, rounds)), len(rounds))
 
 
-def _require_finite(n) -> None:
-    """ValueError unless n converts to a finite float (an int above the
-    float range does not)."""
+def _require_finite(value, name: str = "n") -> None:
+    """ValueError unless value converts to a finite float (an int above
+    the float range does not)."""
     try:
-        finite = math.isfinite(n)
+        finite = math.isfinite(value)
     except OverflowError:
         finite = False
     if not finite:
-        raise ValueError("n must be finite")
+        raise ValueError(f"{name} must be finite")
 
 
 def bcw_cost_model(n: float, k: float = 1.0) -> float:
     """Closed-form cost of the flat search: k sqrt(n) queries and as many
-    verifications, each of 2(log2 n + 1) qubits; 2 for n <= 1."""
+    verifications, each of 2(log2 n + 1) qubits; 2 for n <= 1.  The
+    scale k must be finite and > 0."""
     _require_finite(n)
+    _require_finite(k, "k")
+    if k <= 0:
+        raise ValueError("k must be > 0")
     if n <= 1:
         return 2.0
     lg = math.log2(n)
@@ -484,6 +486,7 @@ def cost_model(n, rcfg: Optional[RecursionConfig] = None,
         raise ValueError("n must be >= 1")
     rcfg = rcfg or RecursionConfig()
     threshold = rcfg.base_threshold
+    # bcw_cost_model rejects a k that is not finite and > 0
     rate_floor = bcw_cost_model(threshold, k) / math.sqrt(threshold)
 
     def model(nn: float) -> float:

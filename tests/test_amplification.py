@@ -184,6 +184,13 @@ def test_bad_start_rejected(start):
 def test_negative_iterations_rejected():
     with pytest.raises(ValueError):
         zoo.grover_state(uniform(4), [1], -1)
+    # no iteration count gives the state of 1.5 iterations, and True is no
+    # count either
+    for iterations in (1.5, 1.0, math.nan, True, np.float64(2)):
+        with pytest.raises(ValueError, match="^iterations must be an integer$"):
+            zoo.grover_state(uniform(4), [1], iterations)
+    assert np.array_equal(zoo.grover_state(uniform(4), [1], np.int64(1)),
+                          zoo.grover_state(uniform(4), [1], 1))
 
 
 def schedules(seed):
@@ -225,6 +232,44 @@ def test_recursion_sampler_matches_choice():
                 got = (res.index, res.cost, res.iterations, res.measurements)
                 assert got == reference_recursive(x, y, rcfg, cfg), \
                     (n, kind, threshold, cfg)
+
+
+def test_qsearch_stays_within_its_budget():
+    # no round starts once ceil(9 sqrt(dim)) oracle applications are spent,
+    # and a round's iterations never pass the budget; the measurement that
+    # ends the last round may be one application past it
+    rng = np.random.default_rng(2005)
+    over = 0
+    for dim in range(1, 65):
+        budget = math.ceil(9 * math.sqrt(dim))
+        many = np.flatnonzero(rng.random(dim) < 0.3)
+        for solutions in ([], [int(rng.integers(dim))], many):
+            for start in (uniform(dim), random_start(rng, dim)):
+                for cfg in schedules((dim, len(solutions))):
+                    res = zoo.qsearch(start, solutions, cfg)
+                    spent = res.iterations + res.measurements
+                    assert spent <= budget + 1, (dim, solutions, cfg)
+                    over += spent > budget
+    assert over  # the one-past case is reached
+
+
+def test_blocked_search_measures_at_most_its_rounds():
+    rng = np.random.default_rng(2006)
+    # every n is above both thresholds and split into blocks
+    for n in (20, 64, 65, 100, 256, 500, 1024, 2048):
+        assert zoo._default_block_size(n) < n
+        rounds = math.ceil(2 * math.sqrt(n) / math.log2(n))
+        one = [0] * n
+        one[n // 2] = 1
+        inputs = {"disjoint": ([1] * n, [0] * n), "unique": (one, one),
+                  "dense": (rng.integers(0, 2, size=n).tolist(),
+                            rng.integers(0, 2, size=n).tolist())}
+        for (kind, (x, y)), threshold in itertools.product(
+                inputs.items(), (2, 16)):
+            rcfg = zoo.RecursionConfig(base_threshold=threshold)
+            for cfg in schedules((n, threshold)):
+                res = zoo.recursive_intersection(x, y, rcfg, cfg)
+                assert 1 <= res.measurements <= rounds, (n, kind, threshold)
 
 
 def _grid_inputs(n):

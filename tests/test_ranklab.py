@@ -98,6 +98,17 @@ def test_eq_fullrank_audit():
         assert rep.detail["expected_rank"] == 2 ** n
 
 
+@pytest.mark.parametrize("audit", [ranklab.eq_fullrank_audit,
+                                   ranklab.disj_triangular_audit],
+                         ids=["eq-fullrank", "disj-triangular"])
+def test_fullrank_audits_reject_negative_trials(audit):
+    for trials in (-3, -1):
+        with pytest.raises(ValueError, match="^trials must be >= 0$"):
+            audit(2, trials=trials, seed=1)
+    rep = audit(2, trials=0, seed=1)
+    assert rep.ok and rep.trials == 0
+
+
 def test_disj_ordering_triangularizes():
     rows, cols = ranklab.disj_ordering(2)
     disj = ranklab.build_comm_matrix("DISJ", 2).values

@@ -279,6 +279,15 @@ def test_cost_functions_reject_non_finite_n():
         for f in (zoo.log_star, zoo.cost_model, zoo.bcw_cost_model):
             with pytest.raises(ValueError, match="n must be"):
                 f(n)
+    # the scale k too, and it must be positive
+    for k in (math.nan, math.inf, -math.inf, 10 ** 400):
+        for f in (zoo.cost_model, zoo.bcw_cost_model):
+            with pytest.raises(ValueError, match="^k must be finite$"):
+                f(256, k=k)
+    for k in (-1, 0, -0.0):
+        for f in (zoo.cost_model, zoo.bcw_cost_model):
+            with pytest.raises(ValueError, match="^k must be > 0$"):
+                f(256, k=k)
 
 
 def test_cost_functions_reject_ints_above_the_float_range():
