@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -153,6 +154,13 @@ class AuditReport:
         })
 
 
+def _require_int(value, name: str) -> None:
+    """ValueError unless value has an integer type other than bool (numpy
+    integers included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+
+
 def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
                     rows, cols) -> AuditReport:
     """Random matrices with fn's nonzero pattern must have full rank; the
@@ -160,6 +168,7 @@ def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
     zeros below it, which makes every such matrix triangular."""
     if n > 8:
         raise ValueError("n > 8 not supported by this audit")
+    _require_int(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     dim = 1 << n
@@ -177,7 +186,7 @@ def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
         if rank != dim or (n <= 5 and linalg.exact_rank(m) != dim):
             failures.append({"kind": "rank", "trial": t, "rank": rank})
     name = {"EQ": "eq-fullrank", "DISJ": "disj-triangular"}[fn]
-    return AuditReport(name=name, n=n, trials=trials, ok=not failures,
+    return AuditReport(name=name, n=n, trials=int(trials), ok=not failures,
                        failures=failures, detail={"expected_rank": dim})
 
 

@@ -14,18 +14,19 @@
   the state in span(good part, bad part) of the start, so j iterations
   scale the good part by sin((2j+1)θ)/sin θ and the bad part by
   cos((2j+1)θ)/cos θ, where sin²θ is the start's weight on the
-  solutions.  Applied row by row it is also the in-block stage of the
-  blocked recursion.
-* _search: the one search loop.  Each round measures law(*js) for the
-  next js of a schedule generator (BBHT's in qsearch, fixed rounds of
-  (j_leaf, j_outer) in the blocked recursion) with one uniform draw on the
-  stream that Generator.choice(dim, p=probs) used, and the first outcome
-  in the mask ends the search.  Each law's CDF is built once per search;
-  with no solution every angle is 0 and every law is the start's, so
-  every round shares one key and the search builds one CDF.
+  solutions.  The weight on the solutions is then sin²((2j+1)θ)
+  (_good_share), and within them the start's own weights.  Per block it
+  is also the in-block stage of the blocked recursion.
+* _search: the one search loop.  Round k succeeds with its closed-form
+  probability, one uniform draw each, and only the first round that
+  succeeds draws an outcome, from the weights on the solutions, on the
+  stream that Generator.choice(p=probs) uses.  A search thus draws three
+  times: its schedule, one uniform per round and one index; it builds one
+  CDF if it finds a solution and none otherwise.
 * grover_state / qsearch: amplitude amplification of a start vector, and
   search with BBHT's growing random-cutoff schedule for an unknown number
-  of solutions, until ceil(9 sqrt(dim)) oracle applications are spent.
+  of solutions, drawn at once (_bbht_schedule), until exactly
+  ceil(9 sqrt(dim)) oracle applications are spent.
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
   cost, plus the closed-form cost model for the recursion.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,7 +43,8 @@ import numpy as np
 
 from . import engine, linalg
 from .engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
-from .ranklab import CommMatrix, build_comm_matrix, canonical_witness
+from .ranklab import (CommMatrix, _require_int, build_comm_matrix,
+                      canonical_witness)
 
 X1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _TINY = np.finfo(float).tiny
@@ -232,13 +233,6 @@ def amplification_factors(mask: np.ndarray, theta,
     return np.where(mask, good[..., None], bad[..., None])
 
 
-def _require_int(value, name: str) -> None:
-    """ValueError unless value has an integer type other than bool (numpy
-    integers included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer")
-
-
 def grover_state(start, solutions, iterations: int) -> np.ndarray:
     """State after the given number of amplification iterations on a unit
     start vector."""
@@ -251,6 +245,17 @@ def grover_state(start, solutions, iterations: int) -> np.ndarray:
     return psi0 * amplification_factors(mask, theta, iterations)
 
 
+def _good_share(theta, iterations):
+    """Weight on the solutions after the given number of iterations from a
+    start with weight sin²θ on them: sin²((2j+1)θ)."""
+    return np.sin((2 * iterations + 1) * theta) ** 2
+
+
+def _angle(share):
+    """θ with sin²θ = share, for a share in [0, 1] up to rounding."""
+    return np.arcsin(np.sqrt(np.minimum(share, 1.0)))
+
+
 def _cdf(weights: np.ndarray) -> np.ndarray:
     """CDF of the outcome law proportional to the weights, built exactly
     as Generator.choice builds it from the normalised probabilities."""
@@ -260,38 +265,37 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _search(rng, mask, solvable, law, schedule) -> tuple:
-    """Measure law(*js), unnormalised weights, for each js of the schedule
-    until an outcome lies in mask; return it (or None) and every round's
-    js.  Each law's CDF is built once; unsolvable rounds share one."""
-    cdfs = {}  # js, or 0 with no solution -> CDF of the measurement
-    rounds = []
-    for js in schedule:
-        key = js if solvable else 0
-        cdf = cdfs.get(key)
-        if cdf is None:
-            cdf = cdfs[key] = _cdf(law(*js))
-        rounds.append(js)
-        z = int(cdf.searchsorted(rng.random(), side="right"))
-        if mask[z]:
-            return z, rounds
-    return None, rounds
+def _search(rng, success: np.ndarray, draw) -> tuple:
+    """Measure the rounds of a search, round k a success with probability
+    success[k], one uniform each, until one succeeds; that round alone
+    draws its outcome, a position among the solutions, from draw(k), their
+    unnormalised weights, on the stream of Generator.choice.  Return the
+    outcome (or None) and the number of rounds measured."""
+    hits = np.flatnonzero(rng.random(success.size) < success)
+    if not hits.size:
+        return None, success.size
+    k = int(hits[0])
+    return int(_cdf(draw(k)).searchsorted(rng.random(), side="right")), k + 1
 
 
-def _bbht_schedule(rng: np.random.Generator, dim: int):
-    """BBHT's rounds (j,): j is uniform below a cutoff that starts at 1 and
-    grows by SCHEDULE_GROWTH after each miss, up to sqrt(dim), until
-    ceil(9 sqrt(dim)) oracle applications (j per round, plus its
-    measurement) are spent; a j is clamped to what is left of that budget,
-    so the measurement of the last round can be one past it."""
+def _bbht_schedule(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """BBHT's rounds: j of round k is uniform below ceil(min(1.2^k,
+    sqrt(dim))), the cutoff growing by SCHEDULE_GROWTH after each miss.
+    The cutoffs do not depend on any outcome, so every j is drawn at once.
+    The rounds stop once ceil(9 sqrt(dim)) oracle applications (j per
+    round, plus its measurement) are spent, the last j clamped so that
+    they are spent exactly."""
     budget = int(math.ceil(9.0 * math.sqrt(dim)))
-    cap = math.sqrt(dim)
-    m, used = 1.0, 0
-    while used < budget:
-        j = min(int(rng.integers(0, max(int(math.ceil(m)), 1))), budget - used)
-        yield (j,)
-        used += j + 1
-        m = min(m * SCHEDULE_GROWTH, cap)
+    with np.errstate(over="ignore"):  # 1.2^k is inf from k ~ 3,900
+        cutoffs = np.minimum(SCHEDULE_GROWTH ** np.arange(budget),
+                             math.sqrt(dim))
+    js = rng.integers(0, np.ceil(cutoffs).astype(np.int64))
+    # every round spends at least 1, so budget rounds reach the budget
+    spent = np.cumsum(js + 1)
+    last = int(spent.searchsorted(budget))
+    js = js[:last + 1]
+    js[last] -= spent[last] - budget
+    return js
 
 
 @dataclass(frozen=True)
@@ -311,18 +315,16 @@ def qsearch(start, solutions, cfg: QSearchConfig) -> QSearchResult:
     O(sqrt(dim/solutions)) schedule.
     """
     psi0 = _start_vector(start)
-    dim = psi0.shape[0]
-    mask = _solution_mask(solutions, dim)
+    mask = _solution_mask(solutions, psi0.shape[0])
     weight = np.abs(psi0) ** 2
-    theta = solution_angle(weight, mask)
     rng = np.random.default_rng(cfg.rng_seed)
-
-    def law(j):
-        return weight * amplification_factors(mask, theta, j) ** 2
-
-    # with no solutions θ = 0, and every j measures the start
-    z, rounds = _search(rng, mask, bool(theta), law, _bbht_schedule(rng, dim))
-    return QSearchResult(z, sum(map(sum, rounds)), len(rounds))
+    js = _bbht_schedule(rng, mask.size)
+    # a success measures the start's own weights on the solutions, whatever
+    # j was; with no solutions θ = 0 and no round succeeds
+    z, measured = _search(rng, _good_share(solution_angle(weight, mask), js),
+                          lambda k: weight[mask])
+    return QSearchResult(None if z is None else int(np.flatnonzero(mask)[z]),
+                         int(js[:measured].sum()), measured)
 
 
 @dataclass(frozen=True)
@@ -410,40 +412,33 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     nblocks = int(math.ceil(n / b))
     jbits = max(int(math.ceil(math.log2(nblocks))), 0)
     lbits = max(int(math.ceil(math.log2(b))), 0)
-    dim = 1 << (jbits + lbits)
     ldim = 1 << lbits
-    # row = block, column = offset in the block; offsets >= b and
-    # positions >= n are padding and never solutions
-    blk, off = np.divmod(np.arange(dim), ldim)
-    pos = blk * b + off
-    mask = (off < b) & (pos < n)
-    mask[mask] = (x & y)[pos[mask]] == 1
-    blocks = mask.reshape(1 << jbits, ldim)
-    uniform = np.full(blocks.shape, 1.0 / dim)  # weights of the start
-    leaf_theta = solution_angle(uniform, blocks)
+    # the padding (offsets >= b in a block, positions >= n) holds no
+    # solution: the common indices and their blocks' counts set every law
+    common = np.flatnonzero(x & y)
+    block = common // b
+    counts = np.bincount(block)
     rng = np.random.default_rng(cfg.rng_seed)
     query_cost = 2 * (jbits + lbits + 1)
     verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
     leaf_cut = int(math.ceil(math.sqrt(ldim)))
     outer_cut = int(math.ceil(math.sqrt(2 * nblocks)))
-    fixed = range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n))))
-    schedule = ((int(rng.integers(0, leaf_cut)),
-                 int(rng.integers(0, outer_cut))) for _ in fixed)
-
-    def law(j_leaf, j_outer):
-        # the in-block stage amplifies every block about its uniform state
-        leaf = amplification_factors(blocks, leaf_theta, j_leaf)
-        weight1 = (uniform * leaf ** 2).reshape(dim)
-        theta = solution_angle(weight1, mask)
-        return weight1 * amplification_factors(mask, theta, j_outer) ** 2
-
-    # with no solutions every θ is 0, and every round measures the start
-    z, rounds = _search(rng, mask, mask.any(), law, schedule)
+    rounds = int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))
+    js = rng.integers(0, (leaf_cut, outer_cut), size=(rounds, 2))
+    j_leaf, j_outer = js.T
+    # the in-block stage amplifies every block about its uniform state: a
+    # block's good share after it, round by round; the blocks share the
+    # start evenly, and the outer stage amplifies their sum
+    leaf = _good_share(_angle(counts / ldim), j_leaf[:, None])
+    success = _good_share(_angle(leaf.sum(axis=1) / (1 << jbits)), j_outer)
+    z, measured = _search(rng, success,
+                          lambda k: leaf[k, block] / counts[block])
+    j_leaf, j_outer = j_leaf[:measured], j_outer[:measured]
     # each outer iteration replays the in-block stage twice (do/undo)
-    cost = sum(j_leaf * query_cost * (1 + 2 * j_outer) + j_outer * query_cost
-               + verify_cost for j_leaf, j_outer in rounds)
-    return IntersectionResult(None if z is None else int(pos[z]), cost,
-                              sum(map(sum, rounds)), len(rounds))
+    cost = int(np.sum(j_leaf * (1 + 2 * j_outer) + j_outer)) * query_cost \
+        + measured * verify_cost
+    return IntersectionResult(None if z is None else int(common[z]), cost,
+                              int(js[:measured].sum()), measured)
 
 
 def _require_finite(value, name: str = "n") -> None:

@@ -1,6 +1,7 @@
 """The closed-form amplification kernel against the dense loop it replaced,
-the CDF sampler against the Generator.choice loops it replaced, the search
-entry points' input checks, and a seeded regression grid."""
+the samplers against dense oracles on their own RNG stream and, in
+distribution, against the per-round Generator.choice loops they replaced,
+the search entry points' input checks, and a seeded regression grid."""
 
 import itertools
 import math
@@ -33,9 +34,128 @@ def dense_blocks(start, mask, iterations):
     return state
 
 
-def reference_qsearch(start, mask, cfg):
-    """Reference oracle: the random-cutoff schedule with every measurement
-    drawn by Generator.choice.  Returns (outcome, iterations, measurements)."""
+def bbht_rounds(rng, dim):
+    """The js of qsearch's schedule, drawn in one call: cutoffs growing by
+    1.2 up to sqrt(dim), cut where ceil(9 sqrt(dim)) oracle applications
+    (j per round, plus its measurement) are spent, the last j clamped."""
+    budget = int(math.ceil(9.0 * math.sqrt(dim)))
+    cutoffs, m = [], 1.0
+    for _ in range(budget):
+        cutoffs.append(max(int(math.ceil(m)), 1))
+        m = min(m * 1.2, math.sqrt(dim))
+    rounds, used = [], 0
+    for j in rng.integers(0, cutoffs):
+        if used >= budget:
+            break
+        rounds.append(min(int(j), budget - used - 1))
+        used += rounds[-1] + 1
+    return rounds
+
+
+def measure_rounds(rng, rounds, state_of, mask):
+    """Replay the search's draws: one uniform per round against the weight
+    that the dense state of the round has on the solutions, then
+    Generator.choice over the solutions, weighted by that state, in the
+    first round that succeeds.  Returns (position of the outcome or None,
+    rounds measured)."""
+    uniforms = rng.random(len(rounds))
+    for k, js in enumerate(rounds):
+        weight = np.abs(state_of(js)[mask]) ** 2
+        if uniforms[k] < weight.sum():
+            return int(rng.choice(weight.size, p=weight / weight.sum())), k + 1
+    return None, len(rounds)
+
+
+def exact_qsearch(start, mask, cfg):
+    """Reference oracle on qsearch's RNG stream: the schedule, one uniform
+    per round, one index, with every success probability and outcome law
+    taken from the dense loop.  Returns (outcome, iterations,
+    measurements)."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    rounds = bbht_rounds(rng, start.shape[0])
+    z, ms = measure_rounds(rng, rounds, lambda j: dense_grover(start, mask, j),
+                           mask)
+    outcome = None if z is None else int(np.flatnonzero(mask)[z])
+    return outcome, sum(rounds[:ms]), ms
+
+
+def blocked_layout(n, both):
+    """The blocked recursion's index register: (mask of the common indices
+    over dim = 2^(jbits + lbits) entries, blocks as rows, the position of
+    each entry, nblocks, jbits, lbits)."""
+    b = max(1, int(math.ceil(math.log2(n) ** 2)))
+    nblocks = int(math.ceil(n / b))
+    jbits = max(int(math.ceil(math.log2(nblocks))), 0)
+    lbits = max(int(math.ceil(math.log2(b))), 0)
+    dim = 1 << (jbits + lbits)
+    blk, off = np.divmod(np.arange(dim), 1 << lbits)
+    pos = blk * b + off
+    mask = (off < b) & (pos < n)
+    mask[mask] = both[pos[mask]] == 1
+    return mask, pos, nblocks, jbits, lbits
+
+
+def flat_or_blocked(x, y, rcfg, cfg, qsearch_oracle, blocked_oracle):
+    """The recursion's delegation rule and the flat search's cost."""
+    n = len(x)
+    both = np.array(x) & np.array(y)
+    b = max(1, int(math.ceil(math.log2(n) ** 2)))
+    if n <= rcfg.base_threshold or b >= n:
+        k = max(int(math.ceil(math.log2(n))), 0)
+        if k == 0:
+            return (0 if both[0] else None), 2, 0, 1
+        dim = 1 << k
+        mask = np.zeros(dim, dtype=bool)
+        mask[:n] = both == 1
+        z, it, ms = qsearch_oracle(uniform(dim), mask, cfg)
+        return z, it * 2 * (k + 1) + ms * (2 * k + 2), it, ms
+    return blocked_oracle(n, both, cfg)
+
+
+def blocked_cost(n, jbits, lbits, rounds):
+    """Cost of the measured (j_leaf, j_outer) rounds: each outer iteration
+    replays the in-block stage twice."""
+    query_cost = 2 * (jbits + lbits + 1)
+    verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
+    return sum(j_leaf * query_cost * (1 + 2 * j_outer)
+               + j_outer * query_cost + verify_cost
+               for j_leaf, j_outer in rounds)
+
+
+def exact_blocked(n, both, cfg):
+    mask, pos, nblocks, jbits, lbits = blocked_layout(n, both)
+    blocks = mask.reshape(1 << jbits, -1)
+    start = np.full(blocks.shape, 1.0 / math.sqrt(mask.size))
+    rng = np.random.default_rng(cfg.rng_seed)
+    cuts = (int(math.ceil(math.sqrt(blocks.shape[1]))),
+            int(math.ceil(math.sqrt(2 * nblocks))))
+    rounds = [tuple(map(int, js)) for js in rng.integers(
+        0, cuts, size=(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n))), 2))]
+
+    def state_of(js):
+        leaf = dense_blocks(start, blocks, js[0]).reshape(mask.size)
+        return dense_grover(leaf, mask, js[1])
+
+    z, ms = measure_rounds(rng, rounds, state_of, mask)
+    index = None if z is None else int(pos[np.flatnonzero(mask)[z]])
+    return (index, blocked_cost(n, jbits, lbits, rounds[:ms]),
+            sum(map(sum, rounds[:ms])), ms)
+
+
+def exact_recursive(x, y, rcfg, cfg):
+    """Reference oracle on recursive_intersection's RNG stream: the fixed
+    (j_leaf, j_outer) rounds in one draw, one uniform per round, one index,
+    with every success probability and outcome law taken from the dense
+    in-block and outer loops.  Returns (index, cost, iterations,
+    measurements)."""
+    return flat_or_blocked(x, y, rcfg, cfg, exact_qsearch, exact_blocked)
+
+
+def per_round_qsearch(start, mask, cfg):
+    """Distribution oracle: the random-cutoff schedule drawn round by round
+    with every measurement drawn from the round's whole law by
+    Generator.choice, clamped to the budget as qsearch is.  Returns
+    (outcome, iterations, measurements)."""
     dim = start.shape[0]
     weight = np.abs(start) ** 2
     theta = zoo.solution_angle(weight, mask)
@@ -43,7 +163,8 @@ def reference_qsearch(start, mask, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     m, used, iterations, measurements = 1.0, 0, 0, 0
     while used < budget:
-        j = min(int(rng.integers(0, max(int(math.ceil(m)), 1))), budget - used)
+        j = min(int(rng.integers(0, max(int(math.ceil(m)), 1))),
+                budget - used - 1)
         probs = weight * zoo.amplification_factors(mask, theta, j) ** 2
         probs /= probs.sum()
         z = int(rng.choice(dim, p=probs))
@@ -56,55 +177,39 @@ def reference_qsearch(start, mask, cfg):
     return None, iterations, measurements
 
 
-def reference_recursive(x, y, rcfg, cfg):
-    """Reference oracle: the blocked recursion (and the flat search it
-    delegates to) with every measurement drawn by Generator.choice.
-    Returns (index, cost, iterations, measurements)."""
-    n = len(x)
-    both = np.array(x) & np.array(y)
-    b = max(1, int(math.ceil(math.log2(n) ** 2)))
-    if n <= rcfg.base_threshold or b >= n:
-        k = max(int(math.ceil(math.log2(n))), 0)
-        if k == 0:
-            return (0 if both[0] else None), 2, 0, 1
-        dim = 1 << k
-        mask = np.zeros(dim, dtype=bool)
-        mask[:n] = both == 1
-        z, it, ms = reference_qsearch(uniform(dim), mask, cfg)
-        return z, it * 2 * (k + 1) + ms * (2 * k + 2), it, ms
-    nblocks = int(math.ceil(n / b))
-    jbits = max(int(math.ceil(math.log2(nblocks))), 0)
-    lbits = max(int(math.ceil(math.log2(b))), 0)
-    dim = 1 << (jbits + lbits)
-    ldim = 1 << lbits
-    blk, off = np.divmod(np.arange(dim), ldim)
-    pos = blk * b + off
-    mask = (off < b) & (pos < n)
-    mask[mask] = both[pos[mask]] == 1
-    blocks = mask.reshape(1 << jbits, ldim)
-    start = np.full(blocks.shape, 1.0 / dim)
+def per_round_blocked(n, both, cfg):
+    mask, pos, nblocks, jbits, lbits = blocked_layout(n, both)
+    blocks = mask.reshape(1 << jbits, -1)
+    ldim = blocks.shape[1]
+    start = np.full(blocks.shape, 1.0 / mask.size)
     leaf_theta = zoo.solution_angle(start, blocks)
     rng = np.random.default_rng(cfg.rng_seed)
-    query_cost = 2 * (jbits + lbits + 1)
-    verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
-    cost, iterations, measurements = 0, 0, 0
+    rounds = []
     for _ in range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))):
         j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
         leaf = zoo.amplification_factors(blocks, leaf_theta, j_leaf)
-        weight = (start * leaf ** 2).reshape(dim)
+        weight = (start * leaf ** 2).reshape(mask.size)
         j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
         outer = zoo.amplification_factors(
             mask, zoo.solution_angle(weight, mask), j_outer)
         probs = weight * outer ** 2
         probs /= probs.sum()
-        z = int(rng.choice(dim, p=probs))
-        cost += j_leaf * query_cost * (1 + 2 * j_outer) \
-            + j_outer * query_cost + verify_cost
-        iterations += j_leaf + j_outer
-        measurements += 1
+        z = int(rng.choice(mask.size, p=probs))
+        rounds.append((j_leaf, j_outer))
         if mask[z]:
-            return int(pos[z]), cost, iterations, measurements
-    return None, cost, iterations, measurements
+            return (int(pos[z]), blocked_cost(n, jbits, lbits, rounds),
+                    sum(map(sum, rounds)), len(rounds))
+    return (None, blocked_cost(n, jbits, lbits, rounds),
+            sum(map(sum, rounds)), len(rounds))
+
+
+def per_round_recursive(x, y, rcfg, cfg):
+    """Distribution oracle: the blocked recursion (and the flat search it
+    delegates to) with every measurement drawn from the round's whole law
+    by Generator.choice.  Returns (index, cost, iterations,
+    measurements)."""
+    return flat_or_blocked(x, y, rcfg, cfg, per_round_qsearch,
+                           per_round_blocked)
 
 
 def random_start(rng, dim):
@@ -211,7 +316,7 @@ def test_sampler_matches_choice_on_random_starts():
             for cfg in schedules((t, dim)):
                 res = zoo.qsearch(start, np.flatnonzero(mask), cfg)
                 got = (res.outcome, res.iterations, res.measurements)
-                assert got == reference_qsearch(start, mask, cfg), \
+                assert got == exact_qsearch(start, mask, cfg), \
                     (dim, cfg, np.flatnonzero(mask)[:4])
 
 
@@ -230,16 +335,56 @@ def test_recursion_sampler_matches_choice():
             for cfg in schedules((n, threshold)):
                 res = zoo.recursive_intersection(x, y, rcfg, cfg)
                 got = (res.index, res.cost, res.iterations, res.measurements)
-                assert got == reference_recursive(x, y, rcfg, cfg), \
+                assert got == exact_recursive(x, y, rcfg, cfg), \
                     (n, kind, threshold, cfg)
+
+
+def assert_same_law(got, want):
+    """Two samples of result tuples, outcome first: whether an outcome was
+    found, each outcome's frequency and the mean of every count agree
+    within 5 standard errors of their difference."""
+    stats = [lambda r: r[0] is not None]
+    stats += [lambda r, o=o: r[0] == o for o in {r[0] for r in got + want}]
+    stats += [lambda r, c=c: r[c] for c in range(1, len(got[0]))]
+    for stat in stats:
+        a, b = (np.array([stat(r) for r in rs], dtype=float)
+                for rs in (got, want))
+        se = math.sqrt(a.var() / a.size + b.var() / b.size)
+        assert abs(a.mean() - b.mean()) <= 5 * se, (a.mean(), b.mean(), se)
+
+
+def test_sampler_draws_the_law_of_the_per_round_measurements():
+    # the same seeds on two streams: one success draw per round and one
+    # index draw per search against a whole-law draw in every round
+    rng = np.random.default_rng(2008)
+    start = random_start(rng, 40)
+    mask = np.zeros(40, dtype=bool)
+    mask[[3, 17, 18, 31]] = True
+    cfgs = [zoo.QSearchConfig(rng_seed=(2008, s)) for s in range(800)]
+    got = []
+    for cfg in cfgs:
+        res = zoo.qsearch(start, np.flatnonzero(mask), cfg)
+        got.append((res.outcome, res.iterations, res.measurements))
+    assert_same_law(got, [per_round_qsearch(start, mask, cfg) for cfg in cfgs])
+    one = [0] * 64
+    one[42] = 1
+    dense = _grid_inputs(256)["dense"]
+    for (x, y), threshold in (((one, one), 16), (dense, 16), (dense, 64)):
+        rcfg = zoo.RecursionConfig(base_threshold=threshold)
+        got = []
+        for cfg in cfgs:
+            res = zoo.recursive_intersection(x, y, rcfg, cfg)
+            got.append((res.index, res.cost, res.iterations, res.measurements))
+        assert_same_law(got, [per_round_recursive(x, y, rcfg, cfg)
+                              for cfg in cfgs])
 
 
 def test_qsearch_stays_within_its_budget():
     # no round starts once ceil(9 sqrt(dim)) oracle applications are spent,
-    # and a round's iterations never pass the budget; the measurement that
-    # ends the last round may be one application past it
+    # and the last round's j is clamped so that its measurement is the last
+    # application of the budget
     rng = np.random.default_rng(2005)
-    over = 0
+    exact = 0
     for dim in range(1, 65):
         budget = math.ceil(9 * math.sqrt(dim))
         many = np.flatnonzero(rng.random(dim) < 0.3)
@@ -248,9 +393,9 @@ def test_qsearch_stays_within_its_budget():
                 for cfg in schedules((dim, len(solutions))):
                     res = zoo.qsearch(start, solutions, cfg)
                     spent = res.iterations + res.measurements
-                    assert spent <= budget + 1, (dim, solutions, cfg)
-                    over += spent > budget
-    assert over  # the one-past case is reached
+                    assert spent <= budget, (dim, solutions, cfg)
+                    exact += spent == budget
+    assert exact  # a search that misses spends the whole budget
 
 
 def test_blocked_search_measures_at_most_its_rounds():
@@ -282,38 +427,39 @@ def _grid_inputs(n):
             "disjoint": ([1] * n, [0] * n)}
 
 
-# (index, cost, iterations, measurements) for rng seeds 0..3, recorded with
-# the iteration-by-iteration implementation; an unchanged RNG stream keeps
-# every entry.  At n = 4 the recursion delegates to the flat search.
+# (index, cost, iterations, measurements) for rng seeds 0..3, recorded on
+# the stream of one schedule draw, one uniform per round and one index draw
+# per search; an unchanged RNG stream keeps every entry.  At n = 4 the
+# recursion delegates to the flat search.
 GRID = {
-    (4, "dense", "bcw"): [(None, 108, 6, 12), (None, 108, 6, 12),
-                          (None, 108, 6, 12), (None, 108, 4, 14)],
-    (4, "dense", "rec"): [(None, 108, 6, 12), (None, 108, 6, 12),
-                          (None, 108, 6, 12), (None, 108, 4, 14)],
-    (4, "unique", "bcw"): [(1, 18, 1, 2), (1, 18, 1, 2), (1, 6, 0, 1),
-                           (1, 24, 0, 4)],
-    (4, "unique", "rec"): [(1, 18, 1, 2), (1, 18, 1, 2), (1, 6, 0, 1),
-                           (1, 24, 0, 4)],
-    (64, "dense", "bcw"): [(40, 14, 0, 1), (32, 14, 0, 1), (12, 84, 1, 5),
-                           (27, 56, 0, 4)],
-    (64, "dense", "rec"): [(None, 442, 11, 3), (59, 174, 4, 1),
-                           (21, 284, 10, 2), (None, 202, 8, 3)],
-    (64, "unique", "bcw"): [(21, 154, 5, 6), (21, 196, 6, 8), (21, 126, 3, 6),
-                            (21, 378, 15, 12)],
+    (4, "dense", "bcw"): [(None, 108, 5, 13), (None, 108, 6, 12),
+                          (None, 108, 5, 13), (None, 108, 4, 14)],
+    (4, "dense", "rec"): [(None, 108, 5, 13), (None, 108, 6, 12),
+                          (None, 108, 5, 13), (None, 108, 4, 14)],
+    (4, "unique", "bcw"): [(1, 18, 1, 2), (1, 6, 0, 1), (1, 18, 1, 2),
+                           (1, 6, 0, 1)],
+    (4, "unique", "rec"): [(1, 18, 1, 2), (1, 6, 0, 1), (1, 18, 1, 2),
+                           (1, 6, 0, 1)],
+    (64, "dense", "bcw"): [(23, 42, 1, 2), (48, 14, 0, 1), (22, 42, 1, 2),
+                           (40, 14, 0, 1)],
+    (64, "dense", "rec"): [(45, 318, 7, 1), (58, 174, 4, 1), (39, 110, 6, 1),
+                           (31, 140, 7, 2)],
+    (64, "unique", "bcw"): [(21, 280, 9, 11), (21, 84, 2, 4), (21, 238, 7, 10),
+                            (21, 308, 10, 12)],
     (64, "unique", "rec"): [(21, 318, 7, 1), (21, 174, 4, 1), (21, 110, 6, 1),
-                            (21, 110, 6, 1)],
-    (256, "dense", "bcw"): [(20, 54, 1, 2), (38, 54, 1, 2), (41, 108, 1, 5),
-                            (132, 162, 1, 8)],
-    (256, "dense", "rec"): [(140, 360, 7, 1), (252, 198, 4, 1),
-                            (26, 450, 11, 2), (None, 540, 14, 4)],
-    (256, "unique", "bcw"): [(85, 630, 22, 13), (85, 324, 9, 9),
-                             (85, 360, 10, 10), (85, 486, 15, 12)],
-    (256, "unique", "rec"): [(85, 360, 7, 1), (85, 486, 9, 4), (85, 126, 6, 1),
-                             (85, 270, 9, 2)],
-    (1024, "disjoint", "rec"): [(None, 6178, 55, 7), (None, 5026, 49, 7),
-                                (None, 4738, 59, 7), (None, 4234, 48, 7)],
-    (1024, "unique", "rec"): [(341, 1774, 13, 1), (341, 1648, 17, 4),
-                              (341, 766, 11, 1), (341, 238, 9, 1)],
+                            (21, 218, 9, 3)],
+    (256, "dense", "bcw"): [(38, 54, 1, 2), (95, 72, 1, 3), (121, 54, 1, 2),
+                            (136, 54, 1, 2)],
+    (256, "dense", "rec"): [(214, 360, 7, 1), (214, 198, 4, 1),
+                            (57, 468, 11, 3), (237, 126, 6, 1)],
+    (256, "unique", "bcw"): [(85, 630, 22, 13), (85, 108, 2, 4),
+                             (85, 648, 23, 13), (85, 720, 25, 15)],
+    (256, "unique", "rec"): [(85, 360, 7, 1), (85, 198, 4, 1),
+                             (85, 468, 11, 3), (85, 126, 6, 1)],
+    (1024, "disjoint", "rec"): [(None, 5650, 49, 7), (None, 7042, 55, 7),
+                                (None, 4666, 56, 7), (None, 3610, 44, 7)],
+    (1024, "unique", "rec"): [(341, 1774, 13, 1), (341, 670, 7, 1),
+                              (341, 766, 11, 1), (341, 978, 18, 3)],
 }
 
 
@@ -331,49 +477,41 @@ def test_seeded_searches_unchanged():
         assert got == want, (n, kind, fn)
 
 
-def recursion_draws(n, cfg, rounds):
-    """(j_leaf, j_outer) of the first rounds of the blocked search at n,
-    replayed from its seed."""
-    b = max(1, int(math.ceil(math.log2(n) ** 2)))
-    nblocks = int(math.ceil(n / b))
-    ldim = 1 << max(int(math.ceil(math.log2(b))), 0)
-    rng = np.random.default_rng(cfg.rng_seed)
-    draws = []
-    for _ in range(rounds):
-        j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
-        j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
-        rng.random()  # the measurement
-        draws.append((j_leaf, j_outer))
-    return draws
-
-
 def test_each_measurement_law_is_built_once_per_search(monkeypatch):
     built = []
     cdf = zoo._cdf
 
     def counting_cdf(weights):
-        built.append(weights.shape)
+        built.append(weights.size)
         return cdf(weights)
 
     monkeypatch.setattr(zoo, "_cdf", counting_cdf)
-    n = 1024
-    inputs = _grid_inputs(n)
-    repeated = False
-    for threshold in (16, 64):
-        rcfg = zoo.RecursionConfig(base_threshold=threshold)
-        for s in range(16):
-            cfg = zoo.QSearchConfig(rng_seed=s)
-            built.clear()
-            res = zoo.recursive_intersection(*inputs["disjoint"], rcfg, cfg)
-            # no common index: every round measures the start
-            assert (res.index, res.measurements, len(built)) == (None, 7, 1)
-            for kind in ("unique", "dense"):
+    # only a search that finds an index builds a law: its outcome's, over
+    # the common indices alone
+    rng = np.random.default_rng(2007)
+    big = 1 << 20
+    one = np.zeros(big, dtype=np.uint8)
+    one[big // 3] = 1
+    cases = [(n, kind, xy, 16) for n in (1024,)
+             for kind, xy in _grid_inputs(n).items()]
+    cases += [(big, "disjoint", (np.ones(big, np.uint8), 0 * one), 2),
+              (big, "unique", (one, one), 2),
+              (big, "dense", tuple(rng.integers(0, 2, size=(2, big))), 2)]
+    found = set()
+    for n, kind, (x, y), seeds in cases:
+        common = int(np.count_nonzero(np.asarray(x) & np.asarray(y)))
+        for threshold in (16, 64):
+            rcfg = zoo.RecursionConfig(base_threshold=threshold)
+            for s in range(seeds):
                 built.clear()
-                res = zoo.recursive_intersection(*inputs[kind], rcfg, cfg)
-                draws = recursion_draws(n, cfg, res.measurements)
-                assert len(built) == len(set(draws)), (threshold, s, kind)
-                repeated |= len(set(draws)) < len(draws)
-    assert repeated  # some search drew one (j_leaf, j_outer) twice
-    built.clear()
-    res = zoo.qsearch(uniform(64), [], zoo.QSearchConfig(rng_seed=0))
-    assert res.outcome is None and res.measurements > 1 and len(built) == 1
+                res = zoo.recursive_intersection(
+                    x, y, rcfg, zoo.QSearchConfig(rng_seed=s))
+                assert built == [common] * res.found, (n, kind, threshold, s)
+                found.add((n, kind, res.found))
+    assert {(1024, "disjoint", False), (1024, "unique", True),
+            (big, "unique", True), (big, "dense", True)} <= found
+    for solutions in ([], [5], [1, 5, 9]):
+        built.clear()
+        res = zoo.qsearch(uniform(64), solutions, zoo.QSearchConfig(rng_seed=0))
+        assert res.measurements >= 1
+        assert built == [len(solutions)] * (res.outcome is not None)

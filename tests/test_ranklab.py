@@ -107,6 +107,12 @@ def test_fullrank_audits_reject_negative_trials(audit):
             audit(2, trials=trials, seed=1)
     rep = audit(2, trials=0, seed=1)
     assert rep.ok and rep.trials == 0
+    # True is no count, and no audit runs 2.5 trials
+    for trials in (True, 2.5):
+        with pytest.raises(ValueError, match="^trials must be an integer$"):
+            audit(2, trials=trials, seed=1)
+    rep = audit(2, trials=np.int64(2), seed=1)
+    assert rep.ok and json.loads(rep.to_json())["trials"] == 2
 
 
 def test_disj_ordering_triangularizes():
