@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,8 @@ class SvdResult:
         return (self.u[:, :k] * self.sigma) @ self.v[:k, :]
 
     def rank(self, tol: float = DEFAULT_TOL) -> int:
-        """Number of singular values in the support (0 for a zero matrix)."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        """Number of singular values in the support (0 for a zero matrix);
+        support checks tol."""
         return int(np.count_nonzero(support(self.sigma, tol)))
 
 
@@ -64,10 +64,19 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, sigma=s, v=vh)
 
 
+def _require_tol(tol) -> None:
+    """ValueError unless tol is finite and > 0: the one check of every
+    rule function's tolerance."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+
+
 def support(values, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Mask of ``|v| > tol * max|v|``, the package's one "nonzero" rule,
     applied to amplitudes (probabilities via their square roots).  All
-    False when every entry is zero; NaN or +-inf raise ``ValueError``."""
+    False when every entry is zero; NaN or +-inf, in the values or in tol,
+    and tol <= 0 raise ``ValueError``."""
+    _require_tol(tol)
     mag = np.abs(np.asarray(values))
     if not np.all(np.isfinite(mag)):
         raise ValueError("support of values containing NaN/Inf")
@@ -80,6 +89,9 @@ def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
 
 
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
+    """Whether u is square with max|u u^H - I| <= tol; a tol that is not
+    finite and > 0 raises ``ValueError``."""
+    _require_tol(tol)
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False

@@ -20,16 +20,18 @@
 * _search: the one search loop.  Round k succeeds with its closed-form
   probability, one uniform draw each, and only the first round that
   succeeds draws an outcome, from the weights on the solutions, on the
-  stream that Generator.choice(p=probs) uses.  A search thus draws three
-  times: its schedule, one uniform per round and one index; it builds one
-  CDF if it finds a solution and none otherwise.
+  stream that Generator.choice(p=probs) uses.  A search draws its
+  schedule, then one uniform per round and one index; it builds one CDF
+  if it finds a solution and none otherwise.
 * grover_state / qsearch: amplitude amplification of a start vector, and
   search with BBHT's growing random-cutoff schedule for an unknown number
   of solutions, drawn at once (_bbht_schedule), until exactly
   ceil(9 sqrt(dim)) oracle applications are spent.
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
-  cost, plus the closed-form cost model for the recursion.
+  cost, plus the closed-form cost model for the recursion.  The recursion
+  runs qsearch's schedule over its blocks; both parties hold a copy of
+  the block index, so its in-block queries send the offset alone.
 """
 
 from __future__ import annotations
@@ -398,11 +400,13 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
                            cfg: QSearchConfig) -> IntersectionResult:
     """Blocked intersection search with end-to-end amplification.
 
-    Indices are split into blocks; a superposed block-choice register is
-    joined with an in-block search stage, the combined preparation is
-    amplified globally, and every measured candidate is verified
-    classically before it is reported.  Small inputs (or block sizes that
-    do not split the input) delegate to bcw_intersection unchanged.
+    The outer stage runs qsearch's BBHT schedule (_bbht_schedule) over
+    2^jbits blocks of 2^lbits offsets, each round with an in-block count
+    j_leaf below ceil(sqrt(2^lbits)).  Both parties hold a copy of the
+    block index, so an in-block query costs 2(lbits + 1) qubits, an outer
+    one 2(jbits + lbits + 1).  Candidates are verified classically; inputs
+    of at most base_threshold bits, or that one block covers, go to
+    bcw_intersection.
     """
     x, y = _input_pair(x, y)
     n = len(x)
@@ -419,13 +423,9 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     block = common // b
     counts = np.bincount(block)
     rng = np.random.default_rng(cfg.rng_seed)
-    query_cost = 2 * (jbits + lbits + 1)
     verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
-    leaf_cut = int(math.ceil(math.sqrt(ldim)))
-    outer_cut = int(math.ceil(math.sqrt(2 * nblocks)))
-    rounds = int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))
-    js = rng.integers(0, (leaf_cut, outer_cut), size=(rounds, 2))
-    j_leaf, j_outer = js.T
+    j_outer = _bbht_schedule(rng, 1 << jbits)
+    j_leaf = rng.integers(0, int(math.ceil(math.sqrt(ldim))), j_outer.size)
     # the in-block stage amplifies every block about its uniform state: a
     # block's good share after it, round by round; the blocks share the
     # start evenly, and the outer stage amplifies their sum
@@ -435,10 +435,10 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
                           lambda k: leaf[k, block] / counts[block])
     j_leaf, j_outer = j_leaf[:measured], j_outer[:measured]
     # each outer iteration replays the in-block stage twice (do/undo)
-    cost = int(np.sum(j_leaf * (1 + 2 * j_outer) + j_outer)) * query_cost \
-        + measured * verify_cost
+    cost = int(np.sum(j_leaf * (1 + 2 * j_outer))) * 2 * (lbits + 1) \
+        + int(j_outer.sum()) * 2 * (jbits + lbits + 1) + measured * verify_cost
     return IntersectionResult(None if z is None else int(common[z]), cost,
-                              int(js[:measured].sum()), measured)
+                              int(j_leaf.sum() + j_outer.sum()), measured)
 
 
 def _require_finite(value, name: str = "n") -> None:

@@ -82,7 +82,7 @@ def exact_qsearch(start, mask, cfg):
 def blocked_layout(n, both):
     """The blocked recursion's index register: (mask of the common indices
     over dim = 2^(jbits + lbits) entries, blocks as rows, the position of
-    each entry, nblocks, jbits, lbits)."""
+    each entry, jbits, lbits)."""
     b = max(1, int(math.ceil(math.log2(n) ** 2)))
     nblocks = int(math.ceil(n / b))
     jbits = max(int(math.ceil(math.log2(nblocks))), 0)
@@ -92,7 +92,7 @@ def blocked_layout(n, both):
     pos = blk * b + off
     mask = (off < b) & (pos < n)
     mask[mask] = both[pos[mask]] == 1
-    return mask, pos, nblocks, jbits, lbits
+    return mask, pos, jbits, lbits
 
 
 def flat_or_blocked(x, y, rcfg, cfg, qsearch_oracle, blocked_oracle):
@@ -114,23 +114,26 @@ def flat_or_blocked(x, y, rcfg, cfg, qsearch_oracle, blocked_oracle):
 
 def blocked_cost(n, jbits, lbits, rounds):
     """Cost of the measured (j_leaf, j_outer) rounds: each outer iteration
-    replays the in-block stage twice."""
-    query_cost = 2 * (jbits + lbits + 1)
+    replays the in-block stage twice.  An in-block query sends the offset,
+    an outer one the full index."""
+    leaf_cost = 2 * (lbits + 1)
+    outer_cost = 2 * (jbits + lbits + 1)
     verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
-    return sum(j_leaf * query_cost * (1 + 2 * j_outer)
-               + j_outer * query_cost + verify_cost
+    return sum(j_leaf * leaf_cost * (1 + 2 * j_outer)
+               + j_outer * outer_cost + verify_cost
                for j_leaf, j_outer in rounds)
 
 
 def exact_blocked(n, both, cfg):
-    mask, pos, nblocks, jbits, lbits = blocked_layout(n, both)
+    mask, pos, jbits, lbits = blocked_layout(n, both)
     blocks = mask.reshape(1 << jbits, -1)
     start = np.full(blocks.shape, 1.0 / math.sqrt(mask.size))
     rng = np.random.default_rng(cfg.rng_seed)
-    cuts = (int(math.ceil(math.sqrt(blocks.shape[1]))),
-            int(math.ceil(math.sqrt(2 * nblocks))))
-    rounds = [tuple(map(int, js)) for js in rng.integers(
-        0, cuts, size=(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n))), 2))]
+    # qsearch's schedule over the blocks, then every round's j_leaf at once
+    j_outer = bbht_rounds(rng, 1 << jbits)
+    j_leaf = rng.integers(0, int(math.ceil(math.sqrt(blocks.shape[1]))),
+                          len(j_outer))
+    rounds = list(zip(map(int, j_leaf), j_outer))
 
     def state_of(js):
         leaf = dense_blocks(start, blocks, js[0]).reshape(mask.size)
@@ -143,8 +146,8 @@ def exact_blocked(n, both, cfg):
 
 
 def exact_recursive(x, y, rcfg, cfg):
-    """Reference oracle on recursive_intersection's RNG stream: the fixed
-    (j_leaf, j_outer) rounds in one draw, one uniform per round, one index,
+    """Reference oracle on recursive_intersection's RNG stream: the j_outer
+    schedule, the j_leaf of every round, one uniform per round, one index,
     with every success probability and outcome law taken from the dense
     in-block and outer loops.  Returns (index, cost, iterations,
     measurements)."""
@@ -178,18 +181,17 @@ def per_round_qsearch(start, mask, cfg):
 
 
 def per_round_blocked(n, both, cfg):
-    mask, pos, nblocks, jbits, lbits = blocked_layout(n, both)
+    mask, pos, jbits, lbits = blocked_layout(n, both)
     blocks = mask.reshape(1 << jbits, -1)
     ldim = blocks.shape[1]
     start = np.full(blocks.shape, 1.0 / mask.size)
     leaf_theta = zoo.solution_angle(start, blocks)
     rng = np.random.default_rng(cfg.rng_seed)
     rounds = []
-    for _ in range(int(math.ceil(2.0 * math.sqrt(n) / math.log2(n)))):
+    for j_outer in bbht_rounds(rng, 1 << jbits):
         j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
         leaf = zoo.amplification_factors(blocks, leaf_theta, j_leaf)
         weight = (start * leaf ** 2).reshape(mask.size)
-        j_outer = int(rng.integers(0, int(math.ceil(math.sqrt(2 * nblocks)))))
         outer = zoo.amplification_factors(
             mask, zoo.solution_angle(weight, mask), j_outer)
         probs = weight * outer ** 2
@@ -398,12 +400,16 @@ def test_qsearch_stays_within_its_budget():
     assert exact  # a search that misses spends the whole budget
 
 
-def test_blocked_search_measures_at_most_its_rounds():
+def test_blocked_search_stays_within_its_outer_budget():
     rng = np.random.default_rng(2006)
-    # every n is above both thresholds and split into blocks
+    # every n is above both thresholds and split into blocks; the outer
+    # stage runs qsearch's schedule over the 2^jbits blocks, so it measures
+    # at most ceil(9 sqrt(2^jbits)) times
     for n in (20, 64, 65, 100, 256, 500, 1024, 2048):
-        assert zoo._default_block_size(n) < n
-        rounds = math.ceil(2 * math.sqrt(n) / math.log2(n))
+        b = zoo._default_block_size(n)
+        assert b < n
+        jbits = int(math.ceil(math.log2(math.ceil(n / b))))
+        budget = math.ceil(9 * math.sqrt(1 << jbits))
         one = [0] * n
         one[n // 2] = 1
         inputs = {"disjoint": ([1] * n, [0] * n), "unique": (one, one),
@@ -414,7 +420,7 @@ def test_blocked_search_measures_at_most_its_rounds():
             rcfg = zoo.RecursionConfig(base_threshold=threshold)
             for cfg in schedules((n, threshold)):
                 res = zoo.recursive_intersection(x, y, rcfg, cfg)
-                assert 1 <= res.measurements <= rounds, (n, kind, threshold)
+                assert 1 <= res.measurements <= budget, (n, kind, threshold)
 
 
 def _grid_inputs(n):
@@ -428,8 +434,9 @@ def _grid_inputs(n):
 
 
 # (index, cost, iterations, measurements) for rng seeds 0..3, recorded on
-# the stream of one schedule draw, one uniform per round and one index draw
-# per search; an unchanged RNG stream keeps every entry.  At n = 4 the
+# the stream of one schedule draw (the recursion's outer one, then its
+# j_leaf of every round), one uniform per round and one index draw per
+# search; an unchanged RNG stream keeps every entry.  At n = 4 the
 # recursion delegates to the flat search.
 GRID = {
     (4, "dense", "bcw"): [(None, 108, 5, 13), (None, 108, 6, 12),
@@ -442,24 +449,24 @@ GRID = {
                            (1, 6, 0, 1)],
     (64, "dense", "bcw"): [(23, 42, 1, 2), (48, 14, 0, 1), (22, 42, 1, 2),
                            (40, 14, 0, 1)],
-    (64, "dense", "rec"): [(45, 318, 7, 1), (58, 174, 4, 1), (39, 110, 6, 1),
-                           (31, 140, 7, 2)],
+    (64, "dense", "rec"): [(4, 70, 4, 1), (48, 42, 2, 1), (42, 112, 7, 1),
+                           (0, 226, 8, 2)],
     (64, "unique", "bcw"): [(21, 280, 9, 11), (21, 84, 2, 4), (21, 238, 7, 10),
                             (21, 308, 10, 12)],
-    (64, "unique", "rec"): [(21, 318, 7, 1), (21, 174, 4, 1), (21, 110, 6, 1),
-                            (21, 218, 9, 3)],
+    (64, "unique", "rec"): [(21, 70, 4, 1), (21, 140, 8, 2), (21, 112, 7, 1),
+                            (21, 226, 8, 2)],
     (256, "dense", "bcw"): [(38, 54, 1, 2), (95, 72, 1, 3), (121, 54, 1, 2),
                             (136, 54, 1, 2)],
-    (256, "dense", "rec"): [(214, 360, 7, 1), (214, 198, 4, 1),
-                            (57, 468, 11, 3), (237, 126, 6, 1)],
+    (256, "dense", "rec"): [(176, 74, 4, 1), (59, 74, 4, 1),
+                            (27, 332, 15, 5), (113, 88, 5, 1)],
     (256, "unique", "bcw"): [(85, 630, 22, 13), (85, 108, 2, 4),
                              (85, 648, 23, 13), (85, 720, 25, 15)],
-    (256, "unique", "rec"): [(85, 360, 7, 1), (85, 198, 4, 1),
-                             (85, 468, 11, 3), (85, 126, 6, 1)],
-    (1024, "disjoint", "rec"): [(None, 5650, 49, 7), (None, 7042, 55, 7),
-                                (None, 4666, 56, 7), (None, 3610, 44, 7)],
-    (1024, "unique", "rec"): [(341, 1774, 13, 1), (341, 670, 7, 1),
-                              (341, 766, 11, 1), (341, 978, 18, 3)],
+    (256, "unique", "rec"): [(85, 74, 4, 1), (85, 416, 12, 4),
+                             (85, 332, 15, 5), (85, 262, 12, 5)],
+    (1024, "disjoint", "rec"): [(None, 5630, 87, 17), (None, 4784, 99, 16),
+                                (None, 7694, 128, 17), (None, 4410, 123, 19)],
+    (1024, "unique", "rec"): [(341, 1922, 38, 11), (341, 1766, 47, 9),
+                              (341, 2012, 51, 10), (341, 516, 15, 2)],
 }
 
 

@@ -95,6 +95,20 @@ def test_rank_tolerance_must_be_positive():
         linalg.svd(np.eye(2)).rank(-1e-9)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_rule_functions_reject_a_tolerance_not_finite_and_positive(tol):
+    # nan and inf would make every entry zero, a negative tol every entry
+    # nonzero
+    for rule in (lambda: linalg.support(np.eye(4), tol),
+                 lambda: linalg.numeric_rank(np.eye(4), tol),
+                 lambda: linalg.svd(np.eye(4)).rank(tol),
+                 lambda: linalg.is_unitary(np.eye(4), tol)):
+        with pytest.raises(ValueError,
+                           match="^tol must be positive and finite$"):
+            rule()
+
+
 def test_numeric_rank_matches_exact_oracle_on_integer_matrices():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -180,6 +180,21 @@ def test_recursive_intersection_one_sided():
             assert x[res.index] & y[res.index]
 
 
+def test_blocked_search_costs_less_than_bcw_on_disjoint_inputs():
+    # a disjoint input runs every round, which is the worst case; the
+    # blocked level's queries inside a block send only the offset, so above
+    # the threshold it undercuts the flat search on average
+    for n in (1 << 12, 1 << 14):
+        x, y = np.ones(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+        costs = {"rec": [], "bcw": []}
+        for s in range(32):
+            cfg = zoo.QSearchConfig(rng_seed=s)
+            costs["rec"].append(zoo.recursive_intersection(
+                x, y, zoo.RecursionConfig(), cfg).cost)
+            costs["bcw"].append(zoo.bcw_intersection(x, y, cfg).cost)
+        assert np.mean(costs["rec"]) < np.mean(costs["bcw"]), n
+
+
 def test_cost_model_values():
     assert zoo.cost_model(1) == 2.0
     # forced single block at n = 16: one level of the recursion formula
