@@ -35,6 +35,7 @@ chunks and branches without checking it again; a gate that
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -62,17 +63,38 @@ def other_party(party: str) -> str:
 
 
 def bit_array(value) -> np.ndarray:
-    """A '01' string or a 0/1 sequence as a 1-D uint8 array.
+    """A '01' string or a 0/1 sequence as a new, writable 1-D uint8 array.
 
-    Raises ValueError for any other character or value, and for input
-    that is not one-dimensional.
+    A str, and a list or tuple of Python or numpy integers or bools, are
+    read in one C pass as bytes; any other input (an array, floats,
+    '0'/'1' strings in a list) goes through np.asarray.  Raises
+    ValueError for any other character or value, and for input that is
+    not one-dimensional.
     """
-    arr = np.asarray(list(value) if isinstance(value, str) else value)
-    zero, one = ("0", "1") if arr.dtype.kind == "U" else (0, 1)
-    is_one = arr == one
-    if arr.ndim != 1 or not np.all(is_one | (arr == zero)):
-        raise ValueError(f"inputs must be 0/1 sequences, got {value!r}")
-    return is_one.astype(np.uint8)
+    arr = None
+    if isinstance(value, str):
+        try:
+            arr = np.frombuffer(value.encode(), np.uint8) - ord("0")
+        except UnicodeEncodeError:
+            raise _not_bits(value) from None
+    elif isinstance(value, (list, tuple)):
+        # raises unless every item is an integer in 0..255
+        with contextlib.suppress(TypeError, ValueError):
+            arr = np.frombuffer(bytearray(value), np.uint8)
+    if arr is None:
+        arr = np.asarray(value)
+        zero, one = ("0", "1") if arr.dtype.kind == "U" else (0, 1)
+        is_one = arr == one
+        if arr.ndim != 1 or not np.all(is_one | (arr == zero)):
+            raise _not_bits(value)
+        return is_one.astype(np.uint8)
+    if arr.size and arr.max() > 1:
+        raise _not_bits(value)
+    return arr
+
+
+def _not_bits(value) -> ValueError:
+    return ValueError(f"inputs must be 0/1 sequences, got {value!r}")
 
 
 def as_bits(value, n: int) -> tuple:

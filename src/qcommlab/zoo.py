@@ -26,7 +26,8 @@
 * grover_state / qsearch: amplitude amplification of a start vector, and
   search with BBHT's growing random-cutoff schedule for an unknown number
   of solutions, drawn at once (_bbht_schedule), until exactly
-  ceil(9 sqrt(dim)) oracle applications are spent.
+  ceil(9 sqrt(dim)) oracle applications are spent.  The cutoffs depend
+  only on dim and are built once per dim (_bbht_cutoffs).
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
   cost, plus the closed-form cost model for the recursion.  The recursion
@@ -280,18 +281,28 @@ def _search(rng, success: np.ndarray, draw) -> tuple:
     return int(_cdf(draw(k)).searchsorted(rng.random(), side="right")), k + 1
 
 
+@functools.lru_cache(maxsize=64)
+def _bbht_cutoffs(dim: int) -> tuple[int, np.ndarray]:
+    """The budget ceil(9 sqrt(dim)) and BBHT's cutoffs ceil(min(1.2^k,
+    sqrt(dim))) for k below it, built once per dim and read-only."""
+    budget = int(math.ceil(9.0 * math.sqrt(dim)))
+    with np.errstate(over="ignore"):  # 1.2^k is inf from k ~ 3,900
+        cutoffs = np.ceil(np.minimum(SCHEDULE_GROWTH ** np.arange(budget),
+                                     math.sqrt(dim))).astype(np.int64)
+    cutoffs.flags.writeable = False
+    return budget, cutoffs
+
+
 def _bbht_schedule(rng: np.random.Generator, dim: int) -> np.ndarray:
     """BBHT's rounds: j of round k is uniform below ceil(min(1.2^k,
     sqrt(dim))), the cutoff growing by SCHEDULE_GROWTH after each miss.
-    The cutoffs do not depend on any outcome, so every j is drawn at once.
-    The rounds stop once ceil(9 sqrt(dim)) oracle applications (j per
-    round, plus its measurement) are spent, the last j clamped so that
-    they are spent exactly."""
-    budget = int(math.ceil(9.0 * math.sqrt(dim)))
-    with np.errstate(over="ignore"):  # 1.2^k is inf from k ~ 3,900
-        cutoffs = np.minimum(SCHEDULE_GROWTH ** np.arange(budget),
-                             math.sqrt(dim))
-    js = rng.integers(0, np.ceil(cutoffs).astype(np.int64))
+    The cutoffs do not depend on any outcome, so they are built once per
+    dim (_bbht_cutoffs) and every j is drawn at once.  The rounds stop
+    once ceil(9 sqrt(dim)) oracle applications (j per round, plus its
+    measurement) are spent, the last j clamped so that they are spent
+    exactly."""
+    budget, cutoffs = _bbht_cutoffs(dim)
+    js = rng.integers(0, cutoffs)
     # every round spends at least 1, so budget rounds reach the budget
     spent = np.cumsum(js + 1)
     last = int(spent.searchsorted(budget))

@@ -1,7 +1,8 @@
 """The closed-form amplification kernel against the dense loop it replaced,
 the samplers against dense oracles on their own RNG stream and, in
 distribution, against the per-round Generator.choice loops they replaced,
-the search entry points' input checks, and a seeded regression grid."""
+the search entry points' input checks, the cached schedule against the
+uncached one, and a seeded regression grid."""
 
 import itertools
 import math
@@ -400,6 +401,43 @@ def test_qsearch_stays_within_its_budget():
     assert exact  # a search that misses spends the whole budget
 
 
+def uncached_bbht_schedule(rng, dim):
+    """_bbht_schedule as it was before its cutoffs were cached: the
+    cutoff table is built on every call."""
+    budget = int(math.ceil(9.0 * math.sqrt(dim)))
+    with np.errstate(over="ignore"):
+        cutoffs = np.minimum(zoo.SCHEDULE_GROWTH ** np.arange(budget),
+                             math.sqrt(dim))
+    js = rng.integers(0, np.ceil(cutoffs).astype(np.int64))
+    spent = np.cumsum(js + 1)
+    last = int(spent.searchsorted(budget))
+    js = js[:last + 1]
+    js[last] -= spent[last] - budget
+    return js
+
+
+def test_cached_cutoffs_leave_the_schedule_unchanged():
+    for dim in [*range(1, 81), 1 << 10, 1 << 14, 1 << 20]:
+        for seed in range(50):
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = zoo._bbht_schedule(got_rng, dim)
+            assert np.array_equal(got, uncached_bbht_schedule(want_rng, dim))
+            # the generator is left in the same state
+            assert got_rng.random() == want_rng.random(), (dim, seed)
+        budget, cutoffs = zoo._bbht_cutoffs(dim)
+        assert not cutoffs.flags.writeable
+        with pytest.raises(ValueError):
+            cutoffs[0] = 0
+    # a caller that changes its js changes no later schedule
+    want = zoo._bbht_schedule(np.random.default_rng(7), 1 << 10).copy()
+    zoo._bbht_schedule(np.random.default_rng(7), 1 << 10)[:] = 99
+    assert np.array_equal(
+        zoo._bbht_schedule(np.random.default_rng(7), 1 << 10), want)
+    info = zoo._bbht_cutoffs.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_blocked_search_stays_within_its_outer_budget():
     rng = np.random.default_rng(2006)
     # every n is above both thresholds and split into blocks; the outer
@@ -482,6 +520,27 @@ def test_seeded_searches_unchanged():
             got.append((res.index, res.cost, res.iterations,
                         res.measurements))
         assert got == want, (n, kind, fn)
+
+
+def test_every_input_form_gives_the_same_search():
+    # a list, a tuple, a '01' string, a uint8 array and a bool array of
+    # the same bits are the same input to both searches
+    def forms(bits):
+        return (list(bits), tuple(bits), "".join(map(str, bits)),
+                np.array(bits, dtype=np.uint8), np.array(bits, dtype=bool))
+
+    rcfgs = (zoo.RecursionConfig(), zoo.RecursionConfig(base_threshold=16))
+    for n in (4, 64, 256, 1024):
+        for kind, (x, y) in _grid_inputs(n).items():
+            for s in range(4):
+                cfg = zoo.QSearchConfig(rng_seed=s)
+                got = {zoo.bcw_intersection(fx, fy, cfg)
+                       for fx, fy in zip(forms(x), forms(y))}
+                assert len(got) == 1, (n, kind, s, got)
+                for rcfg in rcfgs:
+                    got = {zoo.recursive_intersection(fx, fy, rcfg, cfg)
+                           for fx, fy in zip(forms(x), forms(y))}
+                    assert len(got) == 1, (n, kind, rcfg, s, got)
 
 
 def test_each_measurement_law_is_built_once_per_search(monkeypatch):

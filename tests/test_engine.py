@@ -383,9 +383,23 @@ def test_bit_array_forms():
                   [0.0, 1.0, 1.0, 0.0]):
         got = engine.bit_array(value)
         assert got.dtype == np.uint8 and got.tolist() == want, value
-    for bad in ("0120", "01 0", [0, 2], [0.5, 1], [[0, 1]], ["0", "x"]):
-        with pytest.raises(ValueError):
+    mixed = engine.bit_array([np.int64(1), np.uint8(0), True])
+    assert mixed.dtype == np.uint8 and mixed.tolist() == [1, 0, 1]
+    assert engine.bit_array((1, 0, 0, 1)).tolist() == [1, 0, 0, 1]
+    for empty in ("", [], ()):
+        got = engine.bit_array(empty)
+        assert got.dtype == np.uint8 and got.shape == (0,), empty
+    for bad in ("0120", "01 0", [0, 2], [0.5, 1], [[0, 1]], ["0", "x"],
+                [-1], [256], [2], "٠١", "\ud800", "0 1"):
+        with pytest.raises(ValueError, match="^inputs must be 0/1 sequences"):
             engine.bit_array(bad)
+    # the result is always a new array: writing to it leaves the input be
+    source = np.array([0, 1, 1, 0], dtype=np.uint8)
+    for value in ("0110", [0, 1, 1, 0], (0, 1, 1, 0), source):
+        got = engine.bit_array(value)
+        assert got.flags.writeable, value
+        got[:] = 1
+    assert source.tolist() == want
 
 
 def reference_yao_kremer_decompose(p, x, y):
