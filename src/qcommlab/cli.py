@@ -18,6 +18,7 @@ package's one tolerance, linalg.DEFAULT_TOL; no flag sets it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -187,7 +188,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qcomm parser, built once per process and shared by ``main``."""
     parser = argparse.ArgumentParser(
         prog="qcomm", description="two-party protocol lab")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -366,17 +366,14 @@ class TranscriptDecomposition:
     b_vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        lay = self.layout
-        order = list(self.alice_side) + list(self.bob_side) + list(self.pool_qubits)
-        pool = np.zeros(1 << len(self.pool_qubits), dtype=complex)
-        pool[0] = 1.0
-        total = np.zeros(1 << lay.total, dtype=complex)
-        for a, b in zip(self.a_vectors, self.b_vectors):
-            total += np.kron(np.kron(a, b), pool)
-        # axes currently follow `order`; send axis j to position order[j]
-        t = total.reshape([2] * lay.total)
-        t = np.moveaxis(t, range(lay.total), order)
-        return t.reshape(1 << lay.total)
+        """sum_i a_i (x) b_i (x) |0..0>_pool: the product a_vectors.T @
+        b_vectors in column 0 of a (2^(A+B), 2^pool) array, whose qubits
+        one transpose puts in global order."""
+        total, pool = self.layout.total, len(self.pool_qubits)
+        order = self.alice_side + self.bob_side + self.pool_qubits
+        t = np.zeros((1 << (total - pool), 1 << pool), dtype=complex)
+        t[:, 0] = (self.a_vectors.T @ self.b_vectors).ravel()
+        return t.reshape((2,) * total).transpose(np.argsort(order)).reshape(-1)
 
     def output_components(self):
         """Per transcript, the output-bit-is-1 part split by side.
@@ -451,8 +448,8 @@ def _decompose(p: Protocol, xs: Sequence[tuple],
             # receiver's vector gains the window in state |bits>
             m = len(side)
             kpos = [2 + side.index(g) for g in turn.window]
-            t = np.moveaxis(mine.reshape((batch, count) + (2,) * m), kpos,
-                            range(2, k + 2))
+            perm = [0, 1] + kpos + [a for a in range(2, m + 2) if a not in kpos]
+            t = mine.reshape((batch, count) + (2,) * m).transpose(perm)
             mine = t.reshape(batch, count << k, 1 << (m - k))
             theirs = (theirs[:, :, None, :, None] * np.eye(1 << k)[:, None]
                       ).reshape(len(theirs), count << k, -1)

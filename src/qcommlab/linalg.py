@@ -5,8 +5,9 @@ convention, the one "nonzero" rule ``support``, numeric and exact integer
 A ``Gate`` is checked once, when it is made: its matrix is square, of side
 2^len(targets) and unitary in its own dtype, and the gate keeps a
 read-only copy of it.  ``Gate.with_rows`` permutes a checked gate's rows
-without a second check.  ``apply_on_qubits`` trusts a ``Gate`` and checks
-a raw matrix on every call.
+without a second check.  ``apply_on_qubits`` trusts a ``Gate``, checks a
+raw matrix on every call and applies it as one matmul: on a reshaped view
+for ascending contiguous targets, with one transpose each way otherwise.
 
 Conventions used throughout the package:
 
@@ -113,7 +114,7 @@ class Gate:
     targets: tuple
 
     def __post_init__(self):
-        targets = tuple(self.targets)
+        targets = _int_targets(self.targets)
         u = np.array(self.unitary)
         u.setflags(write=False)
         if u.shape != (1 << len(targets),) * 2:
@@ -145,13 +146,25 @@ class Gate:
         return gate
 
 
+def _int_targets(targets) -> tuple:
+    """targets as ints; ValueError for a bool or a non-integer target."""
+    targets = tuple(targets)
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+               for t in targets):
+        raise ValueError(f"target qubits must be integers, got {targets}")
+    return tuple(map(int, targets))
+
+
 def apply_on_qubits(state, u, targets) -> np.ndarray:
     """Apply unitary ``u`` to the given qubits of ``state`` (identity
-    elsewhere).  ``targets`` are qubit indices, most-significant-first.
+    elsewhere).  ``targets`` are integer qubit indices,
+    most-significant-first.
 
     ``u`` is a ``Gate``, already checked, or a raw matrix, checked on
     every call.  ``state`` is one vector of length 2^n or a batch of shape
-    (batch, 2^n) whose rows all get ``u``.
+    (batch, 2^n) whose rows all get ``u``.  Targets t..t+k-1 take one
+    matmul on the view (batch * 2^t, 2^k, 2^(n-t-k)); any other order one
+    transpose each way around it.  The result is always a new array.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2):
@@ -160,21 +173,27 @@ def apply_on_qubits(state, u, targets) -> np.ndarray:
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValueError("state length is not a power of two")
-    targets = list(targets)
+    targets = _int_targets(targets)
     k = len(targets)
     if len(set(targets)) != k or any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"bad target qubits {targets} for {n} qubits")
+        raise ValueError(f"bad target qubits {list(targets)} for {n} qubits")
     if not isinstance(u, Gate):
         u = Gate(u, targets)
     elif len(u.targets) != k:
         raise ValueError("unitary dimension does not match target count")
-    batch = state.shape[:-1]
-    axes = [len(batch) + t for t in targets]
-    psi = np.moveaxis(state.reshape(batch + (2,) * n), axes, range(k))
-    shape = psi.shape
-    psi = u.unitary @ psi.reshape(1 << k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), axes)
-    return psi.reshape(state.shape)
+    first = targets[0] if k else 0
+    if targets == tuple(range(first, first + k)):
+        rest = n - first - k
+        psi = (state.reshape(-1, 1 << k) @ u.unitary.T if rest == 0 else
+               u.unitary @ state.reshape(-1, 1 << k, 1 << rest))
+        return psi.reshape(state.shape)
+    # targets first, then the batch axis, then the other qubits in order
+    b = state.ndim - 1
+    axes = [b + t for t in targets]
+    perm = axes + [a for a in range(b + n) if a not in axes]
+    psi = state.reshape(state.shape[:-1] + (2,) * n).transpose(perm)
+    psi = (u.unitary @ psi.reshape(1 << k, -1)).reshape(psi.shape)
+    return psi.transpose(np.argsort(perm)).reshape(state.shape)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -490,6 +490,42 @@ def zero_row_svd_protocol(n, seed):
     return p
 
 
+def reference_reconstruct(d):
+    """The per-transcript loop reconstruct replaced: sum_i a_i (x) b_i (x)
+    |0...0>_pool by np.kron, then each qubit moved to its global place."""
+    lay = d.layout
+    order = list(d.alice_side) + list(d.bob_side) + list(d.pool_qubits)
+    pool = np.zeros(1 << len(d.pool_qubits), dtype=complex)
+    pool[0] = 1.0
+    total = np.zeros(1 << lay.total, dtype=complex)
+    for a, b in zip(d.a_vectors, d.b_vectors):
+        total += np.kron(np.kron(a, b), pool)
+    t = np.moveaxis(total.reshape([2] * lay.total), range(lay.total), order)
+    return t.reshape(1 << lay.total)
+
+
+def pool_protocol():
+    """Alice sends channel qubit 0 and Bob channel qubit 2; channel qubit 1
+    (global qubit 2) is never sent, so it stays in the pool as |0>."""
+    return random_protocol(2, RegisterLayout(1, 3, 1),
+                           [((0,), (0, 1)), ((2,), (1, 3, 4))], seed=6)
+
+
+def test_reconstruct_matches_the_per_transcript_sum():
+    protocols = [entry.protocol for n in (1, 2, 3)
+                 for entry in zoo.protocol_corpus(n)]
+    protocols += [send_back_protocol(), zero_row_svd_protocol(2, seed=2),
+                  zero_row_svd_protocol(3, seed=3), pool_protocol()]
+    assert engine.yao_kremer_decompose(pool_protocol(), 0, 0).pool_qubits == (2,)
+    for p in protocols:
+        for xi in range(1 << p.input_bits):
+            for yi in range(1 << p.input_bits):
+                d = engine.yao_kremer_decompose(p, xi, yi)
+                got, want = d.reconstruct(), reference_reconstruct(d)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.max(np.abs(got - want)) <= 1e-12, (xi, yi)
+
+
 def test_decompose_matches_per_pair_reference_on_corpus():
     for n in (1, 2, 3, 4):
         for entry in zoo.protocol_corpus(n):

@@ -220,6 +220,65 @@ def test_apply_on_qubits_gate_matches_matrix():
         linalg.apply_on_qubits(batch, gate, [0])
 
 
+def dense_operator(u, targets, n):
+    """The 2^n x 2^n matrix of u on targets: u (x) I on the qubits ordered
+    targets then the rest ascending, conjugated by that qubit permutation."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    reordered = bits[:, order] @ (1 << np.arange(n - 1, -1, -1))
+    perm = np.eye(1 << n)[:, reordered]  # perm @ |g> = |g's bits in order>
+    full = np.kron(u, np.eye(1 << (n - len(targets))))
+    return perm.T @ full @ perm
+
+
+@pytest.mark.parametrize("n, targets", [
+    (4, (0,)), (4, (0, 1)), (5, (1, 2)), (5, (2, 3, 4)), (4, (3,)),
+    (4, (1, 2, 3, 0)), (5, (1, 2, 3, 4, 0)), (5, (2, 3, 1)), (5, (3, 1)),
+    (5, (0, 2, 4)), (5, (4, 0)), (3, (0, 1, 2)), (3, (2, 0, 1)), (3, ()),
+    (0, ()),
+], ids=["start-1", "start-2", "middle", "end-3", "end-1", "bob-cyclic-4",
+        "bob-cyclic-5", "rotated", "scattered-2", "scattered-3", "reversed",
+        "k=n", "k=n-permuted", "k=0", "n=0"])
+def test_apply_on_qubits_matches_the_dense_operator(n, targets):
+    rng = np.random.default_rng(31 + n * 7 + len(targets))
+    dim = 1 << n
+    u = linalg.random_unitary(1 << len(targets), rng)
+    full = dense_operator(u, targets, n)
+    states = rng.normal(size=(3, 4, dim)) + 1j * rng.normal(size=(3, 4, dim))
+    for state in (states[0, 0], states[0], states[:, 2]):
+        before = state.copy()
+        for op in (u, linalg.Gate(u, targets)):
+            got = linalg.apply_on_qubits(state, op, targets)
+            assert got.shape == state.shape
+            assert np.max(np.abs(got - state @ full.T), initial=0.0) <= 1e-12
+            assert not np.shares_memory(got, state)
+        assert np.array_equal(state, before)
+
+
+@pytest.mark.parametrize("targets", [(1.0,), (True,), (np.True_,), (0, "1"),
+                                     (np.float64(1),)],
+                         ids=["float", "bool", "numpy-bool", "str",
+                              "numpy-float"])
+def test_targets_must_be_integers(targets):
+    op = np.eye(1 << len(targets))
+    with pytest.raises(ValueError, match="integers"):
+        linalg.Gate(op, targets)
+    with pytest.raises(ValueError, match="integers"):
+        linalg.apply_on_qubits(np.eye(1, 4, dtype=complex)[0], op, targets)
+
+
+def test_numpy_integer_targets_are_accepted():
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    gate = linalg.Gate(np.kron(x, np.eye(2)), (np.int64(1), np.uint8(0)))
+    assert gate.targets == (1, 0)
+    assert all(type(t) is int for t in gate.targets)
+    s00 = np.eye(1, 4, dtype=complex)[0]
+    assert np.array_equal(linalg.apply_on_qubits(s00, gate, gate.targets),
+                          [0, 1, 0, 0])  # X on qubit 1: |01>
+    assert np.array_equal(linalg.apply_on_qubits(s00, x, np.array([0])),
+                          [0, 0, 1, 0])  # X on qubit 0: |10>
+
+
 def test_random_unitaries_are_unitary():
     rng = np.random.default_rng(42)
     for _ in range(200):
