@@ -66,10 +66,11 @@ def bit_array(value) -> np.ndarray:
     """A '01' string or a 0/1 sequence as a new, writable 1-D uint8 array.
 
     A str, and a list or tuple of Python or numpy integers or bools, are
-    read in one C pass as bytes; any other input (an array, floats,
-    '0'/'1' strings in a list) goes through np.asarray.  Raises
-    ValueError for any other character or value, and for input that is
-    not one-dimensional.
+    read in one C pass as bytes; a 1-D bool or unsigned array is checked
+    by its max and copied by one cast.  Any other input (a signed or float
+    array, floats, '0'/'1' strings in a list) goes through np.asarray.
+    Raises ValueError for any other character or value, and for input
+    that is not one-dimensional.
     """
     arr = None
     if isinstance(value, str):
@@ -81,6 +82,12 @@ def bit_array(value) -> np.ndarray:
         # raises unless every item is an integer in 0..255
         with contextlib.suppress(TypeError, ValueError):
             arr = np.frombuffer(bytearray(value), np.uint8)
+    elif (isinstance(value, np.ndarray) and value.ndim == 1
+            and value.dtype.kind in "bu"):
+        # the max of the input, before the cast, so 256 cannot wrap to 0
+        if value.size and value.max() > 1:
+            raise _not_bits(value)
+        return value.astype(np.uint8)
     if arr is None:
         arr = np.asarray(value)
         zero, one = ("0", "1") if arr.dtype.kind == "U" else (0, 1)

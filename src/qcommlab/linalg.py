@@ -254,15 +254,25 @@ def exact_rank(m) -> int:
 
 
 def unitary_with_first_column(phi) -> np.ndarray:
-    """Deterministic unitary whose first column is the given unit vector."""
+    """Deterministic unitary whose first column is the given unit vector.
+
+    One Householder reflection, built in O(d^2): with phi normalised,
+    ph = phi_0/|phi_0| (1 when phi_0 = 0) and w = phi + ph e_0, the matrix
+    -ph (I - w w^H / (1 + |phi_0|)) maps e_0 to phi, and w^H w =
+    2(1 + |phi_0|) >= 2, so nothing cancels.  Raises ``ValueError`` unless
+    phi is a non-empty 1-D vector of norm 1 within ``DEFAULT_TOL`` (NaN and
+    inf fail that test).
+    """
     phi = np.asarray(phi, dtype=complex)
-    dim = phi.shape[0]
+    if phi.ndim != 1 or phi.size == 0:
+        raise ValueError("first column must be a non-empty 1-D vector")
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > DEFAULT_TOL:
-        raise ValueError("first column must be a unit vector")
-    basis = np.concatenate([phi[:, None], np.eye(dim, dtype=complex)], axis=1)
-    q, _ = np.linalg.qr(basis)
-    # QR fixes the first column only up to phase; undo it.
-    phase = np.vdot(q[:, 0], phi)
-    q[:, 0] *= phase / abs(phase)
-    return q
+    if not abs(norm - 1.0) <= DEFAULT_TOL:
+        raise ValueError("first column must be a finite unit vector")
+    w = phi / norm
+    a = abs(w[0])
+    ph = w[0] / a if a else 1.0
+    w[0] += ph
+    u = np.outer(w, w.conj() * (ph / (1.0 + a)))
+    u.flat[::w.size + 1] -= ph
+    return u

@@ -402,6 +402,28 @@ def test_bit_array_forms():
     assert source.tolist() == want
 
 
+def test_bit_array_reads_bool_and_unsigned_arrays():
+    want = [0, 1, 1, 0]
+    for dtype in (bool, np.uint8, np.uint16, np.uint64):
+        source = np.array(want, dtype=dtype)
+        got = engine.bit_array(source)
+        assert got.dtype == np.uint8 and got.tolist() == want, dtype
+        assert got.flags.writeable and not np.shares_memory(got, source)
+        got[:] = 1
+        assert source.tolist() == want, dtype
+        empty = engine.bit_array(np.zeros(0, dtype=dtype))
+        assert empty.dtype == np.uint8 and empty.shape == (0,), dtype
+    view = np.array([1, 0, 1, 0, 1, 1], dtype=np.uint8)[::2]
+    assert engine.bit_array(view).tolist() == [1, 1, 1]
+    for bad in (np.array([0, 256], dtype=np.uint16),
+                np.array([1, 2], dtype=np.uint8),
+                np.array([[True, False]]),
+                np.array([[1, 0]], dtype=np.uint8),
+                np.array(True)):
+        with pytest.raises(ValueError, match="^inputs must be 0/1 sequences"):
+            engine.bit_array(bad)
+
+
 def reference_yao_kremer_decompose(p, x, y):
     """The per-pair decomposition the batched walk replaced: one pair's
     branch stacks, evolved by that pair's gates."""

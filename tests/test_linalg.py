@@ -289,12 +289,24 @@ def test_random_unitaries_are_unitary():
 
 def test_unitary_with_first_column():
     rng = np.random.default_rng(9)
-    for dim in (2, 4, 8):
-        phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        phi /= np.linalg.norm(phi)
-        w = linalg.unitary_with_first_column(phi)
-        assert linalg.is_unitary(w)
-        assert np.allclose(w[:, 0], phi)
+    for dim in range(1, 65):
+        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        head_zero = np.concatenate([[0], z[1:]]) if dim > 1 else z
+        pure_phase = np.eye(1, dim)[0] * np.exp(1j * rng.normal())
+        for phi in (z, z.real, head_zero, pure_phase):
+            phi = phi / np.linalg.norm(phi)
+            w = linalg.unitary_with_first_column(phi)
+            assert w.shape == (dim, dim) and w.dtype == complex
+            assert np.max(np.abs(w[:, 0] - phi)) <= 1e-12, dim
+            assert linalg.is_unitary(w), dim
+            assert np.array_equal(linalg.unitary_with_first_column(phi), w)
+
+
+def test_unitary_with_first_column_rejects_bad_input():
+    for bad in ([np.nan, 0], [1, np.nan], [np.inf, 0], [1j * np.nan],
+                [], [[1, 0]], [[1], [0]], 1.0, [0.5, 0.5], [0, 0]):
+        with pytest.raises(ValueError, match="^first column must be"):
+            linalg.unitary_with_first_column(np.array(bad, dtype=complex))
 
 
 def test_exact_rank_on_fractions_of_floats():

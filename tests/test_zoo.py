@@ -336,6 +336,33 @@ def test_protocol_corpus_costs():
                 assert entry.protocol.declared_cost == n + 1
 
 
+def test_svd_alice_gate_prepares_her_message_state():
+    """Alice's gate maps |0...0> to c_x (diag(s) v)[:2^q, x], with the
+    factorisation m^T = u diag(s) v taken here from numpy's complex SVD."""
+    for n in range(1, engine.ACCEPTANCE_N_GUARD + 1):
+        for entry in zoo.protocol_corpus(n):
+            if not entry.name.startswith("svd-"):
+                continue
+            m = ranklab.canonical_witness(entry.name[len("svd-"):], n)
+            _, s, v = np.linalg.svd(np.asarray(m, dtype=complex).T)
+            s[s <= 1e-9 * s[0]] = 0.0
+            phi_raw = s[:, None] * v
+            norms = np.linalg.norm(phi_raw, axis=0)
+            live = norms > 1e-9 * norms.max()
+            send = entry.protocol.steps[0]
+            q = len(send.window)
+            assert np.count_nonzero(s) <= 1 << q, (entry.name, n)
+            for x in range(1 << n):
+                gates = send.build(engine.as_bits(x, n))
+                if not live[x] or q == 0:
+                    assert gates == [], (entry.name, n, x)
+                    continue
+                want = phi_raw[:1 << q, x] / norms[x]
+                (gate,) = gates
+                assert np.max(np.abs(gate.unitary[:, 0] - want)) <= 1e-12, \
+                    (entry.name, n, x)
+
+
 @pytest.mark.parametrize("x, y", [("0120", "0110"), ([0, 2], [0, 1]),
                                   ("010", "0110")],
                          ids=["bad-char", "bad-value", "unequal-lengths"])
