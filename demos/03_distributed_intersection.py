@@ -7,6 +7,8 @@ communication.  For large n a recursive block scheme amortizes the oracle
 cost further: both parties hold a copy of the block index, so a query inside
 a block sends only the offset.  On disjoint inputs, where every round runs,
 its mean cost is below BCW's at n = 2^12 and its worst cost at n = 2^16.
+The cost models give each search's exact worst over all coins, which no
+seed exceeds.
 """
 
 import numpy as np
@@ -52,9 +54,11 @@ def main():
             "recursion": [zoo.recursive_intersection(x, y, rcfg, c).cost
                           for c in cfgs],
             "BCW": [zoo.bcw_intersection(x, y, c).cost for c in cfgs]}
+        exact = {"recursion": zoo.cost_model(1 << e, rcfg),
+                 "BCW": zoo.bcw_cost_model(1 << e)}
         for name, c in costs[e].items():
             print(f"  n = 2^{e} {name:9s}: mean cost {np.mean(c):8.0f}, "
-                  f"worst {max(c):6d} qubits")
+                  f"worst {max(c):6d}, exact worst {exact[name]:6.0f} qubits")
     for e, label, stat in ((12, "mean", np.mean), (16, "worst", max)):
         cheaper = stat(costs[e]["recursion"]) < stat(costs[e]["BCW"])
         print(f"  recursion's {label} at n = 2^{e} cheaper than BCW: "

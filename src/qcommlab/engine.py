@@ -317,7 +317,9 @@ class AcceptanceMatrix:
         return linalg.support(np.sqrt(self.values))
 
     def to_csv(self) -> str:
-        lines = [",".join(format(v, ".12g") for v in row) for row in self.values]
+        """The table, with 0 wherever support() is False (rounding noise)."""
+        table = np.where(self.support(), self.values, 0.0)
+        lines = [",".join(format(v, ".12g") for v in row) for row in table]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

@@ -27,12 +27,12 @@
   search with BBHT's growing random-cutoff schedule for an unknown number
   of solutions, drawn at once (_bbht_schedule), until exactly
   ceil(9 sqrt(dim)) oracle applications are spent.  The cutoffs depend
-  only on dim and are built once per dim (_bbht_cutoffs).
+  only on dim (_bbht_rounds) and are built once per dim (_bbht_cutoffs).
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
-  cost, plus the closed-form cost model for the recursion.  The recursion
-  runs qsearch's schedule over its blocks; both parties hold a copy of
-  the block index, so its in-block queries send the offset alone.
+  cost.  The recursion runs qsearch's schedule over its blocks.  Each
+  search is described once, by _widths and _run_cost, and the cost
+  models are _run_cost's exact maximum over the coins (_max_cost).
 """
 
 from __future__ import annotations
@@ -281,26 +281,42 @@ def _search(rng, success: np.ndarray, draw) -> tuple:
     return int(_cdf(draw(k)).searchsorted(rng.random(), side="right")), k + 1
 
 
+def _root(bits: int) -> float:
+    """sqrt(2^bits), also where 2^bits is beyond the float range."""
+    return math.ldexp(math.sqrt(2.0) if bits & 1 else 1.0, bits >> 1)
+
+
+def _bbht_rounds(root: float) -> tuple[int, np.ndarray, int, int]:
+    """BBHT's schedule over root² indices: the budget ceil(9 root) of
+    oracle applications, the cutoffs ceil(1.2^k) of the rounds k with
+    1.2^k < root, about log_1.2(root) of them, the cutoff ceil(root) of
+    every later round, and the fewest rounds that spend the budget.  The
+    growing rounds spend at most 6 root plus their count, less than the
+    budget, so the rest is spent at the cap."""
+    powers = SCHEDULE_GROWTH ** np.arange(
+        int(math.log(root, SCHEDULE_GROWTH)) + 2)
+    grow = np.ceil(powers[powers < root])
+    budget, cap = math.ceil(9.0 * root), math.ceil(root)
+    spent = sum(map(int, grow.tolist()))
+    return budget, grow, cap, grow.size - (spent - budget) // cap
+
+
 @functools.lru_cache(maxsize=64)
 def _bbht_cutoffs(dim: int) -> tuple[int, np.ndarray]:
-    """The budget ceil(9 sqrt(dim)) and BBHT's cutoffs ceil(min(1.2^k,
-    sqrt(dim))) for k below it, built once per dim and read-only."""
-    budget = int(math.ceil(9.0 * math.sqrt(dim)))
-    with np.errstate(over="ignore"):  # 1.2^k is inf from k ~ 3,900
-        cutoffs = np.ceil(np.minimum(SCHEDULE_GROWTH ** np.arange(budget),
-                                     math.sqrt(dim))).astype(np.int64)
+    """The budget of _bbht_rounds and the cutoff of each round below it,
+    ceil(min(1.2^k, sqrt(dim))), built once per dim and read-only."""
+    budget, grow, cap, _ = _bbht_rounds(math.sqrt(dim))
+    cutoffs = np.full(budget, cap, dtype=np.int64)
+    cutoffs[:grow.size] = grow
     cutoffs.flags.writeable = False
     return budget, cutoffs
 
 
 def _bbht_schedule(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """BBHT's rounds: j of round k is uniform below ceil(min(1.2^k,
-    sqrt(dim))), the cutoff growing by SCHEDULE_GROWTH after each miss.
-    The cutoffs do not depend on any outcome, so they are built once per
-    dim (_bbht_cutoffs) and every j is drawn at once.  The rounds stop
-    once ceil(9 sqrt(dim)) oracle applications (j per round, plus its
-    measurement) are spent, the last j clamped so that they are spent
-    exactly."""
+    """BBHT's rounds over dim indices, every j drawn at once, uniform
+    below its round's cutoff (_bbht_cutoffs), until the budget of oracle
+    applications (j per round, plus its measurement) is spent, the last j
+    clamped so that it is spent exactly."""
     budget, cutoffs = _bbht_cutoffs(dim)
     js = rng.integers(0, cutoffs)
     # every round spends at least 1, so budget rounds reach the budget
@@ -362,36 +378,56 @@ def _input_pair(x, y):
 def bcw_intersection(x, y, cfg: QSearchConfig) -> IntersectionResult:
     """Search for an index with x_i = y_i = 1 via distributed queries.
 
-    Inputs are padded with zeros to a power of two.  Every amplification
-    iteration costs one distributed query, 2(log2 n + 1) qubits, and each
-    measured candidate is verified classically for 2 log2 n + 2 qubits,
-    so the answer is never a false positive.
+    Inputs are padded with zeros to a power of two.  Each measured
+    candidate is verified classically, so the answer is never a false
+    positive; _run_cost gives the qubits sent.
     """
     return _bcw(*_input_pair(x, y), cfg)
-
-
-def _bcw(x: np.ndarray, y: np.ndarray,
-         cfg: QSearchConfig) -> IntersectionResult:
-    """bcw_intersection on inputs that _input_pair has checked."""
-    n = len(x)
-    k = max(int(math.ceil(math.log2(n))), 0)
-    verify_cost = 2 * k + 2
-    if k == 0:
-        # single candidate: verify it classically and answer
-        idx = 0 if x[0] & y[0] else None
-        return IntersectionResult(idx, verify_cost, 0, 1)
-    query_cost = 2 * (k + 1)  # the index and target there and back
-    dim = 1 << k
-    res = qsearch(np.full(dim, 1.0 / math.sqrt(dim)), np.flatnonzero(x & y),
-                  cfg)
-    cost = res.iterations * query_cost + res.measurements * verify_cost
-    return IntersectionResult(res.outcome, cost, res.iterations,
-                              res.measurements)
 
 
 def _default_block_size(n) -> int:
     """Indices per block: ceil(log2(n)^2)."""
     return max(1, int(math.ceil(math.log2(n) ** 2)))
+
+
+def _widths(n, threshold=math.inf) -> tuple[int, int, int]:
+    """Outer index bits, in-block bits and verification bits ceil(log2 n)
+    of the search over n bits; inputs of at most threshold bits, or that
+    one block covers, are searched flat, with no in-block bits."""
+    vbits = math.ceil(math.log2(n))
+    b = _default_block_size(n)
+    if n <= threshold or b >= n:
+        return vbits, 0, vbits
+    return (math.ceil(math.log2(math.ceil(n / b))), math.ceil(math.log2(b)),
+            vbits)
+
+
+def _run_cost(widths, rounds: int, outer: int, leaf: int = 0) -> int:
+    """Qubits a search of these widths sends in its measured rounds, given
+    their count, outer iterations and in-block ones, sum of j_leaf
+    (1 + 2 j_outer) as each outer iteration replays the in-block stage
+    twice.  Both parties hold the block index, so an in-block query sends
+    2(lbits + 1) qubits, an outer one 2(jbits + lbits + 1), and each
+    round's candidate is verified classically for 2 vbits + 2."""
+    jbits, lbits, vbits = widths
+    return (leaf * 2 * (lbits + 1) + outer * 2 * (jbits + lbits + 1)
+            + rounds * (2 * vbits + 2))
+
+
+def _bcw(x: np.ndarray, y: np.ndarray,
+         cfg: QSearchConfig) -> IntersectionResult:
+    """bcw_intersection on inputs that _input_pair has checked."""
+    widths = _widths(len(x))
+    if not widths[0]:
+        # single candidate: verify it classically and answer
+        return IntersectionResult(0 if x[0] & y[0] else None,
+                                  _run_cost(widths, 1, 0), 0, 1)
+    dim = 1 << widths[0]
+    res = qsearch(np.full(dim, 1.0 / math.sqrt(dim)), np.flatnonzero(x & y),
+                  cfg)
+    return IntersectionResult(
+        res.outcome, _run_cost(widths, res.measurements, res.iterations),
+        res.iterations, res.measurements)
 
 
 @dataclass(frozen=True)
@@ -413,41 +449,33 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
 
     The outer stage runs qsearch's BBHT schedule (_bbht_schedule) over
     2^jbits blocks of 2^lbits offsets, each round with an in-block count
-    j_leaf below ceil(sqrt(2^lbits)).  Both parties hold a copy of the
-    block index, so an in-block query costs 2(lbits + 1) qubits, an outer
-    one 2(jbits + lbits + 1).  Candidates are verified classically; inputs
-    of at most base_threshold bits, or that one block covers, go to
-    bcw_intersection.
+    j_leaf below ceil(sqrt(2^lbits)); _run_cost gives the qubits sent.
+    Candidates are verified classically; inputs of at most base_threshold
+    bits, or that one block covers, go to bcw_intersection.
     """
     x, y = _input_pair(x, y)
-    n = len(x)
-    b = _default_block_size(n)
-    if n <= rcfg.base_threshold or b >= n:
+    widths = _widths(len(x), rcfg.base_threshold)
+    jbits, lbits, _ = widths
+    if not lbits:
         return _bcw(x, y, cfg)
-    nblocks = int(math.ceil(n / b))
-    jbits = max(int(math.ceil(math.log2(nblocks))), 0)
-    lbits = max(int(math.ceil(math.log2(b))), 0)
-    ldim = 1 << lbits
     # the padding (offsets >= b in a block, positions >= n) holds no
     # solution: the common indices and their blocks' counts set every law
     common = np.flatnonzero(x & y)
-    block = common // b
+    block = common // _default_block_size(len(x))
     counts = np.bincount(block)
     rng = np.random.default_rng(cfg.rng_seed)
-    verify_cost = 2 * int(math.ceil(math.log2(n))) + 2
     j_outer = _bbht_schedule(rng, 1 << jbits)
-    j_leaf = rng.integers(0, int(math.ceil(math.sqrt(ldim))), j_outer.size)
+    j_leaf = rng.integers(0, math.ceil(_root(lbits)), j_outer.size)
     # the in-block stage amplifies every block about its uniform state: a
     # block's good share after it, round by round; the blocks share the
     # start evenly, and the outer stage amplifies their sum
-    leaf = _good_share(_angle(counts / ldim), j_leaf[:, None])
+    leaf = _good_share(_angle(counts / (1 << lbits)), j_leaf[:, None])
     success = _good_share(_angle(leaf.sum(axis=1) / (1 << jbits)), j_outer)
     z, measured = _search(rng, success,
                           lambda k: leaf[k, block] / counts[block])
     j_leaf, j_outer = j_leaf[:measured], j_outer[:measured]
-    # each outer iteration replays the in-block stage twice (do/undo)
-    cost = int(np.sum(j_leaf * (1 + 2 * j_outer))) * 2 * (lbits + 1) \
-        + int(j_outer.sum()) * 2 * (jbits + lbits + 1) + measured * verify_cost
+    cost = _run_cost(widths, measured, int(j_outer.sum()),
+                     int(np.sum(j_leaf * (1 + 2 * j_outer))))
     return IntersectionResult(None if z is None else int(common[z]), cost,
                               int(j_leaf.sum() + j_outer.sum()), measured)
 
@@ -463,48 +491,40 @@ def _require_finite(value, name: str = "n") -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def bcw_cost_model(n: float, k: float = 1.0) -> float:
-    """Closed-form cost of the flat search: k sqrt(n) queries and as many
-    verifications, each of 2(log2 n + 1) qubits; 2 for n <= 1.  The
-    scale k must be finite and > 0."""
+def _max_cost(n, threshold, k) -> float:
+    """k times the most qubits the search over n bits sends, over all
+    coins; n and k must be finite, n >= 1 and k > 0.  A disjoint input
+    runs every round until the budget, the sum of (j + 1), is spent, so it
+    costs the most.  A verification costs no more than an outer query, as
+    ceil(log2 n) <= jbits + lbits, so the costliest coins put every j_leaf
+    at its top and spend the budget in the fewest rounds."""
     _require_finite(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _require_finite(k, "k")
     if k <= 0:
         raise ValueError("k must be > 0")
-    if n <= 1:
-        return 2.0
-    lg = math.log2(n)
-    return k * 4.0 * math.sqrt(n) * (lg + 1.0)
+    widths = _widths(n, threshold)
+    jbits, lbits, _ = widths
+    if not jbits:  # n = 1: a single candidate, verified once
+        return float(k * _run_cost(widths, 1, 0))
+    budget, _, _, fewest = _bbht_rounds(_root(jbits))
+    top = math.ceil(_root(lbits)) - 1
+    return float(k * _run_cost(widths, fewest, budget - fewest,
+                               top * (fewest + 2 * (budget - fewest))))
+
+
+def bcw_cost_model(n: float, k: float = 1.0) -> float:
+    """_max_cost of bcw_intersection, k ceil(9 sqrt(2^b)) (2b + 2) with
+    b = ceil(log2 n), as a query and a verification cost the same; 2k at
+    n = 1."""
+    return _max_cost(n, math.inf, k)
 
 
 def cost_model(n, rcfg: Optional[RecursionConfig] = None,
                k: float = 1.0) -> float:
-    """Closed-form cost bound for the blocked recursion, scaled by k.
-
-    At or below rcfg.base_threshold the flat model applies, at least 2;
-    above it, cost(n) = k * (sqrt(n)/log2 n) * (cost(block) + log2 n).
-    The per-sqrt(n) rate is clamped from below by its threshold value so
-    the model is monotone in n (one may always fall back to the flat
-    method, so the bound stays valid).
-    """
-    _require_finite(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rcfg = rcfg or RecursionConfig()
-    threshold = rcfg.base_threshold
-    # bcw_cost_model rejects a k that is not finite and > 0
-    rate_floor = bcw_cost_model(threshold, k) / math.sqrt(threshold)
-
-    def model(nn: float) -> float:
-        if nn <= threshold:
-            return max(2.0, bcw_cost_model(nn, k))
-        b = _default_block_size(nn)
-        inner = bcw_cost_model(b, k) if b >= nn else model(b)
-        lg = math.log2(nn)
-        rate = k * (inner + lg) / lg
-        return math.sqrt(nn) * max(rate, rate_floor)
-
-    return float(model(n))
+    """_max_cost of recursive_intersection under rcfg."""
+    return _max_cost(n, (rcfg or RecursionConfig()).base_threshold, k)
 
 
 def log_star(n: float) -> int:

@@ -522,6 +522,67 @@ def test_seeded_searches_unchanged():
         assert got == want, (n, kind, fn)
 
 
+def test_no_sampled_cost_exceeds_the_cost_models():
+    for n in sorted({n for n, _, _ in GRID}):
+        for kind, (x, y) in _grid_inputs(n).items():
+            for s in range(16):
+                cfg = zoo.QSearchConfig(rng_seed=s)
+                assert zoo.bcw_intersection(x, y, cfg).cost \
+                    <= zoo.bcw_cost_model(n), (n, kind, s)
+                for threshold in (2, 16, 64):
+                    rcfg = zoo.RecursionConfig(base_threshold=threshold)
+                    assert zoo.recursive_intersection(x, y, rcfg, cfg).cost \
+                        <= zoo.cost_model(n, rcfg), (n, kind, s, threshold)
+
+
+class ExtremeCoins:
+    """Coins that draw every j at its cutoff - 1 (top) or at 0, and that
+    make no round a success on a disjoint input."""
+
+    def __init__(self, top):
+        self.top = top
+
+    def integers(self, low, high, size=None):
+        high = np.broadcast_to(high, np.shape(high) if size is None else size)
+        return high - 1 if self.top else np.zeros(high.shape, np.int64)
+
+    def random(self, size=None):
+        return np.ones(size)
+
+
+def test_extreme_coins_reach_the_cost_models(monkeypatch):
+    # on a disjoint input every j at its top spends the budget in the
+    # fewest rounds, which cost the most; every j at 0 takes the most
+    # rounds
+    sizes = (1, 2, 3, 4, 16, 17, 20, 64, 65, 100, 256, 1000, 1024, 1 << 14)
+    inputs = {n: (np.ones(n, np.uint8), np.zeros(n, np.uint8)) for n in sizes}
+    monkeypatch.setattr(np.random, "default_rng", ExtremeCoins)
+    ends = [zoo.QSearchConfig(rng_seed=top) for top in (True, False)]
+    for n, (x, y) in inputs.items():
+        costs = [zoo.bcw_intersection(x, y, cfg).cost for cfg in ends]
+        assert costs[0] == costs[1] == zoo.bcw_cost_model(n), n
+        for threshold in (2, 16, 64):
+            rcfg = zoo.RecursionConfig(base_threshold=threshold)
+            top, zero = (zoo.recursive_intersection(x, y, rcfg, cfg).cost
+                         for cfg in ends)
+            assert zero <= top == zoo.cost_model(n, rcfg), (n, threshold)
+
+
+def test_fewest_rounds_agree_with_the_cutoffs():
+    rng = np.random.default_rng(2008)
+    dims = {*range(1, 4097), *(1 << i for i in range(13, 21)),
+            *rng.integers(4097, (1 << 20) + 1, size=500).tolist()}
+    for dim in sorted(dims):
+        budget, cutoffs = zoo._bbht_cutoffs.__wrapped__(dim)
+        fewest = int(np.cumsum(cutoffs).searchsorted(budget)) + 1
+        got = zoo._bbht_rounds(math.sqrt(dim))
+        assert (got[0], got[3]) == (budget, fewest), dim
+    # the cost models take the root of 2^bits without forming 2^bits
+    for bits in range(1024):
+        assert zoo._root(bits) == math.sqrt(1 << bits), bits
+    assert zoo._root(1024) == 2.0 ** 512
+
+
 def test_every_input_form_gives_the_same_search():
     # a list, a tuple, a '01' string, a uint8 array and a bool array of
     # the same bits are the same input to both searches

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from qcommlab import cli, engine, linalg
+from qcommlab import cli, engine, linalg, ranklab
 
 
 def run(capsys, *argv):
@@ -51,6 +51,29 @@ def test_intersect_simulation(capsys):
     code, out, _ = run(capsys, "intersect", "--n", "1", "--trials", "5",
                        "--seed", "3", "--x", "1", "--y", "1")
     assert code == 0 and "mean_cost 2.00" in out
+
+
+def test_intersect_checks_each_cost_against_the_model(capsys, monkeypatch):
+    argv = ["intersect", "--n", "64", "--seed", "5", "--trials", "40"]
+    code, out, _ = run(capsys, *argv)
+    fields = dict(line.split(" ", 1) for line in out.splitlines())
+    assert code == 0
+    assert 0 < int(fields["max_cost"]) <= float(fields["cost_model"])
+    # a trial that costs more than the model is a failed check
+    monkeypatch.setattr(cli.zoo, "cost_model", lambda n, rcfg: 1.0)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "cost_model 1\n" in out
+
+
+def test_simulate_csv_prints_the_exact_zero_pattern(capsys):
+    # rounding noise in the svd protocol's acceptance probabilities is
+    # printed as 0, where support() calls it zero
+    code, out, _ = run(capsys, "simulate", "--protocol", "svd", "--fn", "INT",
+                       "--n", "4")
+    table = np.array([[float(v) for v in row.split(",")]
+                      for row in out.splitlines()])
+    want = ranklab.build_comm_matrix("INT", 4).values == 1
+    assert code == 0 and np.array_equal(table != 0, want)
 
 
 def test_intersect_cost_only(capsys):
@@ -225,7 +248,7 @@ def test_mode_unread_flags_are_usage_errors(capsys):
     code, out, _ = run(capsys, *rank_bound)
     assert code == 0 and json.loads(out)["trials"] == 6
     code, out, _ = run(capsys, *cost_only)
-    assert code == 0 and out == "cost_model 24\n"
+    assert code == 0 and out == "cost_model 108\n"
     # the modes that run trials keep their default counts
     code, out, _ = run(capsys, "audit", "disj-triangular", "--n", "2",
                        "--seed", "1")

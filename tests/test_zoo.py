@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -197,10 +198,14 @@ def test_blocked_search_costs_less_than_bcw_on_disjoint_inputs():
 
 def test_cost_model_values():
     assert zoo.cost_model(1) == 2.0
-    # forced single block at n = 16: one level of the recursion formula
+    # forced single block at n = 16: the flat search, 36 rounds' worth of
+    # applications of 10 qubits each, as a query and a verification cost
+    # the same
     rcfg = zoo.RecursionConfig(base_threshold=2)
-    want = (math.sqrt(16) / 4.0) * (zoo.bcw_cost_model(16) + 1.0 * 4.0)
-    assert zoo.cost_model(16, rcfg) == pytest.approx(want)
+    assert zoo.cost_model(16, rcfg) == 360.0
+    # 2^4 blocks of 2^7 offsets: 12 rounds, the fewest that spend the
+    # budget of 36, each with j_leaf = 11
+    assert zoo.cost_model(1024) == 11400.0
 
 
 def test_cost_model_monotone():
@@ -220,65 +225,89 @@ def test_cost_envelope_fit():
         assert r <= fit.kappa * fit.c ** s + 1e-9
 
 
-def reference_bcw_cost_model(n, k=1.0, kp=1.0):
-    """The flat model with its verification weight kp, which every caller
-    left at 1."""
-    if n <= 1:
-        return 2.0
-    lg = math.log2(n)
-    return k * (2.0 + 2.0 * kp) * math.sqrt(n) * (lg + 1.0)
+def reference_widths(n, threshold=math.inf):
+    """(outer index bits, in-block bits, verification bits) as the
+    searches' docstrings state them."""
+    b = zoo._default_block_size(n)
+    vbits = math.ceil(math.log2(n))
+    if n <= threshold or b >= n:
+        return vbits, 0, vbits
+    return math.ceil(math.log2(math.ceil(n / b))), math.ceil(math.log2(b)), \
+        vbits
 
 
-def reference_cost_model(n, rcfg=None, k=1.0, kp=1.0):
-    """The recursion model with kp, its rate floor rebuilt on every level
-    and its own n <= 1 branch."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rcfg = rcfg or zoo.RecursionConfig()
+@functools.cache
+def reference_max_cost(widths):
+    """The most qubits the search sends over every schedule it can draw,
+    by a DP over (round, oracle applications spent): j of round k is below
+    ceil(min(1.2^k, sqrt(dim))), j_leaf below ceil(sqrt(2^lbits)), and the
+    rounds go on until ceil(9 sqrt(dim)) applications (j + 1 per round)
+    are spent, the last j clamped, as on a disjoint input.  The rounds
+    from the first one at the cap on share one state, as their cutoffs
+    are alike."""
+    jbits, lbits, vbits = widths
+    if not jbits:
+        return 2  # a single candidate, verified once
+    leaves = np.arange(math.ceil(math.sqrt(2 ** lbits)))[:, None]
 
-    def ratio_floor():
-        return reference_bcw_cost_model(rcfg.base_threshold, k, kp) \
-            / math.sqrt(rcfg.base_threshold)
+    def round_cost(j):  # best j_leaf for each j
+        return (np.max(leaves * (1 + 2 * j), axis=0) * 2 * (lbits + 1)
+                + j * 2 * (jbits + lbits + 1) + 2 * vbits + 2)
 
-    def model(nn):
-        if nn <= 1:
-            return 2.0
-        if nn <= rcfg.base_threshold:
-            return max(2.0, reference_bcw_cost_model(nn, k, kp))
-        b = zoo._default_block_size(nn)
-        inner = reference_bcw_cost_model(b, k, kp) if b >= nn else model(b)
-        lg = math.log2(nn)
-        rate = k * (inner + kp * lg) / lg
-        return math.sqrt(nn) * max(rate, ratio_floor())
+    root = math.sqrt(2 ** jbits)
+    budget, cap = math.ceil(9 * root), math.ceil(root)
+    cutoffs = [1]
+    while cutoffs[-1] < cap:
+        cutoffs.append(math.ceil(min(1.2 ** len(cutoffs), root)))
+    last = len(cutoffs) - 1
+    best = np.full((last + 1, budget), -np.inf)
+    best[0, 0] = 0.0
+    worst = -np.inf
+    for k, c in enumerate(cutoffs):
+        cost = round_cost(np.arange(c))
+        now, after = best[k], best[min(k + 1, last)]
+        live = np.flatnonzero(now > -np.inf)
+        # ascending, so that the last state's own rounds come first; an
+        # unreachable state adds nothing, as -inf + cost is -inf
+        for s in live if k < last else range(live[0], budget):
+            if s + c >= budget:  # a j reaches the budget and is clamped
+                worst = max(worst, now[s] + cost[budget - s - 1])
+            nxt = after[s + 1:s + 1 + min(c, budget - s - 1)]
+            np.maximum(nxt, now[s] + cost[:nxt.size], out=nxt)
+    return int(worst)
 
-    return float(model(n))
 
-
-def reference_fit_cost_envelope(ns, rcfg=None, k=1.0, kp=1.0, c=2.0):
-    ratios = tuple(reference_cost_model(n, rcfg, k, kp) / math.sqrt(n)
-                   for n in ns)
-    stars = tuple(zoo.log_star(n) for n in ns)
-    kappa = max(r / c ** s for r, s in zip(ratios, stars))
-    monotone = all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
-    return zoo.CostEnvelopeFit(c=c, kappa=kappa, ratios=ratios,
-                               log_stars=stars, monotone=monotone)
-
-
-def test_cost_model_equals_the_reference_with_kp_and_c():
+def test_cost_model_equals_the_dp_reference():
     sizes = list(range(1, 400)) + [2 ** i for i in range(9, 65)]  # 455
-    for threshold in (2, 16, 64, 100, 1000):
-        rcfg = zoo.RecursionConfig(base_threshold=threshold)
-        for k in (0.1, 0.5, 1.0, 2.0, 8.0):
-            for n in sizes:
-                assert zoo.cost_model(n, rcfg, k) \
-                    == reference_cost_model(n, rcfg, k), (threshold, k, n)
-                assert zoo.bcw_cost_model(n, k) \
-                    == reference_bcw_cost_model(n, k), (k, n)
+    checked = set()
+    for threshold in (2, 16, 64, 100, 1000, math.inf):
+        for n in sizes:
+            widths = reference_widths(n, threshold)
+            if math.ceil(9 * math.sqrt(2 ** widths[0])) > 10 ** 4:
+                continue
+            want = reference_max_cost(widths)
+            checked.add(widths)
+            for k in (0.1, 0.5, 1.0, 2.0, 8.0):
+                got = (zoo.bcw_cost_model(n, k) if threshold == math.inf
+                       else zoo.cost_model(
+                           n, zoo.RecursionConfig(base_threshold=threshold),
+                           k))
+                assert got == k * want, (threshold, k, n)
+            if not widths[1]:  # the flat search's closed form
+                b = widths[0]
+                assert want == (math.ceil(9 * math.sqrt(2 ** b)) * (2 * b + 2)
+                                if b else 2), n
+    assert any(lbits for _, lbits, _ in checked)
+    assert max(jbits for jbits, _, _ in checked) >= 19
     for ns in ([2 ** 4, 2 ** 8, 2 ** 16, 2 ** 32, 2 ** 64],
                [1 << i for i in range(4, 21)]):
-        fit = zoo.fit_cost_envelope(ns)
-        assert fit == reference_fit_cost_envelope(ns)
-        assert fit.c == zoo.ENVELOPE_BASE == 2.0
+        ratios = tuple(zoo.cost_model(n) / math.sqrt(n) for n in ns)
+        stars = tuple(zoo.log_star(n) for n in ns)
+        assert zoo.fit_cost_envelope(ns) == zoo.CostEnvelopeFit(
+            c=2.0, kappa=max(r / 2.0 ** s for r, s in zip(ratios, stars)),
+            ratios=ratios, log_stars=stars,
+            monotone=all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:])))
+        assert zoo.ENVELOPE_BASE == 2.0
 
 
 def test_log_star():
