@@ -75,7 +75,7 @@ def cmd_intersect(args) -> int:
     rcfg = zoo.RecursionConfig()
     model = zoo.cost_model(args.n, rcfg)  # raises for n < 1
     if args.cost_only:
-        _emit(f"cost_model {model:.6g}\n", args.out)
+        _emit(f"cost_model {model:.17g}\n", args.out)
         return 0
     if args.seed is None:
         sys.stderr.write("--seed is required unless --cost-only is given\n")
@@ -115,7 +115,7 @@ def cmd_intersect(args) -> int:
         f"false_positives {false_pos}",
         f"mean_cost {sum(costs) / len(costs):.2f}",
         f"max_cost {max(costs)}",
-        f"cost_model {model:.6g}",
+        f"cost_model {model:.17g}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     # cost_model is the most any run can cost, so a costlier trial is a fault

@@ -13,31 +13,39 @@ intermediate measurements.
 Every entry point runs one turn-walker.  ``_compile`` walks the steps once,
 checks ownership and legality, and builds each Alice step once per x and
 each Bob step once per y, since Alice's gates depend only on x and Bob's
-only on y.  ``_evolve`` then holds one state per pair in an array of shape
-(x, y, 2^total): an Alice turn applies x's gates to the batch states[x]
-over all y, a Bob turn applies y's gates to states[:, y] over all x.
-``simulate`` is the walk over one pair and ``acceptance_matrix`` the walk
-over all pairs in chunks of x rows.
+only on y.  It groups a step's inputs by the targets of their gate lists
+and stacks each gate layer of a group once (``linalg.GateStack``).  One
+turn applier, ``_apply_turn``, serves both walks: it applies each layer
+of a group to the states of all its inputs as one stacked matmul, in
+``linalg.apply_on_qubits``.  ``_evolve`` holds one state per pair in an
+array of shape (x, y, 2^total): an Alice turn acts on states[x] of every
+x at once, a Bob turn on states[:, y] of every y.  Alice's turns before
+Bob's first act on one state per x, of shape (x, 1, 2^total), which
+Bob's first turn broadcasts over y.  ``simulate`` is the walk over one
+pair and ``acceptance_matrix`` the walk over all pairs in chunks of x
+rows, which read the stacks without stacking again.
 
 The Yao-Kremer decomposition walk ``_decompose`` is batched over inputs
 the same way.  A party's transcript branches depend only on its own
 input, so it holds Alice's as (x, transcripts, 2^side) and Bob's as
-(y, transcripts, 2^side) and applies input i's gates to stack i; the
-window split and the receiver's |bits> expansion act on every input at
-once.  ``yao_kremer_decompose`` is its one-pair case, and
+(y, transcripts, 2^side), and the turn applier acts on them as on the
+states; the window split and the receiver's |bits> expansion act on
+every input at once.  ``yao_kremer_decompose`` is its one-pair case, and
 ``output_families`` gives every input's output-bit-1 components.
 
 A ``Gate`` (defined in ``linalg``, re-exported here) is checked for
 unitarity once, when it is made, so the walk applies it to any number of
 chunks and branches without checking it again; a gate that
-``Gate.with_rows`` permutes from a checked one is not checked at all.
+``Gate.with_rows`` permutes from a checked one is not checked at all,
+and a group of such gates stacks as the one base matrix and their rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -112,7 +120,8 @@ def as_bits(value, n: int) -> tuple:
     if isinstance(value, (int, np.integer)):
         if value < 0 or value >= (1 << n):
             raise ValueError(f"input {value} out of range for {n} bits")
-        return tuple((int(value) >> (n - 1 - i)) & 1 for i in range(n))
+        # the binary digits below a leading 1 set at bit n, so n of them
+        return tuple(map(int, bin(int(value) | 1 << n)[3:]))
     bits = tuple(bit_array(value).tolist())
     if len(bits) != n:
         raise ValueError(f"expected {n} bits, got {value!r}")
@@ -218,20 +227,31 @@ class SimulationResult(NamedTuple):
     cost: int
 
 
+class _Group(NamedTuple):
+    """Inputs of one turn whose gate lists act on the same targets, layer
+    by layer: their indices in the walk's input list, ascending, and one
+    GateStack per layer."""
+
+    inputs: tuple
+    layers: list
+
+
 class _Turn(NamedTuple):
     """One step after the walk: the sender, the window in global qubit
-    indices, and the sender's gate list for each of its inputs."""
+    indices, and the sender's inputs grouped by the targets of their gate
+    lists; an input with no gates is in no group."""
 
     party: str
     window: tuple
-    gates: list
+    groups: list
 
 
 def _compile(p: Protocol, xs: Sequence[tuple], ys: Sequence[tuple]) -> list:
     """Walk the steps once: check channel ownership, build each Alice step
     once per input in ``xs`` and each Bob step once per input in ``ys``,
-    and raise ContractViolationError for a gate outside its turn, whichever
-    input built it."""
+    group the inputs with gates by the targets of their gate lists, raise
+    ContractViolationError for a group's gate outside its turn, whichever
+    input built it, and stack each layer of a group once."""
     lay = p.layout
     registers = {ALICE: lay.alice_register, BOB: lay.bob_register}
     owner = [None] * lay.channel_qubits
@@ -245,45 +265,91 @@ def _compile(p: Protocol, xs: Sequence[tuple], ys: Sequence[tuple]) -> list:
         allowed = set(registers[step.party]).union(window, (
             lay.channel_qubit(k) for k, o in enumerate(owner)
             if o == step.party))
-        per_input = []
-        for bits in (xs if step.party == ALICE else ys):
+        # per tuple of gate-list targets, its inputs and their gate lists
+        members = {}
+        for i, bits in enumerate(xs if step.party == ALICE else ys):
             gates = list(step.build(bits))
-            for gate in gates:
-                if not set(gate.targets) <= allowed:
-                    raise ContractViolationError(
-                        f"{step.party} gate touches qubits "
-                        f"{sorted(set(gate.targets) - allowed)} outside its turn")
-            per_input.append(gates)
-        turns.append(_Turn(step.party, window, per_input))
+            if gates:
+                inputs, lists = members.setdefault(
+                    tuple([g.targets for g in gates]), ([], []))
+                inputs.append(i)
+                lists.append(gates)
+        for targets in (t for key in members for t in key):
+            if not allowed.issuperset(targets):
+                raise ContractViolationError(
+                    f"{step.party} gate touches qubits "
+                    f"{sorted(set(targets) - allowed)} outside its turn")
+        # zip turns a group's gate lists into its layers
+        groups = [_Group(tuple(inputs), [linalg.GateStack.of(layer)
+                                         for layer in zip(*lists)])
+                  for inputs, lists in members.values()]
+        turns.append(_Turn(step.party, window, groups))
         for k in step.window:
             owner[k] = other_party(step.party)
     return turns
 
 
+def _apply_turn(stacks: np.ndarray, groups: list, inputs: range,
+                side: Sequence[int] = None) -> np.ndarray:
+    """The states after a turn.  stacks[i - inputs.start] holds the states
+    of input i, for i in ``inputs``; every group acts on its inputs among
+    them with one stacked matmul per layer.  ``side`` is the global qubit
+    at each position of the states (position = qubit if None).  A group
+    that covers every input returns its result; otherwise stacks is
+    updated in place and returned."""
+    for group in groups:
+        members = group.inputs
+        if (len(members) == len(stacks) and members[0] == inputs.start
+                and members[-1] == inputs.stop - 1):
+            lo, hi = 0, len(members)  # ascending, so exactly ``inputs``
+        else:
+            lo = bisect.bisect_left(members, inputs.start)
+            hi = bisect.bisect_left(members, inputs.stop)
+            if lo == hi:
+                continue
+        whole = hi - lo == len(stacks)
+        if whole:
+            batch = stacks
+        else:
+            index = [i - inputs.start for i in members[lo:hi]]
+            batch = stacks[index]
+        part = hi - lo < len(members)
+        for layer in group.layers:
+            positions = layer.targets if side is None else [
+                side.index(t) for t in layer.targets]
+            batch = linalg.apply_on_qubits(
+                batch, layer[lo:hi] if part else layer, positions)
+        if whole:
+            return batch
+        stacks[index] = batch
+    return stacks
+
+
 def _evolve(lay: RegisterLayout, turns: list, rows: range,
             columns: int) -> np.ndarray:
     """Final states of the pairs (x, y), x in ``rows``, y < ``columns``,
-    as an array of shape (len(rows), columns, 2^total)."""
-    states = np.zeros((len(rows), columns, 1 << lay.total), dtype=complex)
+    as an array of shape (len(rows), columns, 2^total).  Alice's turns
+    before Bob's first act on one state per x, of shape (x, 1, 2^total),
+    which Bob's first turn broadcasts over y."""
+    states = np.zeros((len(rows), 1, 1 << lay.total), dtype=complex)
     states[:, :, 0] = 1.0
     for turn in turns:
-        alice = turn.party == ALICE
-        for i in (rows if alice else range(columns)):
-            gates = turn.gates[i]
-            if not gates:
-                continue
-            index = i - rows.start if alice else (slice(None), i)
-            batch = states[index]
-            for gate in gates:
-                batch = linalg.apply_on_qubits(batch, gate, gate.targets)
-            states[index] = batch
+        if turn.party == ALICE:
+            states = _apply_turn(states, turn.groups, rows)
+            continue
+        if states.shape[1] < columns:
+            states = states.repeat(columns, axis=1)
+        states = _apply_turn(states.swapaxes(0, 1), turn.groups,
+                             range(columns)).swapaxes(0, 1)
+    if states.shape[1] < columns:  # Bob has no turn
+        states = np.broadcast_to(states, (len(rows), columns, states.shape[-1]))
     return states
 
 
 def _accept_probs(lay: RegisterLayout, states: np.ndarray) -> np.ndarray:
     """Probability that the output qubit reads 1, per state."""
     ones = _project_out(states, lay.output_qubit)
-    return np.sum(np.abs(ones) ** 2, axis=-1)
+    return (np.abs(ones) ** 2).sum(axis=-1)
 
 
 def simulate(p: Protocol, x, y) -> SimulationResult:
@@ -382,7 +448,8 @@ class TranscriptDecomposition:
         order = self.alice_side + self.bob_side + self.pool_qubits
         t = np.zeros((1 << (total - pool), 1 << pool), dtype=complex)
         t[:, 0] = (self.a_vectors.T @ self.b_vectors).ravel()
-        return t.reshape((2,) * total).transpose(np.argsort(order)).reshape(-1)
+        inverse = sorted(range(total), key=order.__getitem__)
+        return t.reshape((2,) * total).transpose(inverse).reshape(-1)
 
     def output_components(self):
         """Per transcript, the output-bit-is-1 part split by side.
@@ -437,19 +504,13 @@ def _decompose(p: Protocol, xs: Sequence[tuple],
         batch, count = mine.shape[:2]
         claimed = [g for g in turn.window if g not in side]
         if claimed:
-            # each vector gains the claimed qubits last, in |0>: entry for
-            # entry np.kron's product, without its reshaping overhead
-            zero = np.eye(1, 1 << len(claimed))[0]
-            mine = (mine[..., None] * zero).reshape(batch, count, -1)
+            # each vector gains the claimed qubits last, in |0>: np.kron
+            # with |0..0>, written into the first of every 2^claimed entries
+            grown = np.zeros(mine.shape + (1 << len(claimed),), dtype=complex)
+            grown[..., 0] = mine
+            mine = grown.reshape(batch, count, -1)
             side = side + claimed
-        for i, gates in enumerate(turn.gates):
-            if not gates:
-                continue
-            stack = mine[i]
-            for gate in gates:
-                positions = [side.index(t) for t in gate.targets]
-                stack = linalg.apply_on_qubits(stack, gate, positions)
-            mine[i] = stack
+        mine = _apply_turn(mine, turn.groups, range(batch), side)
         k = len(turn.window)
         if k:
             # branch c splits into c * 2^k + bits: the sender keeps the
@@ -483,7 +544,10 @@ def _decompose(p: Protocol, xs: Sequence[tuple],
 def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
     """The decomposition of one pair's final state: the walk over [x], [y]."""
     d = _decompose(p, [as_bits(x, p.input_bits)], [as_bits(y, p.input_bits)])
-    return replace(d, a_vectors=d.a_vectors[0], b_vectors=d.b_vectors[0])
+    # built directly: dataclasses.replace costs twice as much
+    return TranscriptDecomposition(d.layout, d.ell, d.alice_side, d.bob_side,
+                                   d.pool_qubits, d.a_vectors[0],
+                                   d.b_vectors[0])
 
 
 def output_families(p: Protocol) -> tuple:

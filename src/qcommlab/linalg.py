@@ -5,9 +5,12 @@ convention, the one "nonzero" rule ``support``, numeric and exact integer
 A ``Gate`` is checked once, when it is made: its matrix is square, of side
 2^len(targets) and unitary in its own dtype, and the gate keeps a
 read-only copy of it.  ``Gate.with_rows`` permutes a checked gate's rows
-without a second check.  ``apply_on_qubits`` trusts a ``Gate``, checks a
-raw matrix on every call and applies it as one matmul: on a reshaped view
-for ascending contiguous targets, with one transpose each way otherwise.
+without a second check.  A ``GateStack`` holds checked gates on one tuple
+of targets, one per entry of a state's leading axis, stacked once.
+``apply_on_qubits`` is the one kernel: it trusts a ``Gate`` or a
+``GateStack``, checks a raw matrix on every call, and applies one gate to
+every row, or gate i to entry i, as one matmul: on a reshaped view for
+ascending contiguous targets, with one transpose each way otherwise.
 
 Conventions used throughout the package:
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -135,20 +139,81 @@ class Gate:
         """
         rows = np.asarray(rows)
         dim = self.unitary.shape[0]
-        if (rows.shape != (dim,) or rows.dtype.kind not in "iu"
-                or not np.array_equal(np.sort(rows), np.arange(dim))):
+        if rows.shape != (dim,) or rows.dtype.kind not in "iu":
             raise ValueError(f"rows must be a permutation of range({dim})")
-        u = self.unitary[rows]
+        rows = rows.astype(np.intp)  # a new array, which the gate keeps
+        ascending = rows.copy()
+        ascending.sort()
+        # both sides intp, so equal bytes are equal rows
+        if ascending.tobytes() != np.arange(dim, dtype=np.intp).tobytes():
+            raise ValueError(f"rows must be a permutation of range({dim})")
+        u = self.unitary.take(rows, axis=0)
         u.setflags(write=False)
         gate = object.__new__(Gate)
         object.__setattr__(gate, "unitary", u)
         object.__setattr__(gate, "targets", self.targets)
+        # the made gate these rows come from, and their order in it, for
+        # GateStack.of
+        base, order = getattr(self, "_rows_of", (self, None))
+        object.__setattr__(gate, "_rows_of", (
+            base, rows if order is None else order[rows]))
         return gate
+
+
+class GateStack:
+    """Checked gates on one tuple of targets, one per entry of a state's
+    leading axis, stacked once (``GateStack.of``).
+
+    If there are several and all are ``Gate.with_rows`` of one made gate,
+    ``unitaries`` is that gate's matrix, (2^k, 2^k), and ``rows`` each
+    gate's row order in it, (len, 2^k): ``apply_on_qubits`` applies the
+    one matrix to every entry and then takes each entry's rows, which holds
+    no matrix per gate and gives the bits the permuted matrices give.
+    Otherwise ``unitaries`` holds the gates' matrices, (len, 2^k, 2^k), and
+    ``rows`` is None.  Slicing gives the stack of a run of the gates, as
+    views.
+    """
+
+    __slots__ = ("unitaries", "rows", "targets")
+
+    def __init__(self, unitaries: np.ndarray, rows: Optional[np.ndarray],
+                 targets: tuple):
+        self.unitaries, self.rows, self.targets = unitaries, rows, targets
+
+    @classmethod
+    def of(cls, gates) -> "GateStack":
+        """The stack of a non-empty sequence of ``Gate``s on one tuple of
+        targets (``ValueError`` otherwise), which are not checked again."""
+        if len(gates) == 1 and isinstance(gates[0], Gate):
+            # a view of the one matrix
+            return cls(gates[0].unitary[None], None, gates[0].targets)
+        gates = list(gates)
+        if not gates or not all(isinstance(g, Gate) for g in gates):
+            raise ValueError("a gate stack needs one or more Gates")
+        targets = gates[0].targets
+        if any(g.targets != targets for g in gates):
+            raise ValueError("stacked gates must share their targets")
+        sources = [getattr(g, "_rows_of", (None, None)) for g in gates]
+        base = sources[0][0]
+        if base is not None and all(b is base for b, _ in sources):
+            return cls(base.unitary, np.stack([r for _, r in sources]),
+                       targets)
+        return cls(np.stack([g.unitary for g in gates]), None, targets)
+
+    def __len__(self) -> int:
+        return len(self.unitaries if self.rows is None else self.rows)
+
+    def __getitem__(self, index: slice) -> "GateStack":
+        if self.rows is None:
+            return GateStack(self.unitaries[index], None, self.targets)
+        return GateStack(self.unitaries, self.rows[index], self.targets)
 
 
 def _int_targets(targets) -> tuple:
     """targets as ints; ValueError for a bool or a non-integer target."""
     targets = tuple(targets)
+    if all(type(t) is int for t in targets):  # plain ints: one cheap pass
+        return targets
     if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
                for t in targets):
         raise ValueError(f"target qubits must be integers, got {targets}")
@@ -156,44 +221,85 @@ def _int_targets(targets) -> tuple:
 
 
 def apply_on_qubits(state, u, targets) -> np.ndarray:
-    """Apply unitary ``u`` to the given qubits of ``state`` (identity
+    """Apply unitaries to the given qubits of ``state`` (identity
     elsewhere).  ``targets`` are integer qubit indices,
     most-significant-first.
 
-    ``u`` is a ``Gate``, already checked, or a raw matrix, checked on
-    every call.  ``state`` is one vector of length 2^n or a batch of shape
-    (batch, 2^n) whose rows all get ``u``.  Targets t..t+k-1 take one
-    matmul on the view (batch * 2^t, 2^k, 2^(n-t-k)); any other order one
-    transpose each way around it.  The result is always a new array.
+    ``u`` is one gate or one gate per entry of ``state``'s leading axis.
+    One gate is a ``Gate``, already checked, or a raw matrix, checked on
+    every call; ``state`` is then one vector of length 2^n or a batch of
+    shape (batch, 2^n) whose rows all get ``u``.  Gates per entry are a
+    ``GateStack`` or a list or tuple of ``Gate``s, which ``GateStack.of``
+    stacks; ``state`` then has shape (len(u), 2^n) or (len(u), batch, 2^n),
+    and entry i gets gate i.  Targets t..t+k-1 take one matmul on the view
+    (entries, batch * 2^t, 2^k, 2^(n-t-k)); any other order one transpose
+    each way around it.  A stack of rows of one matrix takes each entry's
+    rows after the matmul.  The result is always a new array.
     """
     state = np.asarray(state, dtype=complex)
-    if state.ndim not in (1, 2):
-        raise ValueError("state must be a vector or a batch of vectors")
+    if isinstance(u, (list, tuple)) and any(isinstance(g, Gate) for g in u):
+        u = GateStack.of(u)
+    stacked = isinstance(u, GateStack)
+    if state.ndim - stacked not in (1, 2):
+        raise ValueError("state must be a vector or a batch of vectors"
+                         + (", after one axis for the gates" if stacked else ""))
     dim = state.shape[-1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValueError("state length is not a power of two")
-    targets = _int_targets(targets)
+    checked = stacked or isinstance(u, Gate)
+    if not (checked and targets is u.targets):
+        targets = _int_targets(targets)  # a gate's own targets are ints
     k = len(targets)
-    if len(set(targets)) != k or any(t < 0 or t >= n for t in targets):
+    if len(set(targets)) != k or k and (min(targets) < 0
+                                        or max(targets) >= n):
         raise ValueError(f"bad target qubits {list(targets)} for {n} qubits")
-    if not isinstance(u, Gate):
+    if not checked:
         u = Gate(u, targets)
     elif len(u.targets) != k:
         raise ValueError("unitary dimension does not match target count")
+    # one gate broadcasts; a stack pairs entry i with matrix i, or with
+    # the one matrix and then its rows
+    if stacked:
+        mats, rows, lead = u.unitaries, u.rows, state.shape[:1]
+        if len(u) != lead[0]:
+            raise ValueError(f"{len(u)} gates for {lead[0]} entries of the "
+                             "state's leading axis")
+    else:
+        mats, rows, lead = u.unitary, None, ()
+    if not state.size:  # the views below cannot infer an axis of size 0
+        return state.copy()
     first = targets[0] if k else 0
     if targets == tuple(range(first, first + k)):
         rest = n - first - k
-        psi = (state.reshape(-1, 1 << k) @ u.unitary.T if rest == 0 else
-               u.unitary @ state.reshape(-1, 1 << k, 1 << rest))
-        return psi.reshape(state.shape)
-    # targets first, then the batch axis, then the other qubits in order
-    b = state.ndim - 1
-    axes = [b + t for t in targets]
-    perm = axes + [a for a in range(b + n) if a not in axes]
-    psi = state.reshape(state.shape[:-1] + (2,) * n).transpose(perm)
-    psi = (u.unitary @ psi.reshape(1 << k, -1)).reshape(psi.shape)
-    return psi.transpose(np.argsort(perm)).reshape(state.shape)
+        if rest == 0:
+            axis = -1
+            psi = state.reshape(lead + (-1, 1 << k)) @ mats.swapaxes(-1, -2)
+        else:
+            axis = -2
+            psi = (mats[:, None] if mats.ndim == 3 else mats) @ state.reshape(
+                lead + (-1, 1 << k, 1 << rest))
+        shape, perm = state.shape, None
+    else:
+        # the gate axis, targets, then the batch axis, then the other qubits
+        b = state.ndim - 1
+        axes = [b + t for t in targets]
+        perm = list(range(len(lead))) + axes + [
+            a for a in range(len(lead), b + n) if a not in axes]
+        psi = state.reshape(state.shape[:-1] + (2,) * n).transpose(perm)
+        shape, axis = psi.shape, -2
+        psi = mats @ psi.reshape(lead + (1 << k, -1))
+    if rows is not None:
+        tail = (1 << k, 1) if axis == -2 else (1 << k,)
+        index = rows.reshape(lead + (1,) * (psi.ndim - 1 - len(tail)) + tail)
+        psi = np.take_along_axis(psi, index, axis)
+    psi = psi.reshape(shape)
+    if perm is None:
+        return psi
+    # the inverse of perm, by a sort of Python ints (np.argsort would
+    # first convert the list to an array)
+    return psi.transpose(sorted(range(len(perm)), key=perm.__getitem__)
+                         ).reshape(state.shape)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -45,7 +45,8 @@ class CommMatrix:
         v = np.asarray(self.values)
         if v.shape != (1 << self.n, 1 << self.n):
             raise ValueError("values shape does not match n")
-        if not np.all((v == 0) | (v == 1)):
+        # a bool table is 0/1 by its type, so only other tables are scanned
+        if v.dtype != bool and not np.all((v == 0) | (v == 1)):
             raise ValueError("entries must be 0/1")
         object.__setattr__(self, "values", v.astype(np.uint8))
 
@@ -81,7 +82,7 @@ def build_comm_matrix(name: str, n: int) -> CommMatrix:
         v = (xs & ys) == 0
     else:
         raise ValueError(f"unknown function {name!r}")
-    return CommMatrix(n=n, name=name, values=v.astype(np.uint8))
+    return CommMatrix(n=n, name=name, values=v)
 
 
 def canonical_witness(name: str, n: int) -> np.ndarray:

@@ -6,6 +6,9 @@
   reply, with its rows taken in this order (Gate.with_rows): the identity
   in the trivial protocol, u (x) I2 in the SVD protocol.
 * trivial_exact_protocol: send x, compute f reversibly, cost n+1.
+  Alice's message is one gate too, the identity on the message qubits
+  with its rows XORed with x, so every x is rows of one base and her
+  turn stacks as one base and its rows.
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
   c_x^2 |m_xy|^2.
@@ -49,7 +52,6 @@ from .engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
 from .ranklab import (CommMatrix, _require_int, build_comm_matrix,
                       canonical_witness)
 
-X1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _TINY = np.finfo(float).tiny
 # BBHT's lambda = 6/5 (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034): the
 # search's cutoff grows by this factor after each miss.  Their analysis
@@ -64,22 +66,24 @@ def _flip_rows(table) -> np.ndarray:
     flips the target iff table[c] is 1, where c is the controls' value:
     taking the rows of M in this order applies the flip after M."""
     flip = engine.bit_array(table)
-    return np.arange(2 * flip.size) ^ np.repeat(flip, 2)
+    return np.arange(2 * flip.size) ^ flip.repeat(2)
 
 
 def trivial_exact_protocol(f: CommMatrix) -> Protocol:
     """Alice sends x verbatim; Bob computes f(x,y) into the output bit.
 
-    Both parties' gates are made on first use, once per protocol, so a
-    caller that only reads the cost makes no gate."""
+    Alice's message is one gate: the identity on the message qubits with
+    its rows XORed with x, which maps |0> to |x>.  Both parties' gates are
+    rows of a base made on first use, once per protocol, so a caller that
+    only reads the cost makes no gate."""
     n = f.n
     lay = RegisterLayout(alice_qubits=0, channel_qubits=n + 1, bob_qubits=0)
     msg = tuple(range(1, n + 1))
     table = f.values
 
     @functools.cache
-    def flips():
-        return [Gate(X1, (lay.channel_qubit(k),)) for k in msg]
+    def alice_base():
+        return Gate(np.eye(1 << n), tuple(lay.channel_qubit(k) for k in msg))
 
     @functools.cache
     def bob_base():
@@ -87,7 +91,8 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
         return Gate(np.eye(2 << n), targets)
 
     def alice(xbits):
-        return [gate for gate, b in zip(flips(), xbits) if b]
+        rows = np.arange(1 << n) ^ engine.bits_to_int(xbits)
+        return [alice_base().with_rows(rows)]
 
     def bob(ybits):
         rows = _flip_rows(table[:, engine.bits_to_int(ybits)])
@@ -493,14 +498,17 @@ def _require_finite(value, name: str = "n") -> None:
 
 def _max_cost(n, threshold, k) -> float:
     """k times the most qubits the search over n bits sends, over all
-    coins; n and k must be finite, n >= 1 and k > 0.  A disjoint input
-    runs every round until the budget, the sum of (j + 1), is spent, so it
-    costs the most.  A verification costs no more than an outer query, as
-    ceil(log2 n) <= jbits + lbits, so the costliest coins put every j_leaf
-    at its top and spend the budget in the fewest rounds."""
+    coins; n must be a finite whole number >= 1, as it counts bits, and k
+    finite and > 0.  A disjoint input runs every round until the budget,
+    the sum of (j + 1), is spent, so it costs the most.  A verification
+    costs no more than an outer query, as ceil(log2 n) <= jbits + lbits,
+    so the costliest coins put every j_leaf at its top and spend the
+    budget in the fewest rounds."""
     _require_finite(n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n % 1:
+        raise ValueError("n must be a whole number of bits")
     _require_finite(k, "k")
     if k <= 0:
         raise ValueError("k must be > 0")
@@ -514,7 +522,7 @@ def _max_cost(n, threshold, k) -> float:
                                top * (fewest + 2 * (budget - fewest))))
 
 
-def bcw_cost_model(n: float, k: float = 1.0) -> float:
+def bcw_cost_model(n, k: float = 1.0) -> float:
     """_max_cost of bcw_intersection, k ceil(9 sqrt(2^b)) (2b + 2) with
     b = ceil(log2 n), as a query and a verification cost the same; 2k at
     n = 1."""

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from qcommlab import cli, engine, linalg, ranklab
+from qcommlab import cli, engine, linalg, ranklab, zoo
 
 
 def run(capsys, *argv):
@@ -79,6 +79,13 @@ def test_simulate_csv_prints_the_exact_zero_pattern(capsys):
 def test_intersect_cost_only(capsys):
     code, out, _ = run(capsys, "intersect", "--n", "1048576", "--cost-only")
     assert code == 0 and out.startswith("cost_model ")
+
+
+def test_intersect_cost_only_prints_every_digit(capsys):
+    # 18,582,456 qubits, which a 6-digit format would round
+    code, out, _ = run(capsys, "intersect", "--n", "1073741824", "--cost-only")
+    assert code == 0 and out == "cost_model 18582456\n"
+    assert float(out.split()[1]) == zoo.cost_model(1 << 30)
 
 
 def test_intersect_cost_only_rejects_n_above_the_float_range(capsys):

@@ -436,28 +436,29 @@ def reference_yao_kremer_decompose(p, x, y):
     sides = {ALICE: list(lay.alice_register), BOB: list(lay.bob_register)}
     branches = {party: np.eye(1, 1 << len(side), dtype=complex)
                 for party, side in sides.items()}
-    for turn in engine._compile(p, [x], [y]):
-        sender, receiver = turn.party, engine.other_party(turn.party)
+    for step in p.steps:
+        sender, receiver = step.party, engine.other_party(step.party)
+        window = [lay.channel_qubit(k) for k in step.window]
         side = sides[sender]
         mine, theirs = branches[sender], branches[receiver]
         count = len(mine)
-        claimed = [g for g in turn.window if g not in side]
+        claimed = [g for g in window if g not in side]
         if claimed:
             mine = np.kron(mine, np.eye(1, 1 << len(claimed)))
             side = side + claimed
-        for gate in turn.gates[0]:
+        for gate in step.build(x if sender == ALICE else y):
             positions = [side.index(t) for t in gate.targets]
             mine = linalg.apply_on_qubits(mine, gate, positions)
-        k = len(turn.window)
+        k = len(window)
         if k:
             m = len(side)
-            kpos = [1 + side.index(g) for g in turn.window]
+            kpos = [1 + side.index(g) for g in window]
             t = np.moveaxis(mine.reshape((count,) + (2,) * m), kpos,
                             range(1, k + 1))
             mine = t.reshape(count << k, 1 << (m - k))
             theirs = np.kron(theirs, np.eye(1 << k))
-            side = [q for q in side if q not in turn.window]
-            sides[receiver] = sides[receiver] + list(turn.window)
+            side = [q for q in side if q not in window]
+            sides[receiver] = sides[receiver] + window
         sides[sender] = side
         branches[sender], branches[receiver] = mine, theirs
     sent = {q for step in p.steps for q in step.window}
@@ -531,6 +532,110 @@ def pool_protocol():
     (global qubit 2) is never sent, so it stays in the pool as |0>."""
     return random_protocol(2, RegisterLayout(1, 3, 1),
                            [((0,), (0, 1)), ((2,), (1, 3, 4))], seed=6)
+
+
+def mixed_targets_protocol(seed=9):
+    """Alice -> Bob -> Alice on layout (1, 2, 1), where each input's gate
+    list has its own targets and length, and some inputs have none, so a
+    turn has several groups of inputs, some of them partial."""
+    rng = np.random.default_rng(seed)
+    lists = [
+        # Alice sends channel qubits 0 and 1 (global 1 and 2)
+        [[], [(0, 1)], [(2, 0), (1,)], [(0, 1)]],
+        # Bob returns channel qubit 0 (global 1)
+        [[(3, 1, 2)], [(2,)], [(3, 1, 2)], []],
+        # Alice sends it back, with the output bit in it
+        [[(1, 0)], [], [(1, 0)], [(0,)]],
+    ]
+    windows = [(0, 1), (0,), (0,)]
+    steps = []
+    for k, (window, per_input) in enumerate(zip(windows, lists)):
+        table = [[(linalg.random_unitary(1 << len(t), rng), t) for t in tl]
+                 for tl in per_input]
+
+        def build(bits, table=table):
+            return [Gate(u, t) for u, t in table[engine.bits_to_int(bits)]]
+
+        steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
+    return Protocol(RegisterLayout(1, 2, 1), tuple(steps), input_bits=2)
+
+
+def reference_evolve(p, xs, ys):
+    """The per-input walk the stacked turn applier replaced: one state per
+    pair from the start, and each input's gates applied one at a time to
+    the batch of its pairs."""
+    states = np.zeros((len(xs), len(ys), 1 << p.layout.total), dtype=complex)
+    states[:, :, 0] = 1.0
+    for step in p.steps:
+        alice = step.party == ALICE
+        for i, bits in enumerate(xs if alice else ys):
+            index = i if alice else (slice(None), i)
+            batch = states[index]
+            for gate in step.build(bits):
+                batch = linalg.apply_on_qubits(batch, gate, gate.targets)
+            states[index] = batch
+    return states
+
+
+def walker_cases():
+    protocols = [entry.protocol for n in (1, 2, 3, 4)
+                 for entry in zoo.protocol_corpus(n)]
+    return protocols + [send_back_protocol(), pool_protocol(),
+                        zero_row_svd_protocol(2, seed=2),
+                        zero_row_svd_protocol(3, seed=3),
+                        mixed_targets_protocol()]
+
+
+def test_mixed_targets_protocol_has_partial_groups():
+    p = mixed_targets_protocol()
+    inputs = [engine.as_bits(i, 2) for i in range(4)]
+    groups = [[g.inputs for g in turn.groups]
+              for turn in engine._compile(p, inputs, inputs)]
+    assert groups == [[(1, 3), (2,)], [(0, 2), (1,)], [(0, 2), (3,)]]
+    # zero rows 0 and 2: Alice's message and clean-up turns each have one
+    # partial group
+    p = zero_row_svd_protocol(2, seed=2)
+    turns = engine._compile(p, inputs, inputs)
+    assert [g.inputs for g in turns[0].groups] == [(1, 3)]
+    assert [g.inputs for g in turns[2].groups] == [(0, 2)]
+
+
+def test_evolve_matches_the_per_input_reference():
+    for p in walker_cases():
+        dim = 1 << p.input_bits
+        inputs = [engine.as_bits(i, p.input_bits) for i in range(dim)]
+        turns = engine._compile(p, inputs, inputs)
+        # all rows at once, and each chunk of rows on its own
+        for size in (dim, 1, 3):
+            for start in range(0, dim, size):
+                rows = range(start, min(start + size, dim))
+                got = engine._evolve(p.layout, turns, rows, dim)
+                want = reference_evolve(p, inputs[start:rows.stop], inputs)
+                assert same_bytes(got, want)
+        # acceptance_matrix reads the same states
+        want = reference_evolve(p, inputs, inputs)
+        probs = np.clip(engine._accept_probs(p.layout, want), 0.0, 1.0)
+        assert same_bytes(engine.acceptance_matrix(p).values, probs)
+
+
+def test_acceptance_matrix_in_one_row_chunks(monkeypatch):
+    protocols = walker_cases()
+    want = [engine.acceptance_matrix(p).values for p in protocols]
+    monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", 1)
+    for p, values in zip(protocols, want):
+        assert same_bytes(engine.acceptance_matrix(p).values, values)
+
+
+def test_decompose_matches_the_per_input_reference():
+    for p in walker_cases():
+        inputs = [engine.as_bits(i, p.input_bits)
+                  for i in range(1 << p.input_bits)]
+        d = engine._decompose(p, inputs, inputs)
+        for i, bits in enumerate(inputs):
+            want = reference_yao_kremer_decompose(p, bits, inputs[0])
+            assert same_bytes(d.a_vectors[i], want.a_vectors)
+            want = reference_yao_kremer_decompose(p, inputs[0], bits)
+            assert same_bytes(d.b_vectors[i], want.b_vectors)
 
 
 def test_reconstruct_matches_the_per_transcript_sum():

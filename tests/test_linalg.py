@@ -197,6 +197,17 @@ def test_gate_with_rows_permutes_a_checked_gate():
                 permuted.unitary[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_gate_with_rows_reads_every_integer_dtype(dtype):
+    gate = linalg.Gate(linalg.random_unitary(8, np.random.default_rng(5)),
+                       (0, 1, 2))
+    rows = np.array([3, 0, 7, 1, 6, 2, 5, 4], dtype=dtype)
+    assert np.array_equal(gate.with_rows(rows).unitary, gate.unitary[rows])
+    with pytest.raises(ValueError, match="permutation"):
+        gate.with_rows(np.array([3, 0, 7, 1, 6, 2, 5, 5], dtype=dtype))
+
+
 @pytest.mark.parametrize("rows", [[0, 0, 2, 3], [0, 1, 2, 4], [1, 0, 2],
                                   [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]]],
                          ids=["repeated", "out-of-range", "short", "float",
@@ -253,6 +264,75 @@ def test_apply_on_qubits_matches_the_dense_operator(n, targets):
             assert np.max(np.abs(got - state @ full.T), initial=0.0) <= 1e-12
             assert not np.shares_memory(got, state)
         assert np.array_equal(state, before)
+
+
+@pytest.mark.parametrize("n, targets", [
+    (4, (1, 2)), (4, (2, 3)), (5, (1, 2, 3, 4, 0)), (5, (3, 1)),
+    (5, (0, 2, 4)), (3, ()), (0, ()),
+], ids=["contiguous", "contiguous-end", "rotated", "scattered-2",
+        "scattered-3", "empty", "n=0"])
+@pytest.mark.parametrize("entries", [1, 4])
+def test_stacked_gates_match_one_gate_per_row(n, targets, entries):
+    """Gate i on entry i of the leading axis gives the bits of applying
+    gate i alone to that entry, for distinct gates and for rows of one
+    base gate, with and without a batch axis."""
+    rng = np.random.default_rng(41 + n + 7 * len(targets) + entries)
+    dim = 1 << len(targets)
+    base = linalg.Gate(linalg.random_unitary(dim, rng), targets)
+    families = {
+        "distinct": [linalg.Gate(linalg.random_unitary(dim, rng), targets)
+                     for _ in range(entries)],
+        "rows": [base.with_rows(rng.permutation(dim))
+                 for _ in range(entries)],
+        # rows of rows of the base
+        "rows-of-rows": [base.with_rows(rng.permutation(dim))
+                         .with_rows(rng.permutation(dim))
+                         for _ in range(entries)],
+    }
+    for shape in ((entries, 1 << n), (entries, 3, 1 << n)):
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = state.copy()
+        for name, gates in families.items():
+            stack = linalg.GateStack.of(gates)
+            assert len(stack) == entries
+            assert (stack.rows is not None) == (
+                entries > 1 and name != "distinct"), name
+            want = np.stack([linalg.apply_on_qubits(row, gate, targets)
+                             for row, gate in zip(state, gates)])
+            for u in (gates, tuple(gates), stack):
+                got = linalg.apply_on_qubits(state, u, targets)
+                assert got.shape == state.shape, name
+                assert got.tobytes() == want.tobytes(), name
+            # a run of the stack is the stack of that run of gates
+            for run in (slice(-1, None), slice(0, 0)):
+                got = linalg.apply_on_qubits(state[run], stack[run], targets)
+                assert got.shape == state[run].shape, name
+                assert got.tobytes() == want[run].tobytes(), name
+        assert np.array_equal(state, before)
+
+
+def test_stacked_gates_reject_bad_stacks():
+    rng = np.random.default_rng(43)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    gates = [linalg.Gate(linalg.random_unitary(2, rng), (1,))
+             for _ in range(3)]
+    state = rng.normal(size=(3, 4)) + 0j
+    with pytest.raises(ValueError, match="2 gates for 3 entries"):
+        linalg.apply_on_qubits(state, gates[:2], (1,))
+    with pytest.raises(ValueError, match="2 gates for 3 entries"):
+        linalg.apply_on_qubits(state, linalg.GateStack.of(gates)[:2], (1,))
+    with pytest.raises(ValueError, match="one or more Gates"):
+        linalg.apply_on_qubits(state, gates[:2] + [x], (1,))
+    with pytest.raises(ValueError, match="one or more Gates"):
+        linalg.GateStack.of([])
+    with pytest.raises(ValueError, match="share their targets"):
+        linalg.apply_on_qubits(state, gates[:2] + [linalg.Gate(x, (0,))],
+                               (1,))
+    with pytest.raises(ValueError, match="target count"):
+        linalg.apply_on_qubits(state, gates, (0, 1))
+    # one gate per entry needs the entries' axis
+    with pytest.raises(ValueError, match="after one axis for the gates"):
+        linalg.apply_on_qubits(state[0], gates[:1], (1,))
 
 
 @pytest.mark.parametrize("targets", [(1.0,), (True,), (np.True_,), (0, "1"),

@@ -23,6 +23,23 @@ def test_build_comm_matrix_tables():
         ranklab.build_comm_matrix("EQ", 11)
 
 
+def test_comm_matrix_reads_bool_and_numeric_tables_alike():
+    table = np.random.default_rng(3).integers(0, 2, size=(8, 8))
+    want = ranklab.CommMatrix(3, "f", table.astype(bool))
+    assert want.values.dtype == np.uint8
+    for dtype in (np.uint8, int, float):
+        got = ranklab.CommMatrix(3, "f", table.astype(dtype))
+        assert (got.n, got.name) == (want.n, want.name)
+        assert got.values.dtype == np.uint8, dtype
+        assert np.array_equal(got.values, want.values), dtype
+    assert ranklab.build_comm_matrix("INT", 3).values.dtype == np.uint8
+    for bad in (2, 0.5, -1):
+        wrong = table.astype(type(bad))
+        wrong[1, 2] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            ranklab.CommMatrix(3, "f", wrong)
+
+
 def test_canonical_witness_takes_the_sizes_and_names_of_the_tables():
     for fn in ranklab.FUNCTION_NAMES:
         for n in (0, -1, ranklab.COMM_N_GUARD + 1):

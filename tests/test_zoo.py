@@ -334,6 +334,17 @@ def test_cost_functions_reject_non_finite_n():
                 f(256, k=k)
 
 
+def test_cost_models_take_only_whole_sizes():
+    for n in (1.5, 2.5, 1024.25):
+        for f in (zoo.cost_model, zoo.bcw_cost_model):
+            with pytest.raises(ValueError, match="whole number"):
+                f(n)
+    for f in (zoo.cost_model, zoo.bcw_cost_model):
+        assert f(4.0) == f(4) and f(np.int64(1024)) == f(1024)
+    # log* is defined on the reals
+    assert zoo.log_star(2.5) == 2 and zoo.log_star(1.5) == 1
+
+
 def test_cost_functions_reject_ints_above_the_float_range():
     for f in (zoo.log_star, zoo.cost_model, zoo.bcw_cost_model):
         with pytest.raises(ValueError, match="^n must be finite$"):
@@ -487,6 +498,31 @@ def test_trivial_reply_is_the_identity_with_flipped_rows():
                 assert np.array_equal(gate.unitary, want), (fn, n, y)
                 assert gate.unitary.dtype == want.dtype, (fn, n, y)
                 assert gate.targets == targets, (fn, n, y)
+
+
+def test_trivial_message_is_rows_of_one_identity(monkeypatch):
+    """Alice sends x as one gate: the identity on the message qubits with
+    rows r ^ x, whose base is made and checked once per protocol."""
+    made = []
+    post_init = linalg.Gate.__post_init__
+
+    def counted_init(gate):
+        made.append(gate.unitary.shape[0])
+        post_init(gate)
+
+    monkeypatch.setattr(linalg.Gate, "__post_init__", counted_init)
+    for n in range(1, 5):
+        p = zoo.trivial_exact_protocol(ranklab.build_comm_matrix("EQ", n))
+        made.clear()
+        for x in range(1 << n):
+            (gate,) = p.steps[0].build(engine.as_bits(x, n))
+            want = np.eye(1 << n)[np.arange(1 << n) ^ x]
+            assert np.array_equal(gate.unitary, want), (n, x)
+            assert gate.targets == tuple(range(1, n + 1))
+            state = np.eye(1, 2 << n, dtype=complex)[0]
+            sent = linalg.apply_on_qubits(state, gate, gate.targets)
+            assert np.flatnonzero(sent).tolist() == [x], (n, x)  # |0>|x>
+        assert made == [1 << n]
 
 
 def test_building_a_protocol_makes_no_gate(monkeypatch):
