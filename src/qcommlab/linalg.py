@@ -104,14 +104,14 @@ def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(u @ u.conj().T - eye)) <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
     """A unitary on an explicit tuple of global qubit indices.
 
     Made only from a square matrix of side 2^len(targets) that passes
     ``is_unitary`` (``ValueError`` and ``ContractViolationError``
     otherwise), or by ``with_rows`` from such a gate; ``unitary`` is a
-    read-only copy of it.
+    read-only copy of it.  Gates compare and hash by identity.
     """
 
     unitary: np.ndarray

@@ -33,7 +33,9 @@
   only on dim (_bbht_rounds) and are built once per dim (_bbht_cutoffs).
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
-  cost.  The recursion runs qsearch's schedule over its blocks.  Each
+  cost.  The recursion runs qsearch's schedule over its blocks, whose
+  2^lbits indices, lbits = floor(log2 ceil(log2 n)²), split the
+  ceil(log2 n) index bits, so no query sends a padding offset.  Each
   search is described once, by _widths and _run_cost, and the cost
   models are _run_cost's exact maximum over the coins (_max_cost).
 """
@@ -390,21 +392,18 @@ def bcw_intersection(x, y, cfg: QSearchConfig) -> IntersectionResult:
     return _bcw(*_input_pair(x, y), cfg)
 
 
-def _default_block_size(n) -> int:
-    """Indices per block: ceil(log2(n)^2)."""
-    return max(1, int(math.ceil(math.log2(n) ** 2)))
-
-
 def _widths(n, threshold=math.inf) -> tuple[int, int, int]:
-    """Outer index bits, in-block bits and verification bits ceil(log2 n)
-    of the search over n bits; inputs of at most threshold bits, or that
-    one block covers, are searched flat, with no in-block bits."""
+    """Outer index bits, in-block bits and verification bits of the search
+    over n bits.  The vbits = ceil(log2 n) index bits split into
+    lbits = floor(log2 vbits²) offset bits and jbits = vbits - lbits block
+    bits, so a block holds 2^lbits = Θ(log² n) indices and no offset is
+    padding.  Inputs of at most threshold bits, or that one block covers,
+    are searched flat, with no in-block bits."""
     vbits = math.ceil(math.log2(n))
-    b = _default_block_size(n)
-    if n <= threshold or b >= n:
+    lbits = (vbits * vbits).bit_length() - 1
+    if n <= threshold or lbits >= vbits:
         return vbits, 0, vbits
-    return (math.ceil(math.log2(math.ceil(n / b))), math.ceil(math.log2(b)),
-            vbits)
+    return vbits - lbits, lbits, vbits
 
 
 def _run_cost(widths, rounds: int, outer: int, leaf: int = 0) -> int:
@@ -438,7 +437,7 @@ def _bcw(x: np.ndarray, y: np.ndarray,
 @dataclass(frozen=True)
 class RecursionConfig:
     """Inputs of at most base_threshold bits are searched flat, larger
-    ones in blocks of _default_block_size bits."""
+    ones in blocks of 2^floor(log2 ceil(log2 n)²) bits (_widths)."""
 
     base_threshold: int = 64
 
@@ -463,10 +462,10 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     jbits, lbits, _ = widths
     if not lbits:
         return _bcw(x, y, cfg)
-    # the padding (offsets >= b in a block, positions >= n) holds no
-    # solution: the common indices and their blocks' counts set every law
+    # the padding (positions >= n) holds no solution: the common indices
+    # and their blocks' counts set every law
     common = np.flatnonzero(x & y)
-    block = common // _default_block_size(len(x))
+    block = common >> lbits
     counts = np.bincount(block)
     rng = np.random.default_rng(cfg.rng_seed)
     j_outer = _bbht_schedule(rng, 1 << jbits)
@@ -501,9 +500,9 @@ def _max_cost(n, threshold, k) -> float:
     coins; n must be a finite whole number >= 1, as it counts bits, and k
     finite and > 0.  A disjoint input runs every round until the budget,
     the sum of (j + 1), is spent, so it costs the most.  A verification
-    costs no more than an outer query, as ceil(log2 n) <= jbits + lbits,
-    so the costliest coins put every j_leaf at its top and spend the
-    budget in the fewest rounds."""
+    costs as much as an outer query, as ceil(log2 n) = jbits + lbits, so
+    the costliest coins put every j_leaf at its top and spend the budget
+    in the fewest rounds."""
     _require_finite(n)
     if n < 1:
         raise ValueError("n must be >= 1")

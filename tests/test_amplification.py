@@ -80,28 +80,30 @@ def exact_qsearch(start, mask, cfg):
     return outcome, sum(rounds[:ms]), ms
 
 
+def index_bits(n):
+    """(index bits ceil(log2 n), offset bits floor(log2 of its square)) of
+    the blocked recursion over n > 1 bits: a block holds 2^lbits indices,
+    and one block covers the input when lbits >= vbits."""
+    vbits = int(math.ceil(math.log2(n)))
+    return vbits, int(math.floor(math.log2(vbits ** 2)))
+
+
 def blocked_layout(n, both):
     """The blocked recursion's index register: (mask of the common indices
-    over dim = 2^(jbits + lbits) entries, blocks as rows, the position of
-    each entry, jbits, lbits)."""
-    b = max(1, int(math.ceil(math.log2(n) ** 2)))
-    nblocks = int(math.ceil(n / b))
-    jbits = max(int(math.ceil(math.log2(nblocks))), 0)
-    lbits = max(int(math.ceil(math.log2(b))), 0)
-    dim = 1 << (jbits + lbits)
-    blk, off = np.divmod(np.arange(dim), 1 << lbits)
-    pos = blk * b + off
-    mask = (off < b) & (pos < n)
-    mask[mask] = both[pos[mask]] == 1
-    return mask, pos, jbits, lbits
+    over dim = 2^(jbits + lbits) = 2^ceil(log2 n) entries, which blocks of
+    2^lbits consecutive positions take as rows, jbits, lbits)."""
+    vbits, lbits = index_bits(n)
+    mask = np.zeros(1 << vbits, dtype=bool)
+    mask[:n] = both == 1
+    return mask, vbits - lbits, lbits
 
 
 def flat_or_blocked(x, y, rcfg, cfg, qsearch_oracle, blocked_oracle):
     """The recursion's delegation rule and the flat search's cost."""
     n = len(x)
     both = np.array(x) & np.array(y)
-    b = max(1, int(math.ceil(math.log2(n) ** 2)))
-    if n <= rcfg.base_threshold or b >= n:
+    vbits, lbits = index_bits(n) if n > rcfg.base_threshold else (0, 0)
+    if lbits >= vbits:
         k = max(int(math.ceil(math.log2(n))), 0)
         if k == 0:
             return (0 if both[0] else None), 2, 0, 1
@@ -126,7 +128,7 @@ def blocked_cost(n, jbits, lbits, rounds):
 
 
 def exact_blocked(n, both, cfg):
-    mask, pos, jbits, lbits = blocked_layout(n, both)
+    mask, jbits, lbits = blocked_layout(n, both)
     blocks = mask.reshape(1 << jbits, -1)
     start = np.full(blocks.shape, 1.0 / math.sqrt(mask.size))
     rng = np.random.default_rng(cfg.rng_seed)
@@ -141,7 +143,7 @@ def exact_blocked(n, both, cfg):
         return dense_grover(leaf, mask, js[1])
 
     z, ms = measure_rounds(rng, rounds, state_of, mask)
-    index = None if z is None else int(pos[np.flatnonzero(mask)[z]])
+    index = None if z is None else int(np.flatnonzero(mask)[z])
     return (index, blocked_cost(n, jbits, lbits, rounds[:ms]),
             sum(map(sum, rounds[:ms])), ms)
 
@@ -182,7 +184,7 @@ def per_round_qsearch(start, mask, cfg):
 
 
 def per_round_blocked(n, both, cfg):
-    mask, pos, jbits, lbits = blocked_layout(n, both)
+    mask, jbits, lbits = blocked_layout(n, both)
     blocks = mask.reshape(1 << jbits, -1)
     ldim = blocks.shape[1]
     start = np.full(blocks.shape, 1.0 / mask.size)
@@ -200,7 +202,7 @@ def per_round_blocked(n, both, cfg):
         z = int(rng.choice(mask.size, p=probs))
         rounds.append((j_leaf, j_outer))
         if mask[z]:
-            return (int(pos[z]), blocked_cost(n, jbits, lbits, rounds),
+            return (z, blocked_cost(n, jbits, lbits, rounds),
                     sum(map(sum, rounds)), len(rounds))
     return (None, blocked_cost(n, jbits, lbits, rounds),
             sum(map(sum, rounds)), len(rounds))
@@ -444,9 +446,9 @@ def test_blocked_search_stays_within_its_outer_budget():
     # stage runs qsearch's schedule over the 2^jbits blocks, so it measures
     # at most ceil(9 sqrt(2^jbits)) times
     for n in (20, 64, 65, 100, 256, 500, 1024, 2048):
-        b = zoo._default_block_size(n)
-        assert b < n
-        jbits = int(math.ceil(math.log2(math.ceil(n / b))))
+        vbits, lbits = index_bits(n)
+        assert lbits < vbits
+        jbits = vbits - lbits
         budget = math.ceil(9 * math.sqrt(1 << jbits))
         one = [0] * n
         one[n // 2] = 1
@@ -487,12 +489,12 @@ GRID = {
                            (1, 6, 0, 1)],
     (64, "dense", "bcw"): [(23, 42, 1, 2), (48, 14, 0, 1), (22, 42, 1, 2),
                            (40, 14, 0, 1)],
-    (64, "dense", "rec"): [(4, 70, 4, 1), (48, 42, 2, 1), (42, 112, 7, 1),
-                           (0, 226, 8, 2)],
+    (64, "dense", "rec"): [(6, 50, 3, 1), (45, 26, 1, 1), (25, 74, 5, 1),
+                           (0, 50, 3, 1)],
     (64, "unique", "bcw"): [(21, 280, 9, 11), (21, 84, 2, 4), (21, 238, 7, 10),
                             (21, 308, 10, 12)],
-    (64, "unique", "rec"): [(21, 70, 4, 1), (21, 140, 8, 2), (21, 112, 7, 1),
-                            (21, 226, 8, 2)],
+    (64, "unique", "rec"): [(21, 50, 3, 1), (21, 88, 5, 2), (21, 138, 7, 2),
+                            (21, 150, 6, 2)],
     (256, "dense", "bcw"): [(38, 54, 1, 2), (95, 72, 1, 3), (121, 54, 1, 2),
                             (136, 54, 1, 2)],
     (256, "dense", "rec"): [(176, 74, 4, 1), (59, 74, 4, 1),
@@ -501,10 +503,10 @@ GRID = {
                              (85, 648, 23, 13), (85, 720, 25, 15)],
     (256, "unique", "rec"): [(85, 74, 4, 1), (85, 416, 12, 4),
                              (85, 332, 15, 5), (85, 262, 12, 5)],
-    (1024, "disjoint", "rec"): [(None, 5630, 87, 17), (None, 4784, 99, 16),
-                                (None, 7694, 128, 17), (None, 4410, 123, 19)],
-    (1024, "unique", "rec"): [(341, 1922, 38, 11), (341, 1766, 47, 9),
-                              (341, 2012, 51, 10), (341, 516, 15, 2)],
+    (1024, "disjoint", "rec"): [(None, 3536, 63, 17), (None, 2920, 70, 16),
+                                (None, 4796, 91, 17), (None, 2850, 86, 19)],
+    (1024, "unique", "rec"): [(341, 1214, 26, 11), (341, 1188, 35, 9),
+                              (341, 1262, 35, 10), (341, 346, 11, 2)],
 }
 
 

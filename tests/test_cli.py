@@ -82,9 +82,9 @@ def test_intersect_cost_only(capsys):
 
 
 def test_intersect_cost_only_prints_every_digit(capsys):
-    # 18,582,456 qubits, which a 6-digit format would round
+    # 12,258,668 qubits, which a 6-digit format would round
     code, out, _ = run(capsys, "intersect", "--n", "1073741824", "--cost-only")
-    assert code == 0 and out == "cost_model 18582456\n"
+    assert code == 0 and out == "cost_model 12258668\n"
     assert float(out.split()[1]) == zoo.cost_model(1 << 30)
 
 

@@ -181,6 +181,14 @@ def test_gate_checked_when_made():
         gate.unitary[0, 0] = 5.0
 
 
+def test_gates_compare_and_hash_by_identity():
+    gate = linalg.Gate(np.eye(2), (0,))
+    assert gate == gate
+    assert gate != linalg.Gate(np.eye(2), (0,))
+    assert {gate} == {gate} and len({gate, gate}) == 1
+    assert gate.with_rows([1, 0]) != gate
+
+
 def test_gate_with_rows_permutes_a_checked_gate():
     rng = np.random.default_rng(23)
     for k in (1, 2, 3, 4):

@@ -156,7 +156,7 @@ def test_recursive_intersection_delegates_when_block_covers_input():
 
 def test_recursive_intersection_single_common_index():
     rcfg = zoo.RecursionConfig(base_threshold=16)
-    assert zoo._default_block_size(64) == 36
+    assert zoo._widths(64, 16) == (1, 5, 6)
     x = ["0"] * 64
     x[42] = "1"
     x = "".join(x)
@@ -203,9 +203,28 @@ def test_cost_model_values():
     # the same
     rcfg = zoo.RecursionConfig(base_threshold=2)
     assert zoo.cost_model(16, rcfg) == 360.0
-    # 2^4 blocks of 2^7 offsets: 12 rounds, the fewest that spend the
-    # budget of 36, each with j_leaf = 11
-    assert zoo.cost_model(1024) == 11400.0
+    # 2^4 blocks of 2^6 offsets: 12 rounds, the fewest that spend the
+    # budget of 36, each with j_leaf = 7
+    assert zoo.cost_model(1024) == 6672.0
+
+
+def test_blocked_index_register_has_no_padding():
+    # the block and offset bits of every blocked search split the
+    # ceil(log2 n) index bits, and a block holds Θ(log² n) indices:
+    # 2^lbits in (vbits²/2, vbits²]
+    sizes = [*range(17, (1 << 14) + 1), *(1 << k for k in range(15, 63))]
+    for n in sizes:
+        jbits, lbits, vbits = zoo._widths(n, 2)
+        assert lbits and vbits == (n - 1).bit_length(), n
+        assert jbits + lbits == vbits, n
+        assert vbits ** 2 < 2 << lbits <= 2 * vbits ** 2, n
+
+
+def test_cost_model_at_most_bcw_above_2_to_14():
+    for k in range(14, 63):
+        for n in (1 << k, (1 << k) + 1, 3 << k):
+            if (1 << 14) < n <= (1 << 62):
+                assert zoo.cost_model(n) <= zoo.bcw_cost_model(n), n
 
 
 def test_cost_model_monotone():
@@ -228,12 +247,13 @@ def test_cost_envelope_fit():
 def reference_widths(n, threshold=math.inf):
     """(outer index bits, in-block bits, verification bits) as the
     searches' docstrings state them."""
-    b = zoo._default_block_size(n)
     vbits = math.ceil(math.log2(n))
-    if n <= threshold or b >= n:
+    if n <= threshold:
         return vbits, 0, vbits
-    return math.ceil(math.log2(math.ceil(n / b))), math.ceil(math.log2(b)), \
-        vbits
+    lbits = math.floor(math.log2(vbits ** 2))
+    if lbits >= vbits:
+        return vbits, 0, vbits
+    return vbits - lbits, lbits, vbits
 
 
 @functools.cache
