@@ -23,7 +23,9 @@ x at once, a Bob turn on states[:, y] of every y.  Alice's turns before
 Bob's first act on one state per x, of shape (x, 1, 2^total), which
 Bob's first turn broadcasts over y.  ``simulate`` is the walk over one
 pair and ``acceptance_matrix`` the walk over all pairs in chunks of x
-rows, which read the stacks without stacking again.
+rows: it compiles Bob's steps once for every y and Alice's for each
+chunk's own rows, so every group holds indices into the states it acts
+on and no stack is ever sliced.
 
 The Yao-Kremer decomposition walk ``_decompose`` is batched over inputs
 the same way.  A party's transcript branches depend only on its own
@@ -42,7 +44,6 @@ and a group of such gates stacks as the one base matrix and their rows.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import json
 from dataclasses import dataclass
@@ -289,60 +290,46 @@ def _compile(p: Protocol, xs: Sequence[tuple], ys: Sequence[tuple]) -> list:
     return turns
 
 
-def _apply_turn(stacks: np.ndarray, groups: list, inputs: range,
+def _apply_turn(stacks: np.ndarray, groups: list,
                 side: Sequence[int] = None) -> np.ndarray:
-    """The states after a turn.  stacks[i - inputs.start] holds the states
-    of input i, for i in ``inputs``; every group acts on its inputs among
-    them with one stacked matmul per layer.  ``side`` is the global qubit
-    at each position of the states (position = qubit if None).  A group
-    that covers every input returns its result; otherwise stacks is
-    updated in place and returned."""
+    """The states after a turn.  stacks[i] holds the states of input i of
+    the compiled walk; every group acts on its inputs with one stacked
+    matmul per layer.  ``side`` is the global qubit at each position of
+    the states (position = qubit if None).  A group that covers every
+    input returns its result; otherwise stacks is updated in place and
+    returned."""
     for group in groups:
-        members = group.inputs
-        if (len(members) == len(stacks) and members[0] == inputs.start
-                and members[-1] == inputs.stop - 1):
-            lo, hi = 0, len(members)  # ascending, so exactly ``inputs``
-        else:
-            lo = bisect.bisect_left(members, inputs.start)
-            hi = bisect.bisect_left(members, inputs.stop)
-            if lo == hi:
-                continue
-        whole = hi - lo == len(stacks)
-        if whole:
-            batch = stacks
-        else:
-            index = [i - inputs.start for i in members[lo:hi]]
-            batch = stacks[index]
-        part = hi - lo < len(members)
+        whole = len(group.inputs) == len(stacks)
+        index = list(group.inputs)
+        batch = stacks if whole else stacks[index]
         for layer in group.layers:
             positions = layer.targets if side is None else [
                 side.index(t) for t in layer.targets]
-            batch = linalg.apply_on_qubits(
-                batch, layer[lo:hi] if part else layer, positions)
+            batch = linalg.apply_on_qubits(batch, layer, positions)
         if whole:
             return batch
         stacks[index] = batch
     return stacks
 
 
-def _evolve(lay: RegisterLayout, turns: list, rows: range,
+def _evolve(lay: RegisterLayout, turns: list, rows: int,
             columns: int) -> np.ndarray:
-    """Final states of the pairs (x, y), x in ``rows``, y < ``columns``,
-    as an array of shape (len(rows), columns, 2^total).  Alice's turns
-    before Bob's first act on one state per x, of shape (x, 1, 2^total),
-    which Bob's first turn broadcasts over y."""
-    states = np.zeros((len(rows), 1, 1 << lay.total), dtype=complex)
+    """Final states of the pairs (x, y), x < ``rows`` and y < ``columns``
+    among the compiled walk's inputs, as an array of shape (rows, columns,
+    2^total).  Alice's turns before Bob's first act on one state per x, of
+    shape (x, 1, 2^total), which Bob's first turn broadcasts over y."""
+    states = np.zeros((rows, 1, 1 << lay.total), dtype=complex)
     states[:, :, 0] = 1.0
     for turn in turns:
         if turn.party == ALICE:
-            states = _apply_turn(states, turn.groups, rows)
+            states = _apply_turn(states, turn.groups)
             continue
         if states.shape[1] < columns:
             states = states.repeat(columns, axis=1)
-        states = _apply_turn(states.swapaxes(0, 1), turn.groups,
-                             range(columns)).swapaxes(0, 1)
+        states = _apply_turn(states.swapaxes(0, 1),
+                             turn.groups).swapaxes(0, 1)
     if states.shape[1] < columns:  # Bob has no turn
-        states = np.broadcast_to(states, (len(rows), columns, states.shape[-1]))
+        states = np.broadcast_to(states, (rows, columns, states.shape[-1]))
     return states
 
 
@@ -355,7 +342,7 @@ def _accept_probs(lay: RegisterLayout, states: np.ndarray) -> np.ndarray:
 def simulate(p: Protocol, x, y) -> SimulationResult:
     x = as_bits(x, p.input_bits)
     y = as_bits(y, p.input_bits)
-    states = _evolve(p.layout, _compile(p, [x], [y]), range(1), 1)
+    states = _evolve(p.layout, _compile(p, [x], [y]), 1, 1)
     accept = float(_accept_probs(p.layout, states)[0, 0])
     return SimulationResult(states[0, 0], accept, p.declared_cost)
 
@@ -403,15 +390,21 @@ def acceptance_matrix(p: Protocol) -> AcceptanceMatrix:
         raise CapacityError(
             f"acceptance_matrix over 2^{2 * n} pairs; it tabulates only "
             f"n <= {ACCEPTANCE_N_GUARD}")
+    if n + p.layout.total > MAX_TOTAL_QUBITS:
+        raise CapacityError(
+            f"one row of 2^{n} pairs over {p.layout.total} qubits exceeds "
+            f"the {MAX_TOTAL_QUBITS}-qubit guard")
     dim = 1 << n
     inputs = [as_bits(i, n) for i in range(dim)]
-    turns = _compile(p, inputs, inputs)
+    bob = _compile(p, [], inputs)
     rows = max(1, CHUNK_AMPLITUDES >> (n + p.layout.total))
     values = np.empty((dim, dim), dtype=float)
     for start in range(0, dim, rows):
-        chunk = range(start, min(start + rows, dim))
-        states = _evolve(p.layout, turns, chunk, dim)
-        values[start:chunk.stop] = _accept_probs(p.layout, states)
+        chunk = inputs[start:start + rows]
+        turns = [a if a.party == ALICE else b
+                 for a, b in zip(_compile(p, chunk, []), bob)]
+        states = _evolve(p.layout, turns, len(chunk), dim)
+        values[start:start + rows] = _accept_probs(p.layout, states)
     return AcceptanceMatrix(n=n, values=values)
 
 
@@ -510,7 +503,7 @@ def _decompose(p: Protocol, xs: Sequence[tuple],
             grown[..., 0] = mine
             mine = grown.reshape(batch, count, -1)
             side = side + claimed
-        mine = _apply_turn(mine, turn.groups, range(batch), side)
+        mine = _apply_turn(mine, turn.groups, side)
         k = len(turn.window)
         if k:
             # branch c splits into c * 2^k + bits: the sender keeps the

@@ -6,11 +6,14 @@ A ``Gate`` is checked once, when it is made: its matrix is square, of side
 2^len(targets) and unitary in its own dtype, and the gate keeps a
 read-only copy of it.  ``Gate.with_rows`` permutes a checked gate's rows
 without a second check.  A ``GateStack`` holds checked gates on one tuple
-of targets, one per entry of a state's leading axis, stacked once.
+of targets, one per entry of a state's leading axis, stacked once and
+never sliced: the engine compiles each chunk of inputs on its own, so a
+stack always covers exactly the entries it is applied to.
 ``apply_on_qubits`` is the one kernel: it trusts a ``Gate`` or a
-``GateStack``, checks a raw matrix on every call, and applies one gate to
-every row, or gate i to entry i, as one matmul: on a reshaped view for
-ascending contiguous targets, with one transpose each way otherwise.
+``GateStack``, its one form of gates per entry, checks a raw matrix on
+every call, and applies one gate to every row, or gate i to entry i, as
+one matmul: on a reshaped view for ascending contiguous targets, with one
+transpose each way otherwise.
 
 Conventions used throughout the package:
 
@@ -170,8 +173,7 @@ class GateStack:
     one matrix to every entry and then takes each entry's rows, which holds
     no matrix per gate and gives the bits the permuted matrices give.
     Otherwise ``unitaries`` holds the gates' matrices, (len, 2^k, 2^k), and
-    ``rows`` is None.  Slicing gives the stack of a run of the gates, as
-    views.
+    ``rows`` is None.
     """
 
     __slots__ = ("unitaries", "rows", "targets")
@@ -203,11 +205,6 @@ class GateStack:
     def __len__(self) -> int:
         return len(self.unitaries if self.rows is None else self.rows)
 
-    def __getitem__(self, index: slice) -> "GateStack":
-        if self.rows is None:
-            return GateStack(self.unitaries[index], None, self.targets)
-        return GateStack(self.unitaries, self.rows[index], self.targets)
-
 
 def _int_targets(targets) -> tuple:
     """targets as ints; ValueError for a bool or a non-integer target."""
@@ -229,16 +226,13 @@ def apply_on_qubits(state, u, targets) -> np.ndarray:
     One gate is a ``Gate``, already checked, or a raw matrix, checked on
     every call; ``state`` is then one vector of length 2^n or a batch of
     shape (batch, 2^n) whose rows all get ``u``.  Gates per entry are a
-    ``GateStack`` or a list or tuple of ``Gate``s, which ``GateStack.of``
-    stacks; ``state`` then has shape (len(u), 2^n) or (len(u), batch, 2^n),
-    and entry i gets gate i.  Targets t..t+k-1 take one matmul on the view
-    (entries, batch * 2^t, 2^k, 2^(n-t-k)); any other order one transpose
-    each way around it.  A stack of rows of one matrix takes each entry's
+    ``GateStack``; ``state`` then has shape (len(u), 2^n) or (len(u),
+    batch, 2^n), and entry i gets gate i.  Targets t..t+k-1 take one
+    matmul on the view (entries, batch * 2^t, 2^k, 2^(n-t-k)); any other
+    order one transpose each way around it.  A stack of rows of one matrix takes each entry's
     rows after the matmul.  The result is always a new array.
     """
     state = np.asarray(state, dtype=complex)
-    if isinstance(u, (list, tuple)) and any(isinstance(g, Gate) for g in u):
-        u = GateStack.of(u)
     stacked = isinstance(u, GateStack)
     if state.ndim - stacked not in (1, 2):
         raise ValueError("state must be a vector or a batch of vectors"

@@ -160,7 +160,7 @@ def test_acceptance_matrix_matches_per_pair_oracle_on_corpus():
             assert err <= 1e-12, (entry.name, n, err)
 
 
-def test_three_turns_with_the_qubit_sent_back():
+def test_three_turns_with_the_qubit_sent_back(monkeypatch):
     # qubits: 0 Alice, 1-2 channel (1 is the output), 3 Bob.  Alice sends
     # channel 0, Bob works on it and sends it back, Alice sends both.
     lay = RegisterLayout(1, 2, 1)
@@ -176,9 +176,14 @@ def test_three_turns_with_the_qubit_sent_back():
 
     p = Protocol(lay, tuple(ProtocolStep(s.party, s.window, counted(s.build))
                             for s in p.steps), input_bits=2)
-    am = engine.acceptance_matrix(p)
-    assert len(builds) == 3 * 4  # once per step and input of its sender
-    assert np.max(np.abs(am.values - reference_acceptance(p))) <= 1e-12
+    # all rows in one chunk, then one row per chunk: each chunk builds
+    # Alice's steps for its own rows, and Bob's are built once
+    for chunk in (engine.CHUNK_AMPLITUDES, 1):
+        monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", chunk)
+        builds.clear()
+        am = engine.acceptance_matrix(p)
+        assert len(builds) == 3 * 4  # once per step and input of its sender
+        assert np.max(np.abs(am.values - reference_acceptance(p))) <= 1e-12
     for xi in range(4):
         for yi in range(4):
             res = engine.simulate(p, xi, yi)
@@ -200,7 +205,7 @@ def test_acceptance_matrix_over_several_chunks():
     assert np.max(np.abs(am.values - reference_acceptance(p))) <= 1e-12
 
 
-def test_gate_illegal_for_one_input_rejected():
+def test_gate_illegal_for_one_input_rejected(monkeypatch):
     lay = RegisterLayout(0, 2, 0)
 
     def alice(xbits):
@@ -215,8 +220,11 @@ def test_gate_illegal_for_one_input_rejected():
     engine.simulate(p, 0, 0)
     with pytest.raises(ContractViolationError):
         engine.simulate(p, 3, 0)
-    with pytest.raises(ContractViolationError):
-        engine.acceptance_matrix(p)
+    # in one-row chunks input 3 is compiled with the last chunk only
+    for chunk in (engine.CHUNK_AMPLITUDES, 1):
+        monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", chunk)
+        with pytest.raises(ContractViolationError):
+            engine.acceptance_matrix(p)
     p = Protocol(lay, (ProtocolStep(ALICE, (0,), lambda b: []),
                        ProtocolStep(BOB, (), bob)), input_bits=2)
     engine.simulate(p, 0, 3)
@@ -234,6 +242,10 @@ def test_acceptance_matrix_guard():
     p = zoo.trivial_exact_protocol(ranklab.build_comm_matrix("EQ", 2))
     object.__setattr__(p, "input_bits", 7)  # force past the guard check
     with pytest.raises(CapacityError):
+        engine.acceptance_matrix(p)
+    # one row, 2^1 pairs of 2^24 amplitudes, is past the qubit guard
+    p = Protocol(RegisterLayout(0, 1, 23), (), input_bits=1)
+    with pytest.raises(CapacityError, match="1 pairs over 24 qubits"):
         engine.acceptance_matrix(p)
 
 
@@ -604,13 +616,13 @@ def test_evolve_matches_the_per_input_reference():
     for p in walker_cases():
         dim = 1 << p.input_bits
         inputs = [engine.as_bits(i, p.input_bits) for i in range(dim)]
-        turns = engine._compile(p, inputs, inputs)
-        # all rows at once, and each chunk of rows on its own
+        # all rows at once, and each chunk of rows compiled on its own
         for size in (dim, 1, 3):
             for start in range(0, dim, size):
-                rows = range(start, min(start + size, dim))
-                got = engine._evolve(p.layout, turns, rows, dim)
-                want = reference_evolve(p, inputs[start:rows.stop], inputs)
+                chunk = inputs[start:start + size]
+                turns = engine._compile(p, chunk, inputs)
+                got = engine._evolve(p.layout, turns, len(chunk), dim)
+                want = reference_evolve(p, chunk, inputs)
                 assert same_bytes(got, want)
         # acceptance_matrix reads the same states
         want = reference_evolve(p, inputs, inputs)

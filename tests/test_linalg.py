@@ -307,15 +307,9 @@ def test_stacked_gates_match_one_gate_per_row(n, targets, entries):
                 entries > 1 and name != "distinct"), name
             want = np.stack([linalg.apply_on_qubits(row, gate, targets)
                              for row, gate in zip(state, gates)])
-            for u in (gates, tuple(gates), stack):
-                got = linalg.apply_on_qubits(state, u, targets)
-                assert got.shape == state.shape, name
-                assert got.tobytes() == want.tobytes(), name
-            # a run of the stack is the stack of that run of gates
-            for run in (slice(-1, None), slice(0, 0)):
-                got = linalg.apply_on_qubits(state[run], stack[run], targets)
-                assert got.shape == state[run].shape, name
-                assert got.tobytes() == want[run].tobytes(), name
+            got = linalg.apply_on_qubits(state, stack, targets)
+            assert got.shape == state.shape, name
+            assert got.tobytes() == want.tobytes(), name
         assert np.array_equal(state, before)
 
 
@@ -326,21 +320,19 @@ def test_stacked_gates_reject_bad_stacks():
              for _ in range(3)]
     state = rng.normal(size=(3, 4)) + 0j
     with pytest.raises(ValueError, match="2 gates for 3 entries"):
-        linalg.apply_on_qubits(state, gates[:2], (1,))
-    with pytest.raises(ValueError, match="2 gates for 3 entries"):
-        linalg.apply_on_qubits(state, linalg.GateStack.of(gates)[:2], (1,))
+        linalg.apply_on_qubits(state, linalg.GateStack.of(gates[:2]), (1,))
     with pytest.raises(ValueError, match="one or more Gates"):
-        linalg.apply_on_qubits(state, gates[:2] + [x], (1,))
+        linalg.GateStack.of(gates[:2] + [x])
     with pytest.raises(ValueError, match="one or more Gates"):
         linalg.GateStack.of([])
     with pytest.raises(ValueError, match="share their targets"):
-        linalg.apply_on_qubits(state, gates[:2] + [linalg.Gate(x, (0,))],
-                               (1,))
+        linalg.GateStack.of(gates[:2] + [linalg.Gate(x, (0,))])
     with pytest.raises(ValueError, match="target count"):
-        linalg.apply_on_qubits(state, gates, (0, 1))
+        linalg.apply_on_qubits(state, linalg.GateStack.of(gates), (0, 1))
     # one gate per entry needs the entries' axis
     with pytest.raises(ValueError, match="after one axis for the gates"):
-        linalg.apply_on_qubits(state[0], gates[:1], (1,))
+        linalg.apply_on_qubits(state[0], linalg.GateStack.of(gates[:1]),
+                               (1,))
 
 
 @pytest.mark.parametrize("targets", [(1.0,), (True,), (np.True_,), (0, "1"),
