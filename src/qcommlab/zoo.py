@@ -30,7 +30,8 @@
   search with BBHT's growing random-cutoff schedule for an unknown number
   of solutions, drawn at once (_bbht_schedule), until exactly
   ceil(9 sqrt(dim)) oracle applications are spent.  The cutoffs depend
-  only on dim (_bbht_rounds) and are built once per dim (_bbht_cutoffs).
+  only on dim (_bbht_rounds) and are built once per dim (_bbht_cutoffs),
+  as is BCW's uniform start (_uniform).
 * bcw_intersection / recursive_intersection: find a common 1-index of
   two bit strings with one-sided error, with instrumented communication
   cost.  The recursion runs qsearch's schedule over its blocks, whose
@@ -38,6 +39,11 @@
   ceil(log2 n) index bits, so no query sends a padding offset.  Each
   search is described once, by _widths and _run_cost, and the cost
   models are _run_cost's exact maximum over the coins (_max_cost).
+* _flat_law / _blocked_law: what a search's input fixes, its law, built
+  once per input and memoized on the input's bytes for the last few
+  inputs, as callers run many seeds on one input.  Each seed draws only
+  its schedule, its j_leaf, one uniform per round and one index.  An
+  exception is not cached, so bad input raises on every call.
 """
 
 from __future__ import annotations
@@ -195,22 +201,35 @@ class QSearchConfig:
     rng_seed: int | Sequence[int] | np.random.SeedSequence
 
 
-def _solution_mask(solutions, dim: int) -> np.ndarray:
-    """Mask of the solutions, given as indices."""
+def _indices(solutions, dim: int) -> np.ndarray:
+    """The solutions as a 1-D integer array, not checked against dim; an
+    empty one as intp, so every empty input keys one law."""
     idx = solutions if isinstance(solutions, np.ndarray) \
         else np.array(list(solutions))
-    if idx.ndim != 1 or idx.size and (idx.dtype.kind not in "iu"
-                                      or idx.min() < 0 or idx.max() >= dim):
+    if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"solutions must be integer indices in [0, {dim})")
+    return idx if idx.size else idx.astype(np.intp)
+
+
+def _solution_mask(solutions, dim: int) -> np.ndarray:
+    """Mask of the solutions, given as indices."""
+    idx = _indices(solutions, dim)
+    if idx.size and (idx.min() < 0 or idx.max() >= dim):
         raise ValueError(f"solutions must be integer indices in [0, {dim})")
     mask = np.zeros(dim, dtype=bool)
     mask[idx.astype(np.intp)] = True
     return mask
 
 
-def _start_vector(start) -> np.ndarray:
+def _numeric_vector(start) -> np.ndarray:
     psi = np.asarray(start)
     if psi.ndim != 1 or not psi.size or psi.dtype.kind not in "iufc":
         raise ValueError("start must be a nonempty numeric vector")
+    return psi
+
+
+def _start_vector(start) -> np.ndarray:
+    psi = _numeric_vector(start)
     if not np.all(np.isfinite(psi)):
         raise ValueError("start has non-finite amplitudes")
     if abs(np.linalg.norm(psi) - 1.0) > linalg.DEFAULT_TOL:
@@ -341,6 +360,19 @@ class QSearchResult:
     measurements: int
 
 
+@functools.lru_cache(maxsize=4)
+def _flat_law(start_dtype: str, start: bytes, solutions_dtype: str,
+              solutions: bytes) -> tuple[np.floating, np.ndarray, np.ndarray]:
+    """θ and the start's weights on the solutions and their indices,
+    read-only, from the dtypes and bytes of the start and solutions."""
+    psi = _start_vector(np.frombuffer(start, start_dtype))
+    mask = _solution_mask(np.frombuffer(solutions, solutions_dtype), psi.size)
+    weight = np.abs(psi) ** 2
+    weights, where = weight[mask], np.flatnonzero(mask)
+    weights.flags.writeable = where.flags.writeable = False
+    return solution_angle(weight, mask), weights, where
+
+
 def qsearch(start, solutions, cfg: QSearchConfig) -> QSearchResult:
     """Search with the growing random-cutoff schedule, seeded.
 
@@ -350,16 +382,17 @@ def qsearch(start, solutions, cfg: QSearchConfig) -> QSearchResult:
     success probability is >= 1/2, as that budget covers the
     O(sqrt(dim/solutions)) schedule.
     """
-    psi0 = _start_vector(start)
-    mask = _solution_mask(solutions, psi0.shape[0])
-    weight = np.abs(psi0) ** 2
+    # the shape and dtype checks come first, so only numbers key the law
+    psi = _numeric_vector(start)
+    idx = _indices(solutions, psi.size)
+    theta, weights, where = _flat_law(psi.dtype.str, psi.tobytes(),
+                                      idx.dtype.str, idx.tobytes())
     rng = np.random.default_rng(cfg.rng_seed)
-    js = _bbht_schedule(rng, mask.size)
+    js = _bbht_schedule(rng, psi.size)
     # a success measures the start's own weights on the solutions, whatever
     # j was; with no solutions θ = 0 and no round succeeds
-    z, measured = _search(rng, _good_share(solution_angle(weight, mask), js),
-                          lambda k: weight[mask])
-    return QSearchResult(None if z is None else int(np.flatnonzero(mask)[z]),
+    z, measured = _search(rng, _good_share(theta, js), lambda k: weights)
+    return QSearchResult(None if z is None else int(where[z]),
                          int(js[:measured].sum()), measured)
 
 
@@ -418,6 +451,14 @@ def _run_cost(widths, rounds: int, outer: int, leaf: int = 0) -> int:
             + rounds * (2 * vbits + 2))
 
 
+@functools.lru_cache(maxsize=64)
+def _uniform(dim: int) -> np.ndarray:
+    """The uniform start over dim indices, read-only."""
+    start = np.full(dim, 1.0 / math.sqrt(dim))
+    start.flags.writeable = False
+    return start
+
+
 def _bcw(x: np.ndarray, y: np.ndarray,
          cfg: QSearchConfig) -> IntersectionResult:
     """bcw_intersection on inputs that _input_pair has checked."""
@@ -426,9 +467,7 @@ def _bcw(x: np.ndarray, y: np.ndarray,
         # single candidate: verify it classically and answer
         return IntersectionResult(0 if x[0] & y[0] else None,
                                   _run_cost(widths, 1, 0), 0, 1)
-    dim = 1 << widths[0]
-    res = qsearch(np.full(dim, 1.0 / math.sqrt(dim)), np.flatnonzero(x & y),
-                  cfg)
+    res = qsearch(_uniform(1 << widths[0]), np.flatnonzero(x & y), cfg)
     return IntersectionResult(
         res.outcome, _run_cost(widths, res.measurements, res.iterations),
         res.iterations, res.measurements)
@@ -447,6 +486,29 @@ class RecursionConfig:
             raise ValueError("base_threshold must be >= 2")
 
 
+@functools.lru_cache(maxsize=4)
+def _blocked_law(both: bytes, jbits: int,
+                 lbits: int) -> tuple[np.ndarray, ...]:
+    """From the bytes of x & y, read-only: the common indices, their
+    blocks and the blocks' counts, each block's good share after each
+    in-block count j_leaf (a row per j_leaf), and the outer θ after it."""
+    # the padding (positions >= n) holds no solution: the common indices
+    # and their blocks' counts set every law
+    common = np.flatnonzero(np.frombuffer(both, np.uint8))
+    block = common >> lbits
+    counts = np.bincount(block)
+    # the in-block stage amplifies every block about its uniform state;
+    # the blocks share the start evenly, and the outer stage amplifies
+    # the sum of their good shares
+    table = _good_share(_angle(counts / (1 << lbits)),
+                        np.arange(math.ceil(_root(lbits)))[:, None])
+    outer = _angle(table.sum(axis=1) / (1 << jbits))
+    law = common, block, counts, table, outer
+    for a in law:
+        a.flags.writeable = False
+    return law
+
+
 def recursive_intersection(x, y, rcfg: RecursionConfig,
                            cfg: QSearchConfig) -> IntersectionResult:
     """Blocked intersection search with end-to-end amplification.
@@ -455,28 +517,20 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
     2^jbits blocks of 2^lbits offsets, each round with an in-block count
     j_leaf below ceil(sqrt(2^lbits)); _run_cost gives the qubits sent.
     Candidates are verified classically; inputs of at most base_threshold
-    bits, or that one block covers, go to bcw_intersection.
+    bits, or that one block covers, go to the flat search.
     """
     x, y = _input_pair(x, y)
     widths = _widths(len(x), rcfg.base_threshold)
     jbits, lbits, _ = widths
     if not lbits:
         return _bcw(x, y, cfg)
-    # the padding (positions >= n) holds no solution: the common indices
-    # and their blocks' counts set every law
-    common = np.flatnonzero(x & y)
-    block = common >> lbits
-    counts = np.bincount(block)
+    common, block, counts, table, outer = _blocked_law(
+        (x & y).tobytes(), jbits, lbits)
     rng = np.random.default_rng(cfg.rng_seed)
     j_outer = _bbht_schedule(rng, 1 << jbits)
-    j_leaf = rng.integers(0, math.ceil(_root(lbits)), j_outer.size)
-    # the in-block stage amplifies every block about its uniform state: a
-    # block's good share after it, round by round; the blocks share the
-    # start evenly, and the outer stage amplifies their sum
-    leaf = _good_share(_angle(counts / (1 << lbits)), j_leaf[:, None])
-    success = _good_share(_angle(leaf.sum(axis=1) / (1 << jbits)), j_outer)
-    z, measured = _search(rng, success,
-                          lambda k: leaf[k, block] / counts[block])
+    j_leaf = rng.integers(0, len(table), j_outer.size)
+    z, measured = _search(rng, _good_share(outer[j_leaf], j_outer),
+                          lambda k: table[j_leaf[k], block] / counts[block])
     j_leaf, j_outer = j_leaf[:measured], j_outer[:measured]
     cost = _run_cost(widths, measured, int(j_outer.sum()),
                      int(np.sum(j_leaf * (1 + 2 * j_outer))))

@@ -2,7 +2,8 @@
 the samplers against dense oracles on their own RNG stream and, in
 distribution, against the per-round Generator.choice loops they replaced,
 the search entry points' input checks, the cached schedule against the
-uncached one, and a seeded regression grid."""
+uncached one, a seeded regression grid, and the searches with their
+per-input memos against fresh calls."""
 
 import itertools
 import math
@@ -644,3 +645,149 @@ def test_each_measurement_law_is_built_once_per_search(monkeypatch):
         res = zoo.qsearch(uniform(64), solutions, zoo.QSearchConfig(rng_seed=0))
         assert res.measurements >= 1
         assert built == [len(solutions)] * (res.outcome is not None)
+
+
+# ------------------------------------------------- per-input memos of a law
+
+MEMOS = (zoo._flat_law, zoo._blocked_law)
+
+
+def fresh(f, *args):
+    """f(*args) right after emptying the per-input memos."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    return f(*args)
+
+
+def kept_and_fresh(calls):
+    """Results of the calls (function, *args) in order with the per-input
+    memos kept, then of each call again, fresh; and each memo's hits in
+    the first pass."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    kept = [f(*args) for f, *args in calls]
+    hits = [memo.cache_info().hits for memo in MEMOS]
+    return kept, [fresh(*call) for call in calls], hits
+
+
+def intersection_calls(x, y, seeds, thresholds=(2, 16, 64)):
+    calls = [(zoo.bcw_intersection, x, y, zoo.QSearchConfig(rng_seed=s))
+             for s in seeds]
+    for threshold in thresholds:
+        rcfg = zoo.RecursionConfig(base_threshold=threshold)
+        calls += [(zoo.recursive_intersection, x, y, rcfg,
+                   zoo.QSearchConfig(rng_seed=s)) for s in seeds]
+    return calls
+
+
+def test_memoized_laws_change_no_result():
+    # consecutive seeds on one input, as the callers run them
+    calls = []
+    for n in sorted({n for n, _, _ in GRID}):
+        for x, y in _grid_inputs(n).values():
+            calls += intersection_calls(x, y, range(16))
+    # criterion 6's pairs at n = 8
+    rng = np.random.default_rng(2024)
+    for idx in range(64):
+        x, y = (rng.integers(0, 2, size=8).tolist() for _ in range(2))
+        calls += [(zoo.bcw_intersection, x, y,
+                   zoo.QSearchConfig(rng_seed=(idx, t))) for t in range(16)]
+    kept, fresh, hits = kept_and_fresh(calls)
+    assert kept == fresh and min(hits) > 0
+    # and interleaved inputs, more of them than a memo holds
+    inputs = [_grid_inputs(n)[kind] for n in (64, 256, 1024)
+              for kind in ("dense", "unique")]
+    order = [0, 1, 0, 2, 3, 4, 5, 0, 1, 5]
+    calls = [call for i in order
+             for call in intersection_calls(*inputs[i], [i, 99])]
+    kept, fresh, hits = kept_and_fresh(calls)
+    assert kept == fresh and min(hits) > 0
+
+
+def test_a_caller_that_mutates_its_input_gets_a_fresh_result():
+    rcfg = zoo.RecursionConfig(base_threshold=16)
+    cfg = zoo.QSearchConfig(rng_seed=5)
+    for search in (zoo.bcw_intersection,
+                   lambda x, y, cfg: zoo.recursive_intersection(
+                       x, y, rcfg, cfg)):
+        x, y = (list(bits) for bits in _grid_inputs(256)["unique"])
+        for i, j in ((85, 3), (3, 200), (200, 130)):
+            search(x, y, cfg)
+            # move the one common index, in place
+            x[i], x[j], y[j] = 0, 1, 1
+            got = search(x, y, cfg)
+            assert got == fresh(search, x, y, cfg) and got.index == j
+    start, solutions = uniform(16), np.array([3, 7])
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        zoo.qsearch(start, solutions, cfg)
+        amplitudes = rng.normal(size=16)
+        start[:] = amplitudes / np.linalg.norm(amplitudes)  # in place
+        solutions[0] = rng.integers(16)
+        got = zoo.qsearch(start, solutions, cfg)
+        assert got == fresh(zoo.qsearch, start, solutions, cfg)
+        assert got == zoo.qsearch(start.copy(), solutions.tolist(), cfg)
+
+
+@pytest.mark.parametrize("start", [
+    np.array([0.5, 0.5, 0.5, np.nan]),
+    3.0 * uniform(4),
+    np.array([0.5, 0.5, 0.5, 0.5], dtype=object),
+], ids=["nan", "non-unit", "object"])
+def test_a_memo_hit_leaves_the_start_checks(start):
+    cfg = zoo.QSearchConfig(rng_seed=0)
+    for _ in range(2):
+        zoo.qsearch(uniform(4), [1], cfg)
+        with pytest.raises(ValueError):
+            zoo.qsearch(start, [1], cfg)
+
+
+@pytest.mark.parametrize("solutions", [[-1], [4], [1.0], np.array([1.0])],
+                         ids=["negative", "equal-dim", "float", "float-array"])
+def test_a_memo_hit_leaves_the_solution_checks(solutions):
+    cfg = zoo.QSearchConfig(rng_seed=0)
+    for _ in range(2):
+        zoo.qsearch(uniform(4), [1], cfg)
+        with pytest.raises(ValueError):
+            zoo.qsearch(uniform(4), solutions, cfg)
+
+
+def test_a_memo_hit_leaves_the_input_checks():
+    x, y = _grid_inputs(64)["dense"]
+    bad = {"unequal": (x, y[:-1]), "non-bit": (x, y[:-1] + [2])}
+    cfg = zoo.QSearchConfig(rng_seed=0)
+    for threshold in (2, 64):
+        rcfg = zoo.RecursionConfig(base_threshold=threshold)
+        for bx, by in bad.values():
+            for _ in range(2):
+                zoo.bcw_intersection(x, y, cfg)
+                zoo.recursive_intersection(x, y, rcfg, cfg)
+                with pytest.raises(ValueError):
+                    zoo.bcw_intersection(bx, by, cfg)
+                with pytest.raises(ValueError):
+                    zoo.recursive_intersection(bx, by, rcfg, cfg)
+
+
+def test_memos_stay_small_and_read_only():
+    rng = np.random.default_rng(12)
+    rcfg = zoo.RecursionConfig(base_threshold=2)
+    for n in range(2, 40):
+        x, y = (rng.integers(0, 2, size=n) for _ in range(2))
+        zoo.bcw_intersection(x, y, zoo.QSearchConfig(rng_seed=n))
+        zoo.recursive_intersection(x, y, rcfg, zoo.QSearchConfig(rng_seed=n))
+        zoo.qsearch(random_start(rng, n), [n - 1], zoo.QSearchConfig(rng_seed=n))
+    for memo in MEMOS + (zoo._uniform,):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        # each input is new to the per-input memos
+        assert memo is zoo._uniform or info.misses > info.maxsize
+    start = random_start(rng, 8)
+    flat = zoo._flat_law(start.dtype.str, start.tobytes(),
+                         np.dtype(int).str, np.array([2, 5]).tobytes())
+    both = np.array([1, 1, 0, 1] * 64, np.uint8)
+    arrays = (flat[1:] + zoo._blocked_law(both.tobytes(), 4, 6)
+              + (zoo._uniform(8),))
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
