@@ -13,7 +13,8 @@ Randomized paths require an explicit --seed so runs are reproducible.
 Each subcommand accepts only the shared --seed/--format flags it reads,
 and audit rank-bound and intersect --cost-only refuse the --seed, --trials,
 --x and --y flags they do not read.  Zero patterns and ranks use the
-package's one tolerance, linalg.DEFAULT_TOL; no flag sets it.
+package's one tolerance, the constant linalg.DEFAULT_TOL; no flag or
+argument sets it.
 """
 
 from __future__ import annotations

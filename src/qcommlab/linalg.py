@@ -1,6 +1,8 @@
 """Small dense complex linear algebra: SVD in the U*Sigma*V row-factor
 convention, the one "nonzero" rule ``support``, numeric and exact integer
 (Bareiss) rank, checked gates and qubit-subset unitary application.
+``support``, ``numeric_rank``, ``SvdResult.rank`` and ``is_unitary`` all
+apply the one constant ``DEFAULT_TOL``; none takes a tolerance.
 
 A ``Gate`` is checked once, when it is made: its matrix is square, of side
 2^len(targets) and unitary in its own dtype, and the gate keeps a
@@ -24,7 +26,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,10 +52,9 @@ class SvdResult:
         k = self.sigma.shape[0]
         return (self.u[:, :k] * self.sigma) @ self.v[:k, :]
 
-    def rank(self, tol: float = DEFAULT_TOL) -> int:
-        """Number of singular values in the support (0 for a zero matrix);
-        support checks tol."""
-        return int(np.count_nonzero(support(self.sigma, tol)))
+    def rank(self) -> int:
+        """Number of singular values in the support (0 for a zero matrix)."""
+        return int(np.count_nonzero(support(self.sigma)))
 
 
 def svd(m) -> SvdResult:
@@ -72,39 +72,29 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, sigma=s, v=vh)
 
 
-def _require_tol(tol) -> None:
-    """ValueError unless tol is finite and > 0: the one check of every
-    rule function's tolerance."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
-
-
-def support(values, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Mask of ``|v| > tol * max|v|``, the package's one "nonzero" rule,
-    applied to amplitudes (probabilities via their square roots).  All
-    False when every entry is zero; NaN or +-inf, in the values or in tol,
-    and tol <= 0 raise ``ValueError``."""
-    _require_tol(tol)
+def support(values) -> np.ndarray:
+    """Mask of ``|v| > DEFAULT_TOL * max|v|``, the package's one "nonzero"
+    rule, applied to amplitudes (probabilities via their square roots).
+    All False when every entry is zero; NaN or +-inf raise
+    ``ValueError``."""
     mag = np.abs(np.asarray(values))
     if not np.all(np.isfinite(mag)):
         raise ValueError("support of values containing NaN/Inf")
-    return mag > tol * mag.max(initial=0.0)
+    return mag > DEFAULT_TOL * mag.max(initial=0.0)
 
 
-def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Rank of m: ``svd(m).rank(tol)``."""
-    return svd(m).rank(tol)
+def numeric_rank(m) -> int:
+    """Rank of m: ``svd(m).rank()``."""
+    return svd(m).rank()
 
 
-def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
-    """Whether u is square with max|u u^H - I| <= tol; a tol that is not
-    finite and > 0 raises ``ValueError``."""
-    _require_tol(tol)
+def is_unitary(u) -> bool:
+    """Whether u is square with max|u u^H - I| <= DEFAULT_TOL."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u @ u.conj().T - eye)) <= tol)
+    return bool(np.max(np.abs(u @ u.conj().T - eye)) <= DEFAULT_TOL)
 
 
 @dataclass(frozen=True, eq=False)

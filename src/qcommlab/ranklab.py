@@ -162,13 +162,19 @@ def _require_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer")
 
 
+def _require_audit_size(n) -> None:
+    """ValueError unless n is an integer in 1..8, the one size rule of the
+    full-rank audits, checked before any 2^n work."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or not 1 <= n <= 8):
+        raise ValueError("n must be an integer in 1..8")
+
+
 def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
                     rows, cols) -> AuditReport:
     """Random matrices with fn's nonzero pattern must have full rank; the
     pattern permuted to (rows, cols) must have ones on the diagonal and
     zeros below it, which makes every such matrix triangular."""
-    if n > 8:
-        raise ValueError("n > 8 not supported by this audit")
     _require_int(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -193,6 +199,7 @@ def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
 
 def eq_fullrank_audit(n: int, trials: int, seed: int) -> AuditReport:
     """Random matrices with the EQ nonzero pattern must have full rank."""
+    _require_audit_size(n)
     identity = range(1 << n)
     return _fullrank_audit("EQ", n, trials, seed, identity, identity)
 
@@ -213,8 +220,7 @@ def disj_ordering(n: int):
 
 def disj_triangular_audit(n: int, trials: int, seed: int) -> AuditReport:
     """The full-rank audit of DISJ under ``disj_ordering``."""
-    if n > 8:  # before the 2^n ordering is built
-        raise ValueError("n > 8 not supported by this audit")
+    _require_audit_size(n)
     rows, cols = disj_ordering(n)
     return _fullrank_audit("DISJ", n, trials, seed, rows, cols)
 
@@ -267,7 +273,9 @@ def lemma2_scalarize(a_family, b_family, target: CommMatrix,
     """
     a_family = np.asarray(a_family, dtype=complex)
     b_family = np.asarray(b_family, dtype=complex)
-    if a_family.ndim != 3 or b_family.ndim != 3:
+    if (a_family.ndim != 3 or b_family.ndim != 3
+            or a_family.shape[1] != 1 << target.n
+            or b_family.shape[1] != 1 << target.n):
         raise ValueError("families must be [m, 2^n, dim] arrays")
     m = a_family.shape[0]
     if b_family.shape[0] != m:
@@ -354,7 +362,9 @@ class FoldedPolynomial:
         object.__setattr__(self, "coeffs", c)
 
     def evaluate(self, z: int) -> float:
-        """Value at the 0/1 point with bitmask z, 0 <= z < 2^n."""
+        """Value at the 0/1 point with bitmask z, an integer (not a bool)
+        with 0 <= z < 2^n."""
+        _require_int(z, "point")
         if not 0 <= z < 1 << self.n:
             raise ValueError(f"point {z} out of range for {self.n} variables")
         return float(_subset_sums(self.coeffs, 1)[z])

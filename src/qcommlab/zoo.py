@@ -538,54 +538,49 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
                               int(j_leaf.sum() + j_outer.sum()), measured)
 
 
-def _require_finite(value, name: str = "n") -> None:
-    """ValueError unless value converts to a finite float (an int above
-    the float range does not)."""
+def _require_finite(n) -> None:
+    """ValueError unless n converts to a finite float (an int above the
+    float range does not)."""
     try:
-        finite = math.isfinite(value)
+        finite = math.isfinite(n)
     except OverflowError:
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("n must be finite")
 
 
-def _max_cost(n, threshold, k) -> float:
-    """k times the most qubits the search over n bits sends, over all
-    coins; n must be a finite whole number >= 1, as it counts bits, and k
-    finite and > 0.  A disjoint input runs every round until the budget,
-    the sum of (j + 1), is spent, so it costs the most.  A verification
-    costs as much as an outer query, as ceil(log2 n) = jbits + lbits, so
-    the costliest coins put every j_leaf at its top and spend the budget
-    in the fewest rounds."""
+def _max_cost(n, threshold) -> float:
+    """The most qubits the search over n bits sends, over all coins; n
+    must be a finite whole number >= 1, as it counts bits.  A disjoint
+    input runs every round until the budget, the sum of (j + 1), is spent,
+    so it costs the most.  A verification costs as much as an outer query,
+    as ceil(log2 n) = jbits + lbits, so the costliest coins put every
+    j_leaf at its top and spend the budget in the fewest rounds."""
     _require_finite(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n % 1:
         raise ValueError("n must be a whole number of bits")
-    _require_finite(k, "k")
-    if k <= 0:
-        raise ValueError("k must be > 0")
     widths = _widths(n, threshold)
     jbits, lbits, _ = widths
     if not jbits:  # n = 1: a single candidate, verified once
-        return float(k * _run_cost(widths, 1, 0))
+        return float(_run_cost(widths, 1, 0))
     budget, _, _, fewest = _bbht_rounds(_root(jbits))
     top = math.ceil(_root(lbits)) - 1
-    return float(k * _run_cost(widths, fewest, budget - fewest,
-                               top * (fewest + 2 * (budget - fewest))))
+    return float(_run_cost(widths, fewest, budget - fewest,
+                           top * (fewest + 2 * (budget - fewest))))
 
 
-def bcw_cost_model(n, k: float = 1.0) -> float:
-    """_max_cost of bcw_intersection, k ceil(9 sqrt(2^b)) (2b + 2) with
-    b = ceil(log2 n), as a query and a verification cost the same; 2k at
+def bcw_cost_model(n) -> float:
+    """_max_cost of bcw_intersection, ceil(9 sqrt(2^b)) (2b + 2) with
+    b = ceil(log2 n), as a query and a verification cost the same; 2 at
     n = 1."""
-    return _max_cost(n, math.inf, k)
+    return _max_cost(n, math.inf)
 
 
-def cost_model(n, rcfg: Optional[RecursionConfig] = None,
-               k: float = 1.0) -> float:
+def cost_model(n, rcfg: Optional[RecursionConfig] = None) -> float:
     """_max_cost of recursive_intersection under rcfg."""
-    return _max_cost(n, (rcfg or RecursionConfig()).base_threshold, k)
+    return _max_cost(n, (rcfg or RecursionConfig()).base_threshold)
 
 
 def log_star(n: float) -> int:
@@ -612,7 +607,7 @@ class CostEnvelopeFit:
 
 def fit_cost_envelope(ns: Sequence[int]) -> CostEnvelopeFit:
     """Fit kappa so cost_model(n)/sqrt(n) <= kappa * c**log_star(n) on the
-    probes, with c = ENVELOPE_BASE and the default recursion and k."""
+    probes, with c = ENVELOPE_BASE and the default recursion."""
     ratios = tuple(cost_model(n) / math.sqrt(n) for n in ns)
     stars = tuple(log_star(n) for n in ns)
     kappa = max(r / ENVELOPE_BASE ** s for r, s in zip(ratios, stars))

@@ -1,4 +1,7 @@
-"""The public API: adding or dropping a name is a visible edit here."""
+"""The public API: adding or dropping a name, or a parameter of a
+pinned function, is a visible edit here."""
+
+import inspect
 
 import qcommlab
 
@@ -25,3 +28,18 @@ PUBLIC = [
 
 def test_public_api_is_pinned():
     assert sorted(qcommlab.__all__) == PUBLIC
+
+
+def test_rule_and_cost_model_parameters_are_pinned():
+    # the one tolerance and the exact cost models are constants: a
+    # tolerance or a scale parameter added back is a visible edit here
+    pinned = {
+        qcommlab.linalg.support: ["values"],
+        qcommlab.numeric_rank: ["m"],
+        qcommlab.SvdResult.rank: ["self"],
+        qcommlab.is_unitary: ["u"],
+        qcommlab.cost_model: ["n", "rcfg"],
+        qcommlab.zoo.bcw_cost_model: ["n"],
+    }
+    for f, params in pinned.items():
+        assert list(inspect.signature(f).parameters) == params, f.__name__

@@ -57,7 +57,6 @@ def test_support_is_relative_to_the_largest_magnitude():
     # the rule is scale free
     assert np.array_equal(linalg.support(1e-20 * v), linalg.support(v))
     assert np.array_equal(linalg.support(1e20 * v), linalg.support(v))
-    assert linalg.support(v, tol=1e-12).tolist() == [True] * 4 + [False]
     m = np.array([[3.0, -1e-6], [0.0, -3.0]])
     assert linalg.support(m).tolist() == [[True, True], [False, True]]
 
@@ -86,27 +85,6 @@ def test_numeric_rank_basic_cases():
     assert linalg.numeric_rank(np.zeros((4, 4))) == 0
     eq3 = np.eye(8)[np.random.default_rng(0).permutation(8)]
     assert linalg.numeric_rank(eq3) == 8
-
-
-def test_rank_tolerance_must_be_positive():
-    with pytest.raises(ValueError, match="tol must be positive"):
-        linalg.numeric_rank(np.eye(2), 0)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        linalg.svd(np.eye(2)).rank(-1e-9)
-
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9],
-                         ids=["nan", "inf", "zero", "negative"])
-def test_rule_functions_reject_a_tolerance_not_finite_and_positive(tol):
-    # nan and inf would make every entry zero, a negative tol every entry
-    # nonzero
-    for rule in (lambda: linalg.support(np.eye(4), tol),
-                 lambda: linalg.numeric_rank(np.eye(4), tol),
-                 lambda: linalg.svd(np.eye(4)).rank(tol),
-                 lambda: linalg.is_unitary(np.eye(4), tol)):
-        with pytest.raises(ValueError,
-                           match="^tol must be positive and finite$"):
-            rule()
 
 
 def test_numeric_rank_matches_exact_oracle_on_integer_matrices():

@@ -132,6 +132,15 @@ def test_fullrank_audits_reject_negative_trials(audit):
     assert rep.ok and json.loads(rep.to_json())["trials"] == 2
 
 
+@pytest.mark.parametrize("audit", [ranklab.eq_fullrank_audit,
+                                   ranklab.disj_triangular_audit],
+                         ids=["eq-fullrank", "disj-triangular"])
+@pytest.mark.parametrize("n", [-1, 0, 9, 2.5, True])
+def test_fullrank_audits_take_sizes_1_to_8_only(audit, n):
+    with pytest.raises(ValueError, match=r"^n must be an integer in 1\.\.8$"):
+        audit(n, trials=1, seed=1)
+
+
 def test_disj_ordering_triangularizes():
     rows, cols = ranklab.disj_ordering(2)
     disj = ranklab.build_comm_matrix("DISJ", 2).values
@@ -217,7 +226,7 @@ def test_scalarize_rejects_non_3d_families_and_disagreeing_sizes():
     a, b = neq1_difference_family()
     target = ranklab.build_comm_matrix("NEQ", 1)
     for bad_a, bad_b in ((a[0], b), (a, b[0]), (a[..., None], b),
-                         (a, b[None])):
+                         (a, b[None]), (a[:, :1], b), (a, b[:, :1])):
         with pytest.raises(ValueError, match=r"families must be \[m, 2\^n"):
             ranklab.lemma2_scalarize(bad_a, bad_b, target)
     with pytest.raises(ValueError, match="family sizes disagree"):
@@ -426,9 +435,10 @@ def test_subset_sums_match_the_loops_they_replaced():
 def test_evaluate_rejects_points_out_of_range():
     poly = ranklab.FoldedPolynomial(n=2, coeffs=np.array([1.0, -1, -1, 1]))
     assert poly.evaluate(3) == 0.0
-    for z in (-1, 4):
+    for z in (-1, 4, 1.5, True, np.float64(1)):
         with pytest.raises(ValueError):
             poly.evaluate(z)
+    assert poly.evaluate(np.int64(1)) == poly.evaluate(1)
 
 
 def test_folded_polynomial_needs_one_coefficient_per_subset():

@@ -307,12 +307,10 @@ def test_cost_model_equals_the_dp_reference():
                 continue
             want = reference_max_cost(widths)
             checked.add(widths)
-            for k in (0.1, 0.5, 1.0, 2.0, 8.0):
-                got = (zoo.bcw_cost_model(n, k) if threshold == math.inf
-                       else zoo.cost_model(
-                           n, zoo.RecursionConfig(base_threshold=threshold),
-                           k))
-                assert got == k * want, (threshold, k, n)
+            got = (zoo.bcw_cost_model(n) if threshold == math.inf
+                   else zoo.cost_model(
+                       n, zoo.RecursionConfig(base_threshold=threshold)))
+            assert got == want, (threshold, n)
             if not widths[1]:  # the flat search's closed form
                 b = widths[0]
                 assert want == (math.ceil(9 * math.sqrt(2 ** b)) * (2 * b + 2)
@@ -343,15 +341,6 @@ def test_cost_functions_reject_non_finite_n():
         for f in (zoo.log_star, zoo.cost_model, zoo.bcw_cost_model):
             with pytest.raises(ValueError, match="n must be"):
                 f(n)
-    # the scale k too, and it must be positive
-    for k in (math.nan, math.inf, -math.inf, 10 ** 400):
-        for f in (zoo.cost_model, zoo.bcw_cost_model):
-            with pytest.raises(ValueError, match="^k must be finite$"):
-                f(256, k=k)
-    for k in (-1, 0, -0.0):
-        for f in (zoo.cost_model, zoo.bcw_cost_model):
-            with pytest.raises(ValueError, match="^k must be > 0$"):
-                f(256, k=k)
 
 
 def test_cost_models_take_only_whole_sizes():
