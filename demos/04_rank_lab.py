@@ -39,7 +39,7 @@ def main():
 
     disj = ranklab.build_comm_matrix("DISJ", 3)
     am = engine.acceptance_matrix(zoo.trivial_exact_protocol(disj))
-    rep = ranklab.nor_approx_audit(ranklab.fold_to_polynomial(am), 1 / 3)
+    rep = ranklab.nor_approx_audit(ranklab.fold_to_polynomial(am))
     print()
     print(f"NOR approximation audit on exact DISJ_3 protocol: ok = {rep.ok}, "
           f"max error {rep.max_error:.2e}, monomials {rep.monomials} "

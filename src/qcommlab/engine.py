@@ -116,9 +116,9 @@ def _not_bits(value) -> ValueError:
 def as_bits(value, n: int) -> tuple:
     """Normalize an input to a tuple of n bits, most significant first.
 
-    Accepts an int, a '01' string, or a bit sequence.
+    Accepts an int other than a bool, a '01' string, or a bit sequence.
     """
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if value < 0 or value >= (1 << n):
             raise ValueError(f"input {value} out of range for {n} bits")
         # the binary digits below a leading 1 set at bit n, so n of them
@@ -378,22 +378,25 @@ class AcceptanceMatrix:
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "values": self.values.tolist()})
 
-    @classmethod
-    def from_json(cls, text: str) -> "AcceptanceMatrix":
-        obj = json.loads(text)
-        return cls(n=obj["n"], values=np.asarray(obj["values"]))
 
-
-def acceptance_matrix(p: Protocol) -> AcceptanceMatrix:
+def _require_tabulable(p: Protocol, name: str) -> None:
+    """CapacityError unless a walk over all 2^n inputs of p fits: the one
+    size rule of acceptance_matrix and output_families, checked before
+    any step is built."""
     n = p.input_bits
     if n > ACCEPTANCE_N_GUARD:
         raise CapacityError(
-            f"acceptance_matrix over 2^{2 * n} pairs; it tabulates only "
+            f"{name} over 2^{2 * n} pairs; it tabulates only "
             f"n <= {ACCEPTANCE_N_GUARD}")
     if n + p.layout.total > MAX_TOTAL_QUBITS:
         raise CapacityError(
             f"one row of 2^{n} pairs over {p.layout.total} qubits exceeds "
             f"the {MAX_TOTAL_QUBITS}-qubit guard")
+
+
+def acceptance_matrix(p: Protocol) -> AcceptanceMatrix:
+    _require_tabulable(p, "acceptance_matrix")
+    n = p.input_bits
     dim = 1 << n
     inputs = [as_bits(i, n) for i in range(dim)]
     bob = _compile(p, [], inputs)
@@ -546,6 +549,7 @@ def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
 def output_families(p: Protocol) -> tuple:
     """Output-bit-1 transcript components of every input, from one walk:
     A_i(x) and B_i(y) as [transcripts, 2^n, dim] arrays."""
+    _require_tabulable(p, "output_families")
     inputs = [as_bits(i, p.input_bits) for i in range(1 << p.input_bits)]
     a1, b1, _ = _decompose(p, inputs, inputs).output_components()
     return (np.ascontiguousarray(a1.swapaxes(0, 1)),

@@ -5,9 +5,10 @@ matrices whose nonzero pattern certifies a function's 1-set, one
 full-rank audit for EQ and DISJ (an ordering makes the pattern
 triangular), randomized scalarization of vector families into low-rank
 witnesses, and the diagonal-restriction polynomial toolchain for
-acceptance matrices that depend on x AND y bitwise.  Every zero pattern
-is ``linalg.support``; acceptance probabilities, being squared
-amplitudes, go through ``AcceptanceMatrix.support``.
+acceptance matrices that depend on x AND y bitwise, down to the check
+that a folded polynomial approximates NOR to within NOR_ERROR.  Every
+zero pattern is ``linalg.support``; acceptance probabilities, being
+squared amplitudes, go through ``AcceptanceMatrix.support``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ COMM_N_GUARD = 10
 SCALARIZE_RETRY_BUDGET = 32
 # Lemma 2's coefficients are drawn from 2^COEFF_BITS values in [1, 2)
 COEFF_BITS = 24
+# nor_approx_audit's error bound: the protocols' bounded error
+NOR_ERROR = 1 / 3
 
 
 @dataclass(frozen=True)
@@ -114,15 +117,6 @@ class NdetWitness:
     matrix: np.ndarray
     target: CommMatrix
     rank: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "target": self.target.name,
-            "n": self.target.n,
-            "rank": self.rank,
-            "pattern_ok": True,
-            "counterexamples": [],
-        })
 
 
 def verify_ndet_witness(m, target: CommMatrix) -> NdetWitness:
@@ -407,21 +401,13 @@ def monomial_rank_audit(p: engine.AcceptanceMatrix) -> MonomialRankReport:
 class NorApproxReport:
     ok: bool
     max_error: float
-    eps: float
     monomials: int
     predicted_monomial_lower_bound: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "ok": self.ok, "max_error": self.max_error, "eps": self.eps,
-            "monomials": self.monomials,
-            "predicted_monomial_lower_bound":
-                self.predicted_monomial_lower_bound,
-        })
 
-
-def nor_approx_audit(poly: FoldedPolynomial, eps: float) -> NorApproxReport:
-    """Does the polynomial eps-approximate NOR on every 0/1 point?
+def nor_approx_audit(poly: FoldedPolynomial) -> NorApproxReport:
+    """Does the polynomial approximate NOR to within NOR_ERROR on every
+    0/1 point?
 
     The 2^sqrt(n/12) monomial lower bound for such approximations is
     reported alongside, never asserted at these sizes.
@@ -429,7 +415,7 @@ def nor_approx_audit(poly: FoldedPolynomial, eps: float) -> NorApproxReport:
     nor = np.eye(1, 1 << poly.n)[0]  # 1 at the all-zero point only
     max_err = float(np.max(np.abs(_subset_sums(poly.coeffs, 1) - nor)))
     return NorApproxReport(
-        ok=max_err <= eps, max_error=max_err, eps=eps,
+        ok=max_err <= NOR_ERROR, max_error=max_err,
         monomials=poly.monomial_count(),
         predicted_monomial_lower_bound=2.0 ** math.sqrt(poly.n / 12.0))
 

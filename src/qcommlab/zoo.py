@@ -44,6 +44,8 @@
   inputs, as callers run many seeds on one input.  Each seed draws only
   its schedule, its j_leaf, one uniform per round and one index.  An
   exception is not cached, so bad input raises on every call.
+* fit_cost_envelope: the default model's ratios cost_model(n)/sqrt(n) at
+  given probes, their log* n, and whether the ratios grow.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ _TINY = np.finfo(float).tiny
 # search's cutoff grows by this factor after each miss.  Their analysis
 # needs 1 < lambda < 4/3.
 SCHEDULE_GROWTH = 1.2
-# c of the O(sqrt(n) c^(log* n)) envelope that fit_cost_envelope fits
-ENVELOPE_BASE = 2.0
 
 
 def _flip_rows(table) -> np.ndarray:
@@ -539,8 +539,10 @@ def recursive_intersection(x, y, rcfg: RecursionConfig,
 
 
 def _require_finite(n) -> None:
-    """ValueError unless n converts to a finite float (an int above the
-    float range does not)."""
+    """ValueError unless n is not a bool and converts to a finite float
+    (an int above the float range does not)."""
+    if isinstance(n, (bool, np.bool_)):
+        raise ValueError("n must be a number, not a bool")
     try:
         finite = math.isfinite(n)
     except OverflowError:
@@ -598,22 +600,18 @@ def log_star(n: float) -> int:
 
 @dataclass(frozen=True)
 class CostEnvelopeFit:
-    c: float  # always ENVELOPE_BASE
-    kappa: float
     ratios: tuple
     log_stars: tuple
     monotone: bool
 
 
 def fit_cost_envelope(ns: Sequence[int]) -> CostEnvelopeFit:
-    """Fit kappa so cost_model(n)/sqrt(n) <= kappa * c**log_star(n) on the
-    probes, with c = ENVELOPE_BASE and the default recursion."""
+    """The probes' ratios cost_model(n)/sqrt(n) under the default
+    recursion, their log* n, and whether the ratios grow with n."""
     ratios = tuple(cost_model(n) / math.sqrt(n) for n in ns)
     stars = tuple(log_star(n) for n in ns)
-    kappa = max(r / ENVELOPE_BASE ** s for r, s in zip(ratios, stars))
     monotone = all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
-    return CostEnvelopeFit(c=ENVELOPE_BASE, kappa=kappa, ratios=ratios,
-                           log_stars=stars, monotone=monotone)
+    return CostEnvelopeFit(ratios=ratios, log_stars=stars, monotone=monotone)
 
 
 @dataclass(frozen=True)

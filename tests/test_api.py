@@ -1,6 +1,7 @@
 """The public API: adding or dropping a name, or a parameter of a
 pinned function, is a visible edit here."""
 
+import dataclasses
 import inspect
 
 import qcommlab
@@ -43,3 +44,21 @@ def test_rule_and_cost_model_parameters_are_pinned():
     }
     for f, params in pinned.items():
         assert list(inspect.signature(f).parameters) == params, f.__name__
+
+
+def test_audit_and_envelope_surface_is_pinned():
+    # the NOR audit's error bound is a constant and the envelope reports
+    # only what it measures: a parameter or field added back is an edit here
+    pinned = {
+        qcommlab.nor_approx_audit: ["poly"],
+        qcommlab.fit_cost_envelope: ["ns"],
+    }
+    for f, params in pinned.items():
+        assert list(inspect.signature(f).parameters) == params, f.__name__
+    fields = {
+        qcommlab.zoo.CostEnvelopeFit: ["ratios", "log_stars", "monotone"],
+        qcommlab.ranklab.NorApproxReport: [
+            "ok", "max_error", "monomials", "predicted_monomial_lower_bound"],
+    }
+    for cls, names in fields.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__

@@ -249,11 +249,35 @@ def test_acceptance_matrix_guard():
         engine.acceptance_matrix(p)
 
 
+def test_walks_over_all_inputs_check_their_size_before_any_build():
+    def unbuildable(p):
+        # a step build fails the test, so a missing guard fails on the
+        # first build and never allocates the walk
+        def build(bits):
+            raise AssertionError("a step was built before the size check")
+        return Protocol(p.layout, tuple(ProtocolStep(s.party, s.window, build)
+                                        for s in p.steps),
+                        input_bits=p.input_bits)
+
+    # n = 10 is past the input guard: each of its 1,024 dense gates is
+    # 16 MiB
+    big = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", 10)).protocol
+    # n = 1 on 24 qubits is past the qubit guard
+    wide = Protocol(RegisterLayout(0, 1, 23),
+                    (ProtocolStep(ALICE, (0,), lambda bits: []),),
+                    input_bits=1)
+    for walk in (engine.output_families, engine.acceptance_matrix):
+        message = (rf"^{walk.__name__} over 2\^20 pairs; "
+                   r"it tabulates only n <= 6$")
+        with pytest.raises(CapacityError, match=message):
+            walk(unbuildable(big))
+        with pytest.raises(CapacityError, match="1 pairs over 24 qubits"):
+            walk(unbuildable(wide))
+
+
 def test_acceptance_matrix_serialization_roundtrip():
     p = zoo.ndet_svd_protocol(ranklab.canonical_witness("NEQ", 2)).protocol
     am = engine.acceptance_matrix(p)
-    back = engine.AcceptanceMatrix.from_json(am.to_json())
-    assert back.n == am.n and np.array_equal(back.values, am.values)
     rows = am.to_csv().strip().split("\n")
     assert len(rows) == 4 and all(len(r.split(",")) == 4 for r in rows)
     obj = json.loads(am.to_json())
@@ -386,6 +410,12 @@ def test_as_bits_forms():
     assert engine.as_bits([0, 1], 2) == (0, 1)
     with pytest.raises(ValueError):
         engine.as_bits("01", 3)
+    # a bool is not an input, whether Python's or numpy's
+    for value in (True, False, np.True_):
+        with pytest.raises(ValueError):
+            engine.as_bits(value, 1)
+    with pytest.raises(ValueError):
+        engine.simulate(one_message_protocol(), True, 0)
 
 
 def test_bit_array_forms():
