@@ -8,7 +8,8 @@ party.  A step's gates may act only on the sender's register, channel
 qubits the sender currently holds, and the declared window.  The cost of a
 protocol is the total number of window qubits over all steps.  The output
 bit is the first channel qubit, read at the very end; there are no
-intermediate measurements.
+intermediate measurements.  An input is its index in [0, 2^n), first bit
+most significant (``as_input``), and a step's build gets the sender's.
 
 Every entry point runs one turn-walker.  ``_compile`` walks the steps once,
 checks ownership and legality, and builds each Alice step once per x and
@@ -113,27 +114,20 @@ def _not_bits(value) -> ValueError:
     return ValueError(f"inputs must be 0/1 sequences, got {value!r}")
 
 
-def as_bits(value, n: int) -> tuple:
-    """Normalize an input to a tuple of n bits, most significant first.
+def as_input(value, n: int) -> int:
+    """An input as its index in [0, 2^n), most significant bit first.
 
     Accepts an int other than a bool, a '01' string, or a bit sequence.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if value < 0 or value >= (1 << n):
             raise ValueError(f"input {value} out of range for {n} bits")
-        # the binary digits below a leading 1 set at bit n, so n of them
-        return tuple(map(int, bin(int(value) | 1 << n)[3:]))
-    bits = tuple(bit_array(value).tolist())
+        return int(value)
+    bits = bit_array(value)
     if len(bits) != n:
         raise ValueError(f"expected {n} bits, got {value!r}")
-    return bits
-
-
-def bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+    # the bits as binary digits after a leading 0, so n = 0 reads 0
+    return int("0" + "".join(map(str, bits.tolist())), 2)
 
 
 @dataclass(frozen=True)
@@ -143,6 +137,8 @@ class RegisterLayout:
     bob_qubits: int
 
     def __post_init__(self):
+        for name in ("alice_qubits", "channel_qubits", "bob_qubits"):
+            linalg._require_int(getattr(self, name), name)
         if self.alice_qubits < 0 or self.bob_qubits < 0:
             raise ValueError("negative register size")
         if self.channel_qubits < 1:
@@ -176,21 +172,26 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """One turn.  ``build`` maps the sender's input bits to a gate list.
+    """One turn.  ``build`` maps the sender's input, as its index in
+    [0, 2^input_bits) with the first bit most significant, to a gate list.
 
-    ``window`` lists the channel qubits (channel-local indices) sent this
-    turn; it may be empty for a bookkeeping turn with no message.
+    ``window`` lists the channel qubits sent this turn, as channel-local
+    indices >= 0; it may be empty for a bookkeeping turn with no message.
     """
 
     party: str
     window: tuple
-    build: Callable[[tuple], Sequence[Gate]]
+    build: Callable[[int], Sequence[Gate]]
 
     def __post_init__(self):
         if self.party not in (ALICE, BOB):
             raise ValueError(f"unknown party {self.party!r}")
-        object.__setattr__(self, "window", tuple(self.window))
-        if len(set(self.window)) != len(self.window):
+        window = tuple(linalg._require_int(k, "a window index")
+                       for k in self.window)
+        object.__setattr__(self, "window", window)
+        if window and min(window) < 0:
+            raise ValueError("window indices must be nonnegative")
+        if len(set(window)) != len(window):
             raise ValueError("window indices must be distinct")
 
     @property
@@ -206,6 +207,8 @@ class Protocol:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "input_bits",
+                           linalg._require_int(self.input_bits, "input_bits"))
         for k, step in enumerate(self.steps):
             expected = ALICE if k % 2 == 0 else BOB
             if step.party != expected:
@@ -247,7 +250,7 @@ class _Turn(NamedTuple):
     groups: list
 
 
-def _compile(p: Protocol, xs: Sequence[tuple], ys: Sequence[tuple]) -> list:
+def _compile(p: Protocol, xs: Sequence[int], ys: Sequence[int]) -> list:
     """Walk the steps once: check channel ownership, build each Alice step
     once per input in ``xs`` and each Bob step once per input in ``ys``,
     group the inputs with gates by the targets of their gate lists, raise
@@ -268,8 +271,8 @@ def _compile(p: Protocol, xs: Sequence[tuple], ys: Sequence[tuple]) -> list:
             if o == step.party))
         # per tuple of gate-list targets, its inputs and their gate lists
         members = {}
-        for i, bits in enumerate(xs if step.party == ALICE else ys):
-            gates = list(step.build(bits))
+        for i, v in enumerate(xs if step.party == ALICE else ys):
+            gates = list(step.build(v))
             if gates:
                 inputs, lists = members.setdefault(
                     tuple([g.targets for g in gates]), ([], []))
@@ -340,8 +343,8 @@ def _accept_probs(lay: RegisterLayout, states: np.ndarray) -> np.ndarray:
 
 
 def simulate(p: Protocol, x, y) -> SimulationResult:
-    x = as_bits(x, p.input_bits)
-    y = as_bits(y, p.input_bits)
+    x = as_input(x, p.input_bits)
+    y = as_input(y, p.input_bits)
     states = _evolve(p.layout, _compile(p, [x], [y]), 1, 1)
     accept = float(_accept_probs(p.layout, states)[0, 0])
     return SimulationResult(states[0, 0], accept, p.declared_cost)
@@ -398,7 +401,7 @@ def acceptance_matrix(p: Protocol) -> AcceptanceMatrix:
     _require_tabulable(p, "acceptance_matrix")
     n = p.input_bits
     dim = 1 << n
-    inputs = [as_bits(i, n) for i in range(dim)]
+    inputs = range(dim)
     bob = _compile(p, [], inputs)
     rows = max(1, CHUNK_AMPLITUDES >> (n + p.layout.total))
     values = np.empty((dim, dim), dtype=float)
@@ -475,8 +478,8 @@ def _project_out(vectors: np.ndarray, pos: int) -> np.ndarray:
     return t[..., 1, :].reshape(vectors.shape[:-1] + (dim // 2,))
 
 
-def _decompose(p: Protocol, xs: Sequence[tuple],
-               ys: Sequence[tuple]) -> TranscriptDecomposition:
+def _decompose(p: Protocol, xs: Sequence[int],
+               ys: Sequence[int]) -> TranscriptDecomposition:
     """Transcript branches of every input in ``xs`` (Alice) and ``ys``
     (Bob), from one walk: a_vectors[i] holds x_i's branches and
     b_vectors[j] y_j's, since a party's branches depend only on its own
@@ -539,7 +542,8 @@ def _decompose(p: Protocol, xs: Sequence[tuple],
 
 def yao_kremer_decompose(p: Protocol, x, y) -> TranscriptDecomposition:
     """The decomposition of one pair's final state: the walk over [x], [y]."""
-    d = _decompose(p, [as_bits(x, p.input_bits)], [as_bits(y, p.input_bits)])
+    n = p.input_bits
+    d = _decompose(p, [as_input(x, n)], [as_input(y, n)])
     # built directly: dataclasses.replace costs twice as much
     return TranscriptDecomposition(d.layout, d.ell, d.alice_side, d.bob_side,
                                    d.pool_qubits, d.a_vectors[0],
@@ -550,7 +554,7 @@ def output_families(p: Protocol) -> tuple:
     """Output-bit-1 transcript components of every input, from one walk:
     A_i(x) and B_i(y) as [transcripts, 2^n, dim] arrays."""
     _require_tabulable(p, "output_families")
-    inputs = [as_bits(i, p.input_bits) for i in range(1 << p.input_bits)]
+    inputs = range(1 << p.input_bits)
     a1, b1, _ = _decompose(p, inputs, inputs).output_components()
     return (np.ascontiguousarray(a1.swapaxes(0, 1)),
             np.ascontiguousarray(b1.swapaxes(0, 1)))

@@ -26,6 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -196,13 +197,24 @@ class GateStack:
         return len(self.unitaries if self.rows is None else self.rows)
 
 
+def _is_int(value) -> bool:
+    """The one integer rule: an integer type but bool, numpy's included."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_int(value, name: str) -> int:
+    """value as an int; ValueError unless _is_int(value)."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
 def _int_targets(targets) -> tuple:
     """targets as ints; ValueError for a bool or a non-integer target."""
     targets = tuple(targets)
     if all(type(t) is int for t in targets):  # plain ints: one cheap pass
         return targets
-    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
-               for t in targets):
+    if not all(map(_is_int, targets)):
         raise ValueError(f"target qubits must be integers, got {targets}")
     return tuple(map(int, targets))
 

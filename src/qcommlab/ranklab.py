@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,8 +65,8 @@ class CommMatrix:
 
 def _input_grid(n: int) -> tuple:
     """x indices as a column and y indices as a row of a 2^n x 2^n table;
-    the one size rule of the tables here is 1 <= n <= COMM_N_GUARD."""
-    if n < 1 or n > COMM_N_GUARD:
+    the tables' one size rule is an integer n in 1..COMM_N_GUARD."""
+    if not (linalg._is_int(n) and 1 <= n <= COMM_N_GUARD):
         raise ValueError(f"n must be in 1..{COMM_N_GUARD}")
     xs = np.arange(1 << n)
     return xs[:, None], xs[None, :]
@@ -149,18 +148,10 @@ class AuditReport:
         })
 
 
-def _require_int(value, name: str) -> None:
-    """ValueError unless value has an integer type other than bool (numpy
-    integers included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer")
-
-
 def _require_audit_size(n) -> None:
     """ValueError unless n is an integer in 1..8, the one size rule of the
     full-rank audits, checked before any 2^n work."""
-    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-            or not 1 <= n <= 8):
+    if not (linalg._is_int(n) and 1 <= n <= 8):
         raise ValueError("n must be an integer in 1..8")
 
 
@@ -169,7 +160,7 @@ def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
     """Random matrices with fn's nonzero pattern must have full rank; the
     pattern permuted to (rows, cols) must have ones on the diagonal and
     zeros below it, which makes every such matrix triangular."""
-    _require_int(trials, "trials")
+    trials = linalg._require_int(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     dim = 1 << n
@@ -187,7 +178,7 @@ def _fullrank_audit(fn: str, n: int, trials: int, seed: int,
         if rank != dim or (n <= 5 and linalg.exact_rank(m) != dim):
             failures.append({"kind": "rank", "trial": t, "rank": rank})
     name = {"EQ": "eq-fullrank", "DISJ": "disj-triangular"}[fn]
-    return AuditReport(name=name, n=n, trials=int(trials), ok=not failures,
+    return AuditReport(name=name, n=n, trials=trials, ok=not failures,
                        failures=failures, detail={"expected_rank": dim})
 
 
@@ -284,7 +275,8 @@ def lemma2_scalarize(a_family, b_family, target: CommMatrix,
         if np.array_equal(linalg.support(v), target.values == 1):
             return ScalarizationTrial(
                 alpha=alpha, beta=beta, v_table=v, success=True,
-                attempt=attempt, witness=verify_ndet_witness(v, target))
+                attempt=attempt, witness=NdetWitness(
+                    matrix=v, target=target, rank=linalg.numeric_rank(v)))
     predicted = min(1.0, int(np.sum(target.values)) * 2.0 / size)
     raise ProbabilisticFailureError(
         f"no pattern match in {SCALARIZE_RETRY_BUDGET} attempts "
@@ -358,7 +350,7 @@ class FoldedPolynomial:
     def evaluate(self, z: int) -> float:
         """Value at the 0/1 point with bitmask z, an integer (not a bool)
         with 0 <= z < 2^n."""
-        _require_int(z, "point")
+        linalg._require_int(z, "point")
         if not 0 <= z < 1 << self.n:
             raise ValueError(f"point {z} out of range for {self.n} variables")
         return float(_subset_sums(self.coeffs, 1)[z])

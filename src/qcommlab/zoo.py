@@ -1,4 +1,5 @@
-"""Concrete protocols and search routines.
+"""Concrete protocols, whose step builds index their tables with the
+sender's input index, and search routines.
 
 * _flip_rows: the one builder of "flip the target where a 0/1 table of
   the controls reads 1", as a row order.  Bob's reply in both protocols
@@ -59,8 +60,7 @@ import numpy as np
 
 from . import engine, linalg
 from .engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
-from .ranklab import (CommMatrix, _require_int, build_comm_matrix,
-                      canonical_witness)
+from .ranklab import CommMatrix, build_comm_matrix, canonical_witness
 
 _TINY = np.finfo(float).tiny
 # BBHT's lambda = 6/5 (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034): the
@@ -98,12 +98,12 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
         targets = tuple(lay.channel_qubit(k) for k in msg + (0,))
         return Gate(np.eye(2 << n), targets)
 
-    def alice(xbits):
-        rows = np.arange(1 << n) ^ engine.bits_to_int(xbits)
+    def alice(x):
+        rows = np.arange(1 << n) ^ x
         return [alice_base().with_rows(rows)]
 
-    def bob(ybits):
-        rows = _flip_rows(table[:, engine.bits_to_int(ybits)])
+    def bob(y):
+        rows = _flip_rows(table[:, y])
         return [bob_base().with_rows(rows)]
 
     return Protocol(lay, (ProtocolStep(ALICE, msg, alice),
@@ -159,11 +159,10 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     msg_glob = tuple(lay.channel_qubit(k) for k in msg)
     bob_targets = lay.bob_register + msg_glob + (lay.channel_qubit(0),)
 
-    def alice_send(xbits):
-        xi = engine.bits_to_int(xbits)
-        if dead[xi] or q == 0:
+    def alice_send(x):
+        if dead[x] or q == 0:
             return []
-        phi = (c[xi] * phi_raw[:1 << q, xi]).astype(complex)
+        phi = (c[x] * phi_raw[:1 << q, x]).astype(complex)
         return [Gate(linalg.unitary_with_first_column(phi), msg_glob)]
 
     @functools.cache
@@ -173,8 +172,8 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
         rot[1::2, 1::2] = res.u
         return Gate(rot, bob_targets)
 
-    def bob_reply(ybits):
-        rows = _flip_rows(np.arange(dim) == engine.bits_to_int(ybits))
+    def bob_reply(y):
+        rows = _flip_rows(np.arange(dim) == y)
         return [bob_base().with_rows(rows)]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
@@ -182,9 +181,9 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     if dead.any():
         swap = np.eye(4)[[0, 2, 1, 3]]
 
-        def alice_clean(xbits):
+        def alice_clean(x):
             # move the (possibly 1) output bit into the fresh ancilla
-            if not dead[engine.bits_to_int(xbits)]:
+            if not dead[x]:
                 return []
             return [Gate(swap, (0, lay.channel_qubit(0)))]
 
@@ -266,7 +265,7 @@ def grover_state(start, solutions, iterations: int) -> np.ndarray:
     """State after the given number of amplification iterations on a unit
     start vector."""
     psi0 = _start_vector(start)
-    _require_int(iterations, "iterations")
+    linalg._require_int(iterations, "iterations")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     mask = _solution_mask(solutions, psi0.shape[0])
@@ -481,7 +480,7 @@ class RecursionConfig:
     base_threshold: int = 64
 
     def __post_init__(self):
-        _require_int(self.base_threshold, "base_threshold")
+        linalg._require_int(self.base_threshold, "base_threshold")
         if self.base_threshold < 2:
             raise ValueError("base_threshold must be >= 2")
 

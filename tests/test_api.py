@@ -62,3 +62,35 @@ def test_audit_and_envelope_surface_is_pinned():
     }
     for cls, names in fields.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+
+
+def test_benchmark_surface_is_pinned():
+    # perfbench/workloads.py and perfbench/tracing.py read these names; a
+    # change that drops one fails here, not only in a benchmark run
+    qcommlab.QSearchConfig(rng_seed=0)
+    qcommlab.RecursionConfig(base_threshold=16)
+    qcommlab.AcceptanceMatrix(n=1, values=[[1.0, 0.0], [0.0, 1.0]])
+    attributes = {
+        qcommlab.IntersectionResult: [
+            "index", "cost", "iterations", "measurements", "found"],
+        qcommlab.zoo.CostEnvelopeFit: ["ratios", "log_stars"],
+        qcommlab.NdetProtocolBundle: [
+            "protocol", "per_row_norm", "source_matrix"],
+        qcommlab.zoo.CorpusEntry: ["name", "protocol"],
+        qcommlab.Protocol: ["input_bits"],
+        qcommlab.engine.SimulationResult: [
+            "accept_prob", "cost", "final_state"],
+        qcommlab.engine.TranscriptDecomposition: [
+            "output_components", "reconstruct"],
+        qcommlab.ranklab.ScalarizationTrial: [
+            "success", "witness", "v_table", "attempt"],
+        qcommlab.NdetWitness: ["matrix", "rank"],
+        qcommlab.ranklab.MonomialRankReport: ["ok", "monomials"],
+    }
+    for cls, names in attributes.items():
+        fields = (cls._fields if hasattr(cls, "_fields")
+                  else [f.name for f in dataclasses.fields(cls)])
+        for name in names:
+            assert name in fields or hasattr(cls, name), (cls.__name__, name)
+    fit = qcommlab.fit_cost_envelope([16])
+    assert len(fit.ratios) == len(fit.log_stars) == 1

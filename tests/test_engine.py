@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -15,8 +16,8 @@ def one_message_protocol():
     """Alice writes her single input bit onto the output channel qubit."""
     lay = RegisterLayout(0, 1, 0)
 
-    def alice(xbits):
-        return [Gate(X, (0,))] if xbits[0] else []
+    def alice(x):
+        return [Gate(X, (0,))] if x else []
 
     return Protocol(lay, (ProtocolStep(ALICE, (0,), alice),), input_bits=1)
 
@@ -24,8 +25,8 @@ def one_message_protocol():
 def reference_simulate(p, xi, yi):
     """The per-pair simulator the turn-walker replaced: build both parties'
     gates for this one pair and apply them to one state vector."""
-    x = engine.as_bits(xi, p.input_bits)
-    y = engine.as_bits(yi, p.input_bits)
+    x = engine.as_input(xi, p.input_bits)
+    y = engine.as_input(yi, p.input_bits)
     lay = p.layout
     state = np.zeros(1 << lay.total, dtype=complex)
     state[0] = 1.0
@@ -52,8 +53,8 @@ def random_protocol(n, layout, turns, seed):
         table = [linalg.random_unitary(1 << len(targets), rng)
                  for _ in range(1 << n)]
 
-        def build(bits, table=table, targets=targets):
-            return [Gate(table[engine.bits_to_int(bits)], targets)]
+        def build(v, table=table, targets=targets):
+            return [Gate(table[v], targets)]
 
         steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
     return Protocol(layout, tuple(steps), input_bits=n)
@@ -64,6 +65,12 @@ def test_layout_guards():
         RegisterLayout(1, 0, 1)
     with pytest.raises(CapacityError):
         RegisterLayout(20, 5, 0)
+    # a size is an integer other than a bool, numpy's included
+    for bad in (1.5, 1.0, True, np.True_, "1"):
+        for sizes in ((bad, 1, 0), (0, bad, 0), (0, 1, bad)):
+            with pytest.raises(ValueError, match="must be an integer$"):
+                RegisterLayout(*sizes)
+    assert RegisterLayout(np.int64(1), np.int64(1), 0).total == 2
 
 
 def test_steps_must_alternate_starting_with_alice():
@@ -71,6 +78,28 @@ def test_steps_must_alternate_starting_with_alice():
     step = ProtocolStep(BOB, (0,), lambda b: [])
     with pytest.raises(ValueError):
         Protocol(lay, (step,), input_bits=1)
+
+
+def test_malformed_windows_and_input_sizes_are_rejected_when_made():
+    def build(v):
+        return []
+
+    for window in ((1.0,), (True,), (np.True_,), ("0",)):
+        with pytest.raises(ValueError, match="^a window index must be an integer$"):
+            ProtocolStep(ALICE, window, build)
+    with pytest.raises(ValueError, match="^window indices must be nonnegative$"):
+        ProtocolStep(ALICE, (0, -1), build)
+    step = ProtocolStep(ALICE, (np.int64(0),), build)
+    assert step.window == (0,) and type(step.window[0]) is int
+    lay = RegisterLayout(0, 1, 0)
+    for bad in (True, 1.5, np.float64(1)):
+        with pytest.raises(ValueError, match="^input_bits must be an integer$"):
+            Protocol(lay, (step,), input_bits=bad)
+    with pytest.raises(ValueError, match="^input_bits must be nonnegative$"):
+        Protocol(lay, (step,), input_bits=-1)
+    p = Protocol(lay, (step,), input_bits=np.int64(1))
+    assert type(p.input_bits) is int
+    assert json.loads(engine.acceptance_matrix(p).to_json())["n"] == 1
 
 
 def test_trivial_protocol_simulation_values():
@@ -208,13 +237,13 @@ def test_acceptance_matrix_over_several_chunks():
 def test_gate_illegal_for_one_input_rejected(monkeypatch):
     lay = RegisterLayout(0, 2, 0)
 
-    def alice(xbits):
+    def alice(x):
         # input 3 touches channel qubit 0, which is not in the window
-        return [Gate(X, (0 if xbits == (1, 1) else 1,))]
+        return [Gate(X, (0 if x == 3 else 1,))]
 
-    def bob(ybits):
+    def bob(y):
         # input 2 touches channel qubit 1, which Bob never held
-        return [Gate(X, (1 if ybits == (1, 0) else 0,))]
+        return [Gate(X, (1 if y == 2 else 0,))]
 
     p = Protocol(lay, (ProtocolStep(ALICE, (1,), alice),), input_bits=2)
     engine.simulate(p, 0, 0)
@@ -278,10 +307,16 @@ def test_walks_over_all_inputs_check_their_size_before_any_build():
 def test_acceptance_matrix_serialization_roundtrip():
     p = zoo.ndet_svd_protocol(ranklab.canonical_witness("NEQ", 2)).protocol
     am = engine.acceptance_matrix(p)
-    rows = am.to_csv().strip().split("\n")
-    assert len(rows) == 4 and all(len(r.split(",")) == 4 for r in rows)
+    # JSON gives back n and every value exactly
     obj = json.loads(am.to_json())
-    assert obj["n"] == 2
+    assert obj["n"] == am.n
+    assert same_bytes(np.array(obj["values"]), am.values)
+    # CSV gives back the table, rounding noise as 0, at 12 digits
+    table = np.loadtxt(io.StringIO(am.to_csv()), delimiter=",")
+    want = np.where(am.support(), am.values, 0.0)
+    assert table.shape == (4, 4)
+    assert np.array_equal(table == 0, want == 0)
+    np.testing.assert_allclose(table, want, rtol=5e-12, atol=0)
 
 
 def test_decompose_one_message_protocol():
@@ -405,15 +440,20 @@ def test_simulate_checks_bobs_base_once_per_protocol(monkeypatch):
 
 
 def test_as_bits_forms():
-    assert engine.as_bits(5, 4) == (0, 1, 0, 1)
-    assert engine.as_bits("0101", 4) == (0, 1, 0, 1)
-    assert engine.as_bits([0, 1], 2) == (0, 1)
+    # every form reads as the input's index, a Python int
+    for value in (5, np.int64(5), "0101", [0, 1, 0, 1], np.array([0, 1, 0, 1])):
+        index = engine.as_input(value, 4)
+        assert index == 5 and type(index) is int, value
+    assert engine.as_input([0, 1], 2) == 1
+    assert engine.as_input("", 0) == 0
     with pytest.raises(ValueError):
-        engine.as_bits("01", 3)
+        engine.as_input("01", 3)
+    with pytest.raises(ValueError):
+        engine.as_input(16, 4)
     # a bool is not an input, whether Python's or numpy's
     for value in (True, False, np.True_):
         with pytest.raises(ValueError):
-            engine.as_bits(value, 1)
+            engine.as_input(value, 1)
     with pytest.raises(ValueError):
         engine.simulate(one_message_protocol(), True, 0)
 
@@ -472,8 +512,8 @@ def reference_yao_kremer_decompose(p, x, y):
     ell = p.declared_cost
     if ell > engine.MAX_TRANSCRIPT_BITS:
         raise CapacityError(f"2^{ell} transcripts exceed the decomposition budget")
-    x = engine.as_bits(x, p.input_bits)
-    y = engine.as_bits(y, p.input_bits)
+    x = engine.as_input(x, p.input_bits)
+    y = engine.as_input(y, p.input_bits)
     lay = p.layout
     sides = {ALICE: list(lay.alice_register), BOB: list(lay.bob_register)}
     branches = {party: np.eye(1, 1 << len(side), dtype=complex)
@@ -595,8 +635,8 @@ def mixed_targets_protocol(seed=9):
         table = [[(linalg.random_unitary(1 << len(t), rng), t) for t in tl]
                  for tl in per_input]
 
-        def build(bits, table=table):
-            return [Gate(u, t) for u, t in table[engine.bits_to_int(bits)]]
+        def build(v, table=table):
+            return [Gate(u, t) for u, t in table[v]]
 
         steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
     return Protocol(RegisterLayout(1, 2, 1), tuple(steps), input_bits=2)
@@ -610,10 +650,10 @@ def reference_evolve(p, xs, ys):
     states[:, :, 0] = 1.0
     for step in p.steps:
         alice = step.party == ALICE
-        for i, bits in enumerate(xs if alice else ys):
+        for i, v in enumerate(xs if alice else ys):
             index = i if alice else (slice(None), i)
             batch = states[index]
-            for gate in step.build(bits):
+            for gate in step.build(v):
                 batch = linalg.apply_on_qubits(batch, gate, gate.targets)
             states[index] = batch
     return states
@@ -630,7 +670,7 @@ def walker_cases():
 
 def test_mixed_targets_protocol_has_partial_groups():
     p = mixed_targets_protocol()
-    inputs = [engine.as_bits(i, 2) for i in range(4)]
+    inputs = range(4)
     groups = [[g.inputs for g in turn.groups]
               for turn in engine._compile(p, inputs, inputs)]
     assert groups == [[(1, 3), (2,)], [(0, 2), (1,)], [(0, 2), (3,)]]
@@ -645,7 +685,7 @@ def test_mixed_targets_protocol_has_partial_groups():
 def test_evolve_matches_the_per_input_reference():
     for p in walker_cases():
         dim = 1 << p.input_bits
-        inputs = [engine.as_bits(i, p.input_bits) for i in range(dim)]
+        inputs = range(dim)
         # all rows at once, and each chunk of rows compiled on its own
         for size in (dim, 1, 3):
             for start in range(0, dim, size):
@@ -670,14 +710,13 @@ def test_acceptance_matrix_in_one_row_chunks(monkeypatch):
 
 def test_decompose_matches_the_per_input_reference():
     for p in walker_cases():
-        inputs = [engine.as_bits(i, p.input_bits)
-                  for i in range(1 << p.input_bits)]
+        inputs = range(1 << p.input_bits)
         d = engine._decompose(p, inputs, inputs)
-        for i, bits in enumerate(inputs):
-            want = reference_yao_kremer_decompose(p, bits, inputs[0])
-            assert same_bytes(d.a_vectors[i], want.a_vectors)
-            want = reference_yao_kremer_decompose(p, inputs[0], bits)
-            assert same_bytes(d.b_vectors[i], want.b_vectors)
+        for v in inputs:
+            want = reference_yao_kremer_decompose(p, v, 0)
+            assert same_bytes(d.a_vectors[v], want.a_vectors)
+            want = reference_yao_kremer_decompose(p, 0, v)
+            assert same_bytes(d.b_vectors[v], want.b_vectors)
 
 
 def test_reconstruct_matches_the_per_transcript_sum():
@@ -710,28 +749,40 @@ def test_decompose_matches_per_pair_reference_sent_back_and_zero_rows():
 def test_batched_walk_stacks_per_pair_branches():
     """_decompose over any input lists gives x's branches in a_vectors[i]
     for xs[i] and y's in b_vectors[j] for ys[j], with one build per step
-    and input."""
+    and input.  Every walk hands a build the sender's index, a Python int
+    in [0, 2^n), whatever form the caller gave the input in."""
     n = 2
     builds = []
 
     def counted(build):
-        def wrapper(bits):
-            builds.append(bits)
-            return build(bits)
+        def wrapper(v):
+            builds.append(v)
+            return build(v)
         return wrapper
+
+    def all_indices():
+        return builds and all(type(v) is int and 0 <= v < 1 << n
+                              for v in builds)
 
     protocols = [entry.protocol for entry in zoo.protocol_corpus(n)]
     protocols += [send_back_protocol(), zero_row_svd_protocol(n, seed=5)]
-    inputs = [engine.as_bits(i, n) for i in range(1 << n)]
+    inputs = list(range(1 << n))
     xs, ys = inputs[::-1], inputs[1:]
     for p in protocols:
         p = Protocol(p.layout, tuple(ProtocolStep(s.party, s.window,
                                                   counted(s.build))
                                      for s in p.steps), input_bits=n)
+        for walk in (lambda: engine.simulate(p, "10", np.int64(3)),
+                     lambda: engine.yao_kremer_decompose(p, [1, 0], 3),
+                     lambda: engine.acceptance_matrix(p),
+                     lambda: engine.output_families(p)):
+            builds.clear()
+            walk()
+            assert all_indices(), builds
         builds.clear()
         d = engine._decompose(p, xs, ys)
-        assert len(builds) == sum(len(xs if s.party == ALICE else ys)
-                                  for s in p.steps)
+        assert builds == [v for s in p.steps
+                          for v in (xs if s.party == ALICE else ys)]
         assert d.a_vectors.shape[0] == len(xs)
         assert d.b_vectors.shape[0] == len(ys)
         a1, b1, holder = d.output_components()
@@ -793,10 +844,10 @@ def small_protocols(draw):
         table = [linalg.random_unitary(1 << len(targets), rng)
                  for _ in range(1 << n)] if targets else None
 
-        def build(bits, table=table, targets=targets):
+        def build(v, table=table, targets=targets):
             if table is None:
                 return []
-            return [Gate(table[engine.bits_to_int(bits)], targets)]
+            return [Gate(table[v], targets)]
 
         steps.append(ProtocolStep(party, window, build))
         for c in window:

@@ -42,9 +42,13 @@ def test_comm_matrix_reads_bool_and_numeric_tables_alike():
 
 def test_canonical_witness_takes_the_sizes_and_names_of_the_tables():
     for fn in ranklab.FUNCTION_NAMES:
-        for n in (0, -1, ranklab.COMM_N_GUARD + 1):
+        # a bool or a non-integer is not a size, and fails the size rule
+        for n in (0, -1, ranklab.COMM_N_GUARD + 1, True, 2.5, np.float64(2)):
             with pytest.raises(ValueError, match="n must be in"):
                 ranklab.canonical_witness(fn, n)
+            with pytest.raises(ValueError, match="n must be in"):
+                ranklab.build_comm_matrix(fn, n)
+        assert ranklab.canonical_witness(fn, np.int64(2)).shape == (4, 4)
     with pytest.raises(ValueError, match="unknown function"):
         ranklab.canonical_witness("MAJ", 2)
 
@@ -373,7 +377,7 @@ def test_monomial_rank_random_and_dependent():
 
 def test_random_and_dependent_acceptance_takes_the_sizes_of_the_tables():
     rng = np.random.default_rng(0)
-    for n in (0, ranklab.COMM_N_GUARD + 1):
+    for n in (0, ranklab.COMM_N_GUARD + 1, True, 2.5, np.float64(2)):
         with pytest.raises(ValueError, match="n must be in"):
             ranklab.random_and_dependent_acceptance(n, rng)
 

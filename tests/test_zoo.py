@@ -402,7 +402,7 @@ def test_svd_alice_gate_prepares_her_message_state():
             q = len(send.window)
             assert np.count_nonzero(s) <= 1 << q, (entry.name, n)
             for x in range(1 << n):
-                gates = send.build(engine.as_bits(x, n))
+                gates = send.build(x)
                 if not live[x] or q == 0:
                     assert gates == [], (entry.name, n, x)
                     continue
@@ -447,7 +447,7 @@ def test_svd_protocol_replies_with_one_gate_on_bobs_qubits_and_message(
                        + tuple(lay.channel_qubit(k) for k in range(1, q + 1))
                        + (lay.channel_qubit(0),))
             for y in range(1 << n):
-                reply = p.steps[1].build(engine.as_bits(y, n))
+                reply = p.steps[1].build(y)
                 assert len(reply) == 1, (fn, n, y)
                 assert reply[0].targets == targets, (fn, n, y)
                 assert reply[0].unitary.shape == (2 << n, 2 << n), (fn, n, y)
@@ -489,7 +489,7 @@ def test_svd_reply_equals_the_flip_times_kron_reference():
         n = bundle.protocol.input_bits
         u = linalg.svd(np.asarray(m, dtype=complex).T).u
         for y in range(1 << n):
-            (gate,) = bundle.protocol.steps[1].build(engine.as_bits(y, n))
+            (gate,) = bundle.protocol.steps[1].build(y)
             # exact; only the sign of a zero may differ
             assert np.array_equal(gate.unitary, reference_bob_reply(u, y)), \
                 (name, y)
@@ -502,7 +502,7 @@ def test_trivial_reply_is_the_identity_with_flipped_rows():
             p = zoo.trivial_exact_protocol(target)
             targets = tuple(range(1, n + 1)) + (0,)
             for y in range(1 << n):
-                (gate,) = p.steps[1].build(engine.as_bits(y, n))
+                (gate,) = p.steps[1].build(y)
                 want = np.eye(2 << n)[zoo._flip_rows(target.values[:, y])]
                 assert np.array_equal(gate.unitary, want), (fn, n, y)
                 assert gate.unitary.dtype == want.dtype, (fn, n, y)
@@ -524,7 +524,7 @@ def test_trivial_message_is_rows_of_one_identity(monkeypatch):
         p = zoo.trivial_exact_protocol(ranklab.build_comm_matrix("EQ", n))
         made.clear()
         for x in range(1 << n):
-            (gate,) = p.steps[0].build(engine.as_bits(x, n))
+            (gate,) = p.steps[0].build(x)
             want = np.eye(1 << n)[np.arange(1 << n) ^ x]
             assert np.array_equal(gate.unitary, want), (n, x)
             assert gate.targets == tuple(range(1, n + 1))
@@ -556,7 +556,7 @@ def test_building_a_protocol_makes_no_gate(monkeypatch):
     assert made == []
     # Bob's base is made and checked on his first reply only
     bob = protocols[0].steps[1]
-    bob.build(engine.as_bits(3, n))
+    bob.build(3)
     assert made == ["checked", "permuted"]
-    bob.build(engine.as_bits(5, n))
+    bob.build(5)
     assert made == ["checked", "permuted", "permuted"]
