@@ -9,22 +9,24 @@ qubits the sender currently holds, and the declared window.  The cost of a
 protocol is the total number of window qubits over all steps.  The output
 bit is the first channel qubit, read at the very end; there are no
 intermediate measurements.  An input is its index in [0, 2^n), first bit
-most significant (``as_input``), and a step's build gets the sender's.
+most significant (``as_input``).
 
-Every entry point runs one turn-walker.  ``_compile`` walks the steps once,
-checks ownership and legality, and builds each Alice step once per x and
-each Bob step once per y, since Alice's gates depend only on x and Bob's
-only on y.  It groups a step's inputs by the targets of their gate lists
-and stacks each gate layer of a group once (``linalg.GateStack``).  One
-turn applier, ``_apply_turn``, serves both walks: it applies each layer
-of a group to the states of all its inputs as one stacked matmul, in
+A step's build gets all the sender's inputs of a walk at once, as a 1-D
+int array, and returns their gates as groups ``(positions, layers)``: one
+``linalg.GateStack`` per layer, whose gate i depends only on
+inputs[positions[i]], since Alice's gates depend only on x and Bob's only
+on y.  Every entry point runs one turn-walker.  ``_compile`` walks the
+steps once, checks ownership, builds each step once for the walk's inputs
+of its sender and checks each group's positions and targets.  One turn
+applier, ``_apply_turn``, serves both walks: it applies each layer of a
+group to the states of all its inputs as one stacked matmul, in
 ``linalg.apply_on_qubits``.  ``_evolve`` holds one state per pair in an
 array of shape (x, y, 2^total): an Alice turn acts on states[x] of every
 x at once, a Bob turn on states[:, y] of every y.  Alice's turns before
 Bob's first act on one state per x, of shape (x, 1, 2^total), which
 Bob's first turn broadcasts over y.  ``simulate`` is the walk over one
 pair and ``acceptance_matrix`` the walk over all pairs in chunks of x
-rows: it compiles Bob's steps once for every y and Alice's for each
+rows: it builds Bob's steps once for every y and Alice's once for each
 chunk's own rows, so every group holds indices into the states it acts
 on and no stack is ever sliced.
 
@@ -36,11 +38,11 @@ states; the window split and the receiver's |bits> expansion act on
 every input at once.  ``yao_kremer_decompose`` is its one-pair case, and
 ``output_families`` gives every input's output-bit-1 components.
 
-A ``Gate`` (defined in ``linalg``, re-exported here) is checked for
-unitarity once, when it is made, so the walk applies it to any number of
-chunks and branches without checking it again; a gate that
-``Gate.with_rows`` permutes from a checked one is not checked at all,
-and a group of such gates stacks as the one base matrix and their rows.
+A ``GateStack`` is checked for unitarity once, when its build makes it,
+so the walk applies it to any number of chunks and branches without
+checking it again; a stack that ``Gate.stack_rows`` takes from a checked
+``Gate`` (defined in ``linalg``, re-exported here) is the one base matrix
+and each gate's rows, which are not checked for unitarity at all.
 """
 
 from __future__ import annotations
@@ -172,8 +174,14 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """One turn.  ``build`` maps the sender's input, as its index in
-    [0, 2^input_bits) with the first bit most significant, to a gate list.
+    """One turn.  ``build`` gets the sender's inputs of one walk, a
+    read-only 1-D int array of indices in [0, 2^input_bits) with the first
+    bit most significant, and returns their gates as groups ``(positions,
+    layers)``: ``positions`` are strictly increasing indices into the
+    inputs, in no other group, and ``layers`` one ``linalg.GateStack``
+    per gate layer, whose gate i depends only on inputs[positions[i]].
+    An input in no group gets no gates.  A walk calls it once per step,
+    and only for a party with inputs.
 
     ``window`` lists the channel qubits sent this turn, as channel-local
     indices >= 0; it may be empty for a bookkeeping turn with no message.
@@ -181,7 +189,7 @@ class ProtocolStep:
 
     party: str
     window: tuple
-    build: Callable[[int], Sequence[Gate]]
+    build: Callable[[np.ndarray], Sequence[tuple]]
 
     def __post_init__(self):
         if self.party not in (ALICE, BOB):
@@ -232,18 +240,18 @@ class SimulationResult(NamedTuple):
 
 
 class _Group(NamedTuple):
-    """Inputs of one turn whose gate lists act on the same targets, layer
-    by layer: their indices in the walk's input list, ascending, and one
-    GateStack per layer."""
+    """Inputs of one turn that share their gate layers: their strictly
+    increasing indices in the walk's inputs, and one GateStack per layer,
+    gate i for the input at positions[i]."""
 
-    inputs: tuple
+    positions: np.ndarray
     layers: list
 
 
 class _Turn(NamedTuple):
     """One step after the walk: the sender, the window in global qubit
-    indices, and the sender's inputs grouped by the targets of their gate
-    lists; an input with no gates is in no group."""
+    indices, and the groups of the sender's build; an input with no gates
+    is in no group."""
 
     party: str
     window: tuple
@@ -252,12 +260,12 @@ class _Turn(NamedTuple):
 
 def _compile(p: Protocol, xs: Sequence[int], ys: Sequence[int]) -> list:
     """Walk the steps once: check channel ownership, build each Alice step
-    once per input in ``xs`` and each Bob step once per input in ``ys``,
-    group the inputs with gates by the targets of their gate lists, raise
-    ContractViolationError for a group's gate outside its turn, whichever
-    input built it, and stack each layer of a group once."""
+    once for all of ``xs`` and each Bob step once for all of ``ys`` (not
+    at all for a party with no inputs), and check each group of the build
+    (``_groups``)."""
     lay = p.layout
     registers = {ALICE: lay.alice_register, BOB: lay.bob_register}
+    inputs = {ALICE: _walk_inputs(xs), BOB: _walk_inputs(ys)}
     owner = [None] * lay.channel_qubits
     turns = []
     for step in p.steps:
@@ -269,28 +277,61 @@ def _compile(p: Protocol, xs: Sequence[int], ys: Sequence[int]) -> list:
         allowed = set(registers[step.party]).union(window, (
             lay.channel_qubit(k) for k, o in enumerate(owner)
             if o == step.party))
-        # per tuple of gate-list targets, its inputs and their gate lists
-        members = {}
-        for i, v in enumerate(xs if step.party == ALICE else ys):
-            gates = list(step.build(v))
-            if gates:
-                inputs, lists = members.setdefault(
-                    tuple([g.targets for g in gates]), ([], []))
-                inputs.append(i)
-                lists.append(gates)
-        for targets in (t for key in members for t in key):
-            if not allowed.issuperset(targets):
-                raise ContractViolationError(
-                    f"{step.party} gate touches qubits "
-                    f"{sorted(set(targets) - allowed)} outside its turn")
-        # zip turns a group's gate lists into its layers
-        groups = [_Group(tuple(inputs), [linalg.GateStack.of(layer)
-                                         for layer in zip(*lists)])
-                  for inputs, lists in members.values()]
+        sent = inputs[step.party]
+        groups = _groups(step, sent, allowed) if len(sent) else []
         turns.append(_Turn(step.party, window, groups))
         for k in step.window:
             owner[k] = other_party(step.party)
     return turns
+
+
+def _walk_inputs(values: Sequence[int]) -> np.ndarray:
+    """A walk's inputs of one party as a new read-only 1-D int array, which
+    each build of that party's steps gets."""
+    inputs = np.array(values, dtype=np.intp)
+    inputs.setflags(write=False)
+    return inputs
+
+
+def _groups(step: ProtocolStep, inputs: np.ndarray, allowed: set) -> list:
+    """The groups of ``step.build(inputs)`` that have layers.
+    ContractViolationError unless the positions are strictly increasing
+    indices into the inputs and in no earlier group, every layer is a
+    GateStack with one gate per position, and each layer's targets are in
+    ``allowed``, whichever input a gate is for."""
+    groups = []
+    taken = None  # inputs in a group, once there are two groups
+    for positions, layers in step.build(inputs):
+        layers = list(layers)
+        if not layers:
+            continue
+        positions = np.asarray(positions)
+        if groups and taken is None:
+            taken = np.zeros(len(inputs), dtype=bool)
+            taken[groups[0].positions] = True
+        if (positions.ndim != 1 or not positions.size
+                or positions.dtype.kind not in "iu" or positions[0] < 0
+                or positions[-1] >= len(inputs)
+                or len(positions) > 1
+                and (positions[1:] <= positions[:-1]).any()
+                or taken is not None and taken[positions].any()):
+            raise ContractViolationError(
+                f"{step.party} build: a group's positions must be strictly "
+                "increasing indices of its inputs, in no other group")
+        if taken is not None:
+            taken[positions] = True
+        for layer in layers:
+            if not (isinstance(layer, linalg.GateStack)
+                    and len(layer) == len(positions)):
+                raise ContractViolationError(
+                    f"{step.party} build: each layer must be a GateStack "
+                    "with one gate per position")
+            if not allowed.issuperset(layer.targets):
+                raise ContractViolationError(
+                    f"{step.party} gate touches qubits "
+                    f"{sorted(set(layer.targets) - allowed)} outside its turn")
+        groups.append(_Group(positions, layers))
+    return groups
 
 
 def _apply_turn(stacks: np.ndarray, groups: list,
@@ -302,8 +343,8 @@ def _apply_turn(stacks: np.ndarray, groups: list,
     input returns its result; otherwise stacks is updated in place and
     returned."""
     for group in groups:
-        whole = len(group.inputs) == len(stacks)
-        index = list(group.inputs)
+        whole = len(group.positions) == len(stacks)
+        index = group.positions
         batch = stacks if whole else stacks[index]
         for layer in group.layers:
             positions = layer.targets if side is None else [
@@ -358,6 +399,7 @@ class AcceptanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        self.n = linalg._require_int(self.n, "n")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (1 << self.n, 1 << self.n):
             raise ValueError("values shape does not match n")
@@ -401,7 +443,7 @@ def acceptance_matrix(p: Protocol) -> AcceptanceMatrix:
     _require_tabulable(p, "acceptance_matrix")
     n = p.input_bits
     dim = 1 << n
-    inputs = range(dim)
+    inputs = np.arange(dim)
     bob = _compile(p, [], inputs)
     rows = max(1, CHUNK_AMPLITUDES >> (n + p.layout.total))
     values = np.empty((dim, dim), dtype=float)

@@ -3,14 +3,18 @@ convention, the one "nonzero" rule ``support``, numeric and exact integer
 (Bareiss) rank, checked gates and qubit-subset unitary application.
 ``support``, ``numeric_rank``, ``SvdResult.rank`` and ``is_unitary`` all
 apply the one constant ``DEFAULT_TOL``; none takes a tolerance.
+``numeric_rank`` computes the singular values only.
 
 A ``Gate`` is checked once, when it is made: its matrix is square, of side
 2^len(targets) and unitary in its own dtype, and the gate keeps a
-read-only copy of it.  ``Gate.with_rows`` permutes a checked gate's rows
-without a second check.  A ``GateStack`` holds checked gates on one tuple
-of targets, one per entry of a state's leading axis, stacked once and
-never sliced: the engine compiles each chunk of inputs on its own, so a
-stack always covers exactly the entries it is applied to.
+read-only copy of it.  A ``GateStack`` holds checked gates on one tuple
+of targets, one per entry of a state's leading axis, checked once per
+stack by one ``is_unitary`` call on the stack, or taken as rows of a
+checked gate (``Gate.stack_rows``) with one permutation check and no
+second unitarity check.  It is never sliced: the engine builds each chunk
+of inputs on its own, so a stack always covers exactly the entries it is
+applied to.  ``unitary_with_first_column`` builds one Householder
+reflection per column of a stack at once.
 ``apply_on_qubits`` is the one kernel: it trusts a ``Gate`` or a
 ``GateStack``, its one form of gates per entry, checks a raw matrix on
 every call, and applies one gate to every row, or gate i to entry i, as
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -61,16 +64,21 @@ class SvdResult:
 def svd(m) -> SvdResult:
     """Singular value decomposition of ``m`` (the argument itself; callers
     that want the transpose convention pass ``m.T``)."""
-    m = np.asarray(m, dtype=complex)
+    u, s, vh = _svd(np.asarray(m, dtype=complex), compute_uv=True)
+    return SvdResult(u=u, sigma=s, v=vh)
+
+
+def _svd(m: np.ndarray, compute_uv: bool):
+    """np.linalg.svd of m: ValueError for an empty or non-finite m, and
+    NumericalFailureError if it does not converge."""
     if m.size == 0:
         raise ValueError("svd of an empty matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("svd input contains NaN/Inf")
     try:
-        u, s, vh = np.linalg.svd(m)
+        return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(u=u, sigma=s, v=vh)
 
 
 def support(values) -> np.ndarray:
@@ -85,17 +93,23 @@ def support(values) -> np.ndarray:
 
 
 def numeric_rank(m) -> int:
-    """Rank of m: ``svd(m).rank()``."""
-    return svd(m).rank()
+    """Rank of m: its singular values in the support, as ``svd(m).rank()``
+    counts them, computed without the singular vectors and, for real m,
+    in real arithmetic.  Raises as ``svd`` does."""
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    return int(np.count_nonzero(support(_svd(m, compute_uv=False))))
 
 
 def is_unitary(u) -> bool:
-    """Whether u is square with max|u u^H - I| <= DEFAULT_TOL."""
+    """Whether u is square with max|u u^H - I| <= DEFAULT_TOL, or a stack
+    of such matrices along its leading axes, every one of them."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         return False
-    eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u @ u.conj().T - eye)) <= DEFAULT_TOL)
+    eye = np.eye(u.shape[-1])
+    return bool(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - eye))
+                <= DEFAULT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +118,8 @@ class Gate:
 
     Made only from a square matrix of side 2^len(targets) that passes
     ``is_unitary`` (``ValueError`` and ``ContractViolationError``
-    otherwise), or by ``with_rows`` from such a gate; ``unitary`` is a
-    read-only copy of it.  Gates compare and hash by identity.
+    otherwise); ``unitary`` is a read-only copy of it.  Gates compare and
+    hash by identity.
     """
 
     unitary: np.ndarray
@@ -122,76 +136,65 @@ class Gate:
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "targets", targets)
 
-    def with_rows(self, rows) -> "Gate":
-        """The gate whose matrix is ``self.unitary[rows]``, on the same
-        targets.
+    def stack_rows(self, rows) -> "GateStack":
+        """The stack whose gate i is ``self.unitary[rows[i]]``, on the same
+        targets, kept as this gate's matrix and the row orders; one gate is
+        kept as its permuted matrix, which spares the states a take.
 
-        ``rows`` must be an integer permutation of range(2^len(targets))
-        (``ValueError`` otherwise), checked by a sort.  The unitarity check
-        is not run again: a permutation matrix P is unitary, so P·U is
-        unitary when U is, with the same max|UU^H - I|.
+        ``rows`` must be a non-empty (count, 2^len(targets)) integer array
+        whose every row is a permutation of range(2^len(targets))
+        (``ValueError`` otherwise), checked by one sort of the stack.  The
+        unitarity check is not run again: a permutation matrix P is
+        unitary, so P·U is unitary when U is, with the same max|UU^H - I|.
         """
         rows = np.asarray(rows)
         dim = self.unitary.shape[0]
-        if rows.shape != (dim,) or rows.dtype.kind not in "iu":
-            raise ValueError(f"rows must be a permutation of range({dim})")
-        rows = rows.astype(np.intp)  # a new array, which the gate keeps
-        ascending = rows.copy()
-        ascending.sort()
-        # both sides intp, so equal bytes are equal rows
-        if ascending.tobytes() != np.arange(dim, dtype=np.intp).tobytes():
-            raise ValueError(f"rows must be a permutation of range({dim})")
-        u = self.unitary.take(rows, axis=0)
-        u.setflags(write=False)
-        gate = object.__new__(Gate)
-        object.__setattr__(gate, "unitary", u)
-        object.__setattr__(gate, "targets", self.targets)
-        # the made gate these rows come from, and their order in it, for
-        # GateStack.of
-        base, order = getattr(self, "_rows_of", (self, None))
-        object.__setattr__(gate, "_rows_of", (
-            base, rows if order is None else order[rows]))
-        return gate
+        if (rows.ndim != 2 or not len(rows) or rows.shape[1] != dim
+                or rows.dtype.kind not in "iu"):
+            raise ValueError(f"rows must be permutations of range({dim})")
+        rows = rows.astype(np.intp)  # a new array, which the stack keeps
+        if not (np.sort(rows, axis=1) == np.arange(dim)).all():
+            raise ValueError(f"rows must be permutations of range({dim})")
+        u = self.unitary
+        if len(rows) == 1:  # one gate: its permuted matrix, and no rows
+            u, rows = u.take(rows, axis=0), None
+            u.setflags(write=False)
+        else:
+            rows.setflags(write=False)
+        stack = object.__new__(GateStack)
+        stack.unitaries, stack.rows, stack.targets = u, rows, self.targets
+        return stack
 
 
 class GateStack:
     """Checked gates on one tuple of targets, one per entry of a state's
-    leading axis, stacked once (``GateStack.of``).
+    leading axis.
 
-    If there are several and all are ``Gate.with_rows`` of one made gate,
-    ``unitaries`` is that gate's matrix, (2^k, 2^k), and ``rows`` each
-    gate's row order in it, (len, 2^k): ``apply_on_qubits`` applies the
-    one matrix to every entry and then takes each entry's rows, which holds
-    no matrix per gate and gives the bits the permuted matrices give.
-    Otherwise ``unitaries`` holds the gates' matrices, (len, 2^k, 2^k), and
-    ``rows`` is None.
+    ``GateStack(unitaries, targets)`` checks a non-empty (count, 2^k, 2^k)
+    stack of matrices, k = len(targets), with one ``is_unitary`` call
+    (``ValueError`` for a shape that does not match,
+    ``ContractViolationError`` for a matrix that is not unitary) and keeps
+    a read-only copy; ``rows`` is None.  ``Gate.stack_rows`` of several
+    gates makes the other form: ``unitaries`` is that gate's one matrix,
+    (2^k, 2^k), and ``rows`` each gate's row order in it, (count, 2^k), so
+    ``apply_on_qubits`` applies the one matrix to every entry and then
+    takes each entry's rows, which holds no matrix per gate and gives the
+    bits the permuted matrices give.
     """
 
     __slots__ = ("unitaries", "rows", "targets")
 
-    def __init__(self, unitaries: np.ndarray, rows: Optional[np.ndarray],
-                 targets: tuple):
-        self.unitaries, self.rows, self.targets = unitaries, rows, targets
-
-    @classmethod
-    def of(cls, gates) -> "GateStack":
-        """The stack of a non-empty sequence of ``Gate``s on one tuple of
-        targets (``ValueError`` otherwise), which are not checked again."""
-        if len(gates) == 1 and isinstance(gates[0], Gate):
-            # a view of the one matrix
-            return cls(gates[0].unitary[None], None, gates[0].targets)
-        gates = list(gates)
-        if not gates or not all(isinstance(g, Gate) for g in gates):
-            raise ValueError("a gate stack needs one or more Gates")
-        targets = gates[0].targets
-        if any(g.targets != targets for g in gates):
-            raise ValueError("stacked gates must share their targets")
-        sources = [getattr(g, "_rows_of", (None, None)) for g in gates]
-        base = sources[0][0]
-        if base is not None and all(b is base for b, _ in sources):
-            return cls(base.unitary, np.stack([r for _, r in sources]),
-                       targets)
-        return cls(np.stack([g.unitary for g in gates]), None, targets)
+    def __init__(self, unitaries, targets):
+        targets = _int_targets(targets)
+        u = np.array(unitaries)
+        side = 1 << len(targets)
+        if u.ndim != 3 or not len(u) or u.shape[1:] != (side, side):
+            raise ValueError(f"a gate stack needs one or more {side} x {side} "
+                             f"matrices for {len(targets)} targets")
+        if not is_unitary(u):
+            raise ContractViolationError("operator is not unitary within 1e-9")
+        u.setflags(write=False)
+        self.unitaries, self.rows, self.targets = u, None, targets
 
     def __len__(self) -> int:
         return len(self.unitaries if self.rows is None else self.rows)
@@ -356,25 +359,36 @@ def exact_rank(m) -> int:
 
 
 def unitary_with_first_column(phi) -> np.ndarray:
-    """Deterministic unitary whose first column is the given unit vector.
+    """Deterministic unitary whose first column is the given unit vector,
+    or one such unitary per row of a stack of them.
 
     One Householder reflection, built in O(d^2): with phi normalised,
     ph = phi_0/|phi_0| (1 when phi_0 = 0) and w = phi + ph e_0, the matrix
     -ph (I - w w^H / (1 + |phi_0|)) maps e_0 to phi, and w^H w =
-    2(1 + |phi_0|) >= 2, so nothing cancels.  Raises ``ValueError`` unless
-    phi is a non-empty 1-D vector of norm 1 within ``DEFAULT_TOL`` (NaN and
-    inf fail that test).
+    2(1 + |phi_0|) >= 2, so nothing cancels.  phi of shape (d,) gives a
+    (d, d) unitary and phi of shape (count, d) a (count, d, d) stack, every
+    reflection built by the same elementwise steps.  Raises ``ValueError``
+    unless phi is a non-empty 1-D vector, or a non-empty 2-D stack of them,
+    with every vector of norm 1 within ``DEFAULT_TOL`` (NaN and inf fail
+    that test).
     """
     phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 1 or phi.size == 0:
-        raise ValueError("first column must be a non-empty 1-D vector")
-    norm = np.linalg.norm(phi)
-    if not abs(norm - 1.0) <= DEFAULT_TOL:
+    if phi.ndim not in (1, 2) or phi.size == 0:
+        raise ValueError("first column must be a non-empty 1-D vector or "
+                         "a stack of them")
+    w = np.ascontiguousarray(phi.reshape(-1, phi.shape[-1]))
+    # each row's norm as np.linalg.norm forms it for one vector: the dots
+    # of the real and imaginary parts (matmul of 1 x d by d x 1 is a dot)
+    re, im = w.real[:, None], w.imag[:, None]
+    norm = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel())
+    if not np.all(np.abs(norm - 1.0) <= DEFAULT_TOL):
         raise ValueError("first column must be a finite unit vector")
-    w = phi / norm
-    a = abs(w[0])
-    ph = w[0] / a if a else 1.0
-    w[0] += ph
-    u = np.outer(w, w.conj() * (ph / (1.0 + a)))
-    u.flat[::w.size + 1] -= ph
-    return u
+    w = w / norm[:, None]
+    # |w_0| by hypot, as abs of one complex number forms it
+    a = np.hypot(w[:, 0].real, w[:, 0].imag)
+    ph = np.ones(len(w), dtype=complex)
+    np.divide(w[:, 0], a, out=ph, where=a > 0)
+    w[:, 0] += ph
+    u = w[:, :, None] * (w.conj() * (ph / (1.0 + a))[:, None])[:, None, :]
+    u.reshape(len(w), -1)[:, ::w.shape[1] + 1] -= ph[:, None]
+    return u.reshape(phi.shape + phi.shape[-1:])

@@ -1,18 +1,21 @@
-"""Concrete protocols, whose step builds index their tables with the
-sender's input index, and search routines.
+"""Concrete protocols, whose step builds index their tables with all the
+sender's input indices of a walk at once, and search routines.
 
 * _flip_rows: the one builder of "flip the target where a 0/1 table of
-  the controls reads 1", as a row order.  Bob's reply in both protocols
-  below is one base gate, made and checked once per protocol on his first
-  reply, with its rows taken in this order (Gate.with_rows): the identity
-  in the trivial protocol, u (x) I2 in the SVD protocol.
+  the controls reads 1", as a row order, one per row of a 2-D table.
+  Bob's reply in both protocols below is one base gate, made and checked
+  once per protocol on his first reply, with its rows taken in these
+  orders, one per y, as one stack (Gate.stack_rows): the identity in the
+  trivial protocol, u (x) I2 in the SVD protocol.
 * trivial_exact_protocol: send x, compute f reversibly, cost n+1.
   Alice's message is one gate too, the identity on the message qubits
-  with its rows XORed with x, so every x is rows of one base and her
-  turn stacks as one base and its rows.
+  with its rows XORed with x, so her turn is one stack of rows of one
+  base as well.
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
-  c_x^2 |m_xy|^2.
+  c_x^2 |m_xy|^2.  Alice's message states of every live x are one stack
+  of Householder reflections (linalg.unitary_with_first_column), checked
+  as one GateStack.
 * solution_angle / amplification_factors: the one amplitude-amplification
   kernel.  Iterating "flip the solutions, reflect about the start" keeps
   the state in span(good part, bad part) of the start, so j iterations
@@ -72,9 +75,14 @@ SCHEDULE_GROWTH = 1.2
 def _flip_rows(table) -> np.ndarray:
     """Row order of the controlled flip on (controls..., target), which
     flips the target iff table[c] is 1, where c is the controls' value:
-    taking the rows of M in this order applies the flip after M."""
-    flip = engine.bit_array(table)
-    return np.arange(2 * flip.size) ^ flip.repeat(2)
+    taking the rows of M in this order applies the flip after M.  A 2-D
+    table gives one row order per row.  ValueError unless the table is a
+    1-D or 2-D array of 0/1 entries."""
+    flip = np.asarray(table)
+    if flip.ndim not in (1, 2) or flip.dtype != bool and not (
+            (flip == 0) | (flip == 1)).all():
+        raise ValueError("a flip table must be a 1-D or 2-D 0/1 table")
+    return np.arange(2 * flip.shape[-1]) ^ flip.repeat(2, axis=-1)
 
 
 def trivial_exact_protocol(f: CommMatrix) -> Protocol:
@@ -83,11 +91,12 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
     Alice's message is one gate: the identity on the message qubits with
     its rows XORed with x, which maps |0> to |x>.  Both parties' gates are
     rows of a base made on first use, once per protocol, so a caller that
-    only reads the cost makes no gate."""
+    only reads the cost makes no gate; each build stacks the rows of all
+    its inputs at once."""
     n = f.n
     lay = RegisterLayout(alice_qubits=0, channel_qubits=n + 1, bob_qubits=0)
     msg = tuple(range(1, n + 1))
-    table = f.values
+    table = f.values.astype(bool)  # 0/1 already, so _flip_rows scans none
 
     @functools.cache
     def alice_base():
@@ -98,13 +107,13 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
         targets = tuple(lay.channel_qubit(k) for k in msg + (0,))
         return Gate(np.eye(2 << n), targets)
 
-    def alice(x):
-        rows = np.arange(1 << n) ^ x
-        return [alice_base().with_rows(rows)]
+    def alice(xs):
+        rows = np.arange(1 << n) ^ xs[:, None]
+        return [(np.arange(len(xs)), [alice_base().stack_rows(rows)])]
 
-    def bob(y):
-        rows = _flip_rows(table[:, y])
-        return [bob_base().with_rows(rows)]
+    def bob(ys):
+        rows = _flip_rows(table[:, ys].T)
+        return [(np.arange(len(ys)), [bob_base().stack_rows(rows)])]
 
     return Protocol(lay, (ProtocolStep(ALICE, msg, alice),
                           ProtocolStep(BOB, (0,), bob)), input_bits=n)
@@ -128,11 +137,11 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     the output bit at |y>, in one gate: u (x) I2, placed on the even and
     on the odd rows and columns (no kron), with rows 2y and 2y+1 swapped
     (no product with a permutation matrix).  u (x) I2 is made and checked
-    once, on Bob's first reply, and each reply is its Gate.with_rows, so a
-    caller that only reads the cost makes no gate.  Rows of m that are all
-    zero have no unit state: Alice sends the all-zeros string instead and
-    cleans the output bit with a zero-length follow-up turn, so those rows
-    reject with certainty at unchanged cost.
+    once, on Bob's first reply, and his replies to a walk's inputs are one
+    Gate.stack_rows of it, so a caller that only reads the cost makes no
+    gate.  Rows of m that are all zero have no unit state: Alice sends the
+    all-zeros string instead and cleans the output bit with a zero-length
+    follow-up turn, so those rows reject with certainty at unchanged cost.
     """
     m = np.asarray(m, dtype=complex)
     dim = m.shape[0] if m.ndim == 2 else 0
@@ -159,11 +168,15 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     msg_glob = tuple(lay.channel_qubit(k) for k in msg)
     bob_targets = lay.bob_register + msg_glob + (lay.channel_qubit(0),)
 
-    def alice_send(x):
-        if dead[x] or q == 0:
+    def alice_send(xs):
+        live = np.flatnonzero(~dead[xs])
+        if not live.size or q == 0:
             return []
-        phi = (c[x] * phi_raw[:1 << q, x]).astype(complex)
-        return [Gate(linalg.unitary_with_first_column(phi), msg_glob)]
+        x = xs[live]
+        # row i is c_x (diag(s) v |x>)[:2^q] for x = xs[live[i]]
+        phi = (c[x] * phi_raw[:1 << q, x]).T.astype(complex, order="C")
+        return [(live, [linalg.GateStack(linalg.unitary_with_first_column(phi),
+                                         msg_glob)])]
 
     @functools.cache
     def bob_base():
@@ -172,20 +185,22 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
         rot[1::2, 1::2] = res.u
         return Gate(rot, bob_targets)
 
-    def bob_reply(y):
-        rows = _flip_rows(np.arange(dim) == y)
-        return [bob_base().with_rows(rows)]
+    def bob_reply(ys):
+        rows = _flip_rows(np.arange(dim) == ys[:, None])
+        return [(np.arange(len(ys)), [bob_base().stack_rows(rows)])]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
              ProtocolStep(BOB, (0,), bob_reply)]
     if dead.any():
         swap = np.eye(4)[[0, 2, 1, 3]]
 
-        def alice_clean(x):
+        def alice_clean(xs):
             # move the (possibly 1) output bit into the fresh ancilla
-            if not dead[x]:
+            at = np.flatnonzero(dead[xs])
+            if not at.size:
                 return []
-            return [Gate(swap, (0, lay.channel_qubit(0)))]
+            swaps = np.broadcast_to(swap, (at.size, 4, 4))
+            return [(at, [linalg.GateStack(swaps, (0, lay.channel_qubit(0)))])]
 
         steps.append(ProtocolStep(ALICE, (), alice_clean))
     return NdetProtocolBundle(Protocol(lay, tuple(steps), input_bits=n),

@@ -94,3 +94,7 @@ def test_benchmark_surface_is_pinned():
             assert name in fields or hasattr(cls, name), (cls.__name__, name)
     fit = qcommlab.fit_cost_envelope([16])
     assert len(fit.ratios) == len(fit.log_stars) == 1
+    # perfbench/tracing.py traces step builds through the instance's
+    # __dict__, so build must stay an instance field
+    step = qcommlab.ProtocolStep("alice", (0,), lambda inputs: [])
+    assert "build" in step.__dict__

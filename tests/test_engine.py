@@ -12,14 +12,50 @@ from qcommlab.errors import CapacityError, ContractViolationError
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def per_input(build):
+    """A step build from one that gives a single input's gates as
+    (matrix, targets) pairs: the inputs grouped by the targets of their
+    lists, and each layer of a group one GateStack."""
+    def walk(inputs):
+        members = {}
+        for i, v in enumerate(inputs.tolist()):
+            gates = build(v)
+            if gates:
+                positions, lists = members.setdefault(
+                    tuple(t for _, t in gates), ([], []))
+                positions.append(i)
+                lists.append([u for u, _ in gates])
+        return [(positions, [linalg.GateStack(np.stack(layer), t)
+                             for layer, t in zip(zip(*lists), key)])
+                for key, (positions, lists) in members.items()]
+    return walk
+
+
+def stack_matrix(stack, j):
+    """Gate j of a GateStack as its matrix."""
+    return stack.unitaries[j] if stack.rows is None \
+        else stack.unitaries[stack.rows[j]]
+
+
+def gate_lists(step, inputs):
+    """Per input, the (matrix, targets) pairs of step.build(inputs)."""
+    lists = [[] for _ in inputs]
+    for positions, layers in step.build(np.array(inputs, dtype=np.intp)):
+        for j, i in enumerate(np.asarray(positions).tolist()):
+            lists[i] = [(stack_matrix(layer, j), layer.targets)
+                        for layer in layers]
+    return lists
+
+
 def one_message_protocol():
     """Alice writes her single input bit onto the output channel qubit."""
     lay = RegisterLayout(0, 1, 0)
 
     def alice(x):
-        return [Gate(X, (0,))] if x else []
+        return [(X, (0,))] if x else []
 
-    return Protocol(lay, (ProtocolStep(ALICE, (0,), alice),), input_bits=1)
+    return Protocol(lay, (ProtocolStep(ALICE, (0,), per_input(alice)),),
+                    input_bits=1)
 
 
 def reference_simulate(p, xi, yi):
@@ -31,8 +67,9 @@ def reference_simulate(p, xi, yi):
     state = np.zeros(1 << lay.total, dtype=complex)
     state[0] = 1.0
     for step in p.steps:
-        for gate in step.build(x if step.party == ALICE else y):
-            state = linalg.apply_on_qubits(state, gate.unitary, gate.targets)
+        (gates,) = gate_lists(step, [x if step.party == ALICE else y])
+        for u, targets in gates:
+            state = linalg.apply_on_qubits(state, u, targets)
     shift = lay.total - 1 - lay.output_qubit
     idx = np.arange(1 << lay.total)
     return state, float(np.sum(np.abs(state[(idx >> shift) & 1 == 1]) ** 2))
@@ -53,8 +90,9 @@ def random_protocol(n, layout, turns, seed):
         table = [linalg.random_unitary(1 << len(targets), rng)
                  for _ in range(1 << n)]
 
-        def build(v, table=table, targets=targets):
-            return [Gate(table[v], targets)]
+        def build(inputs, table=np.stack(table), targets=targets):
+            return [(np.arange(len(inputs)),
+                     [linalg.GateStack(table[inputs], targets)])]
 
         steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
     return Protocol(layout, tuple(steps), input_bits=n)
@@ -131,10 +169,11 @@ def test_simulation_preserves_norm():
 def test_gate_outside_turn_rejected():
     lay = RegisterLayout(0, 2, 0)
 
-    def alice(xbits):
-        return [Gate(X, (0,))]  # not in the declared window
+    def alice(x):
+        return [(X, (0,))]  # not in the declared window
 
-    p = Protocol(lay, (ProtocolStep(ALICE, (1,), alice),), input_bits=1)
+    p = Protocol(lay, (ProtocolStep(ALICE, (1,), per_input(alice)),),
+                 input_bits=1)
     with pytest.raises(ContractViolationError):
         engine.simulate(p, 0, 0)
 
@@ -206,12 +245,14 @@ def test_three_turns_with_the_qubit_sent_back(monkeypatch):
     p = Protocol(lay, tuple(ProtocolStep(s.party, s.window, counted(s.build))
                             for s in p.steps), input_bits=2)
     # all rows in one chunk, then one row per chunk: each chunk builds
-    # Alice's steps for its own rows, and Bob's are built once
-    for chunk in (engine.CHUNK_AMPLITUDES, 1):
+    # Alice's steps once for its own rows, and Bob's are built once
+    for chunk, alice in ((engine.CHUNK_AMPLITUDES, [[0, 1, 2, 3]]),
+                         (1, [[0], [1], [2], [3]])):
         monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", chunk)
         builds.clear()
         am = engine.acceptance_matrix(p)
-        assert len(builds) == 3 * 4  # once per step and input of its sender
+        want = [[0, 1, 2, 3]] + [rows for rows in alice for _ in range(2)]
+        assert sorted(b.tolist() for b in builds) == sorted(want)
         assert np.max(np.abs(am.values - reference_acceptance(p))) <= 1e-12
     for xi in range(4):
         for yi in range(4):
@@ -239,12 +280,13 @@ def test_gate_illegal_for_one_input_rejected(monkeypatch):
 
     def alice(x):
         # input 3 touches channel qubit 0, which is not in the window
-        return [Gate(X, (0 if x == 3 else 1,))]
+        return [(X, (0 if x == 3 else 1,))]
 
     def bob(y):
         # input 2 touches channel qubit 1, which Bob never held
-        return [Gate(X, (1 if y == 2 else 0,))]
+        return [(X, (1 if y == 2 else 0,))]
 
+    alice, bob = per_input(alice), per_input(bob)
     p = Protocol(lay, (ProtocolStep(ALICE, (1,), alice),), input_bits=2)
     engine.simulate(p, 0, 0)
     with pytest.raises(ContractViolationError):
@@ -392,8 +434,9 @@ def test_rank_bound_audit_corpus():
 
 
 def test_gates_checked_once_per_build(monkeypatch):
-    """acceptance_matrix checks each gate once, when it is made, however
-    many chunks of rows apply it; Bob's replies are rows of one base gate,
+    """acceptance_matrix checks each gate once, when its stack is made,
+    however many chunks of rows apply it: Alice's states of a chunk are one
+    stack with one check, and Bob's replies are rows of one base gate,
     checked once per protocol."""
     n = 4
     protocol = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", n)).protocol
@@ -411,13 +454,13 @@ def test_gates_checked_once_per_build(monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", counted_check)
     monkeypatch.setattr(engine.Gate, "__post_init__", counted_gate)
     want = engine.acceptance_matrix(protocol).values
-    # Alice's 2^n states, one gate each, and Bob's base
-    assert counts == {"checks": (1 << n) + 1, "gates": (1 << n) + 1}
+    # Alice's 2^n states, one stack in one chunk, and Bob's base
+    assert counts == {"checks": 2, "gates": 1}
     counts.update(checks=0, gates=0)
     monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", 1)
     assert np.array_equal(engine.acceptance_matrix(protocol).values, want)
-    # the protocol already holds Bob's base
-    assert counts == {"checks": 1 << n, "gates": 1 << n}
+    # one stack per one-row chunk; the protocol already holds Bob's base
+    assert counts == {"checks": 1 << n, "gates": 0}
 
 
 def test_simulate_checks_bobs_base_once_per_protocol(monkeypatch):
@@ -427,7 +470,7 @@ def test_simulate_checks_bobs_base_once_per_protocol(monkeypatch):
     is_unitary = linalg.is_unitary
 
     def counted_check(u):
-        sides.append(u.shape[0])
+        sides.append(u.shape[-1])
         return is_unitary(u)
 
     monkeypatch.setattr(linalg, "is_unitary", counted_check)
@@ -528,9 +571,10 @@ def reference_yao_kremer_decompose(p, x, y):
         if claimed:
             mine = np.kron(mine, np.eye(1, 1 << len(claimed)))
             side = side + claimed
-        for gate in step.build(x if sender == ALICE else y):
-            positions = [side.index(t) for t in gate.targets]
-            mine = linalg.apply_on_qubits(mine, gate, positions)
+        (gates,) = gate_lists(step, [x if sender == ALICE else y])
+        for u, targets in gates:
+            positions = [side.index(t) for t in targets]
+            mine = linalg.apply_on_qubits(mine, u, positions)
         k = len(window)
         if k:
             m = len(side)
@@ -631,14 +675,15 @@ def mixed_targets_protocol(seed=9):
     ]
     windows = [(0, 1), (0,), (0,)]
     steps = []
-    for k, (window, per_input) in enumerate(zip(windows, lists)):
+    for k, (window, targets) in enumerate(zip(windows, lists)):
         table = [[(linalg.random_unitary(1 << len(t), rng), t) for t in tl]
-                 for tl in per_input]
+                 for tl in targets]
 
         def build(v, table=table):
-            return [Gate(u, t) for u, t in table[v]]
+            return table[v]
 
-        steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
+        steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window,
+                                  per_input(build)))
     return Protocol(RegisterLayout(1, 2, 1), tuple(steps), input_bits=2)
 
 
@@ -653,8 +698,8 @@ def reference_evolve(p, xs, ys):
         for i, v in enumerate(xs if alice else ys):
             index = i if alice else (slice(None), i)
             batch = states[index]
-            for gate in step.build(v):
-                batch = linalg.apply_on_qubits(batch, gate, gate.targets)
+            for u, targets in gate_lists(step, [v])[0]:
+                batch = linalg.apply_on_qubits(batch, u, targets)
             states[index] = batch
     return states
 
@@ -671,15 +716,15 @@ def walker_cases():
 def test_mixed_targets_protocol_has_partial_groups():
     p = mixed_targets_protocol()
     inputs = range(4)
-    groups = [[g.inputs for g in turn.groups]
+    groups = [[tuple(g.positions.tolist()) for g in turn.groups]
               for turn in engine._compile(p, inputs, inputs)]
     assert groups == [[(1, 3), (2,)], [(0, 2), (1,)], [(0, 2), (3,)]]
     # zero rows 0 and 2: Alice's message and clean-up turns each have one
     # partial group
     p = zero_row_svd_protocol(2, seed=2)
     turns = engine._compile(p, inputs, inputs)
-    assert [g.inputs for g in turns[0].groups] == [(1, 3)]
-    assert [g.inputs for g in turns[2].groups] == [(0, 2)]
+    assert [g.positions.tolist() for g in turns[0].groups] == [[1, 3]]
+    assert [g.positions.tolist() for g in turns[2].groups] == [[0, 2]]
 
 
 def test_evolve_matches_the_per_input_reference():
@@ -748,21 +793,22 @@ def test_decompose_matches_per_pair_reference_sent_back_and_zero_rows():
 
 def test_batched_walk_stacks_per_pair_branches():
     """_decompose over any input lists gives x's branches in a_vectors[i]
-    for xs[i] and y's in b_vectors[j] for ys[j], with one build per step
-    and input.  Every walk hands a build the sender's index, a Python int
-    in [0, 2^n), whatever form the caller gave the input in."""
+    for xs[i] and y's in b_vectors[j] for ys[j], with one build per step.
+    Every walk hands a build the sender's indices in [0, 2^n), a read-only
+    1-D int array, whatever form the caller gave the inputs in."""
     n = 2
     builds = []
 
     def counted(build):
-        def wrapper(v):
-            builds.append(v)
-            return build(v)
+        def wrapper(inputs):
+            builds.append(inputs)
+            return build(inputs)
         return wrapper
 
     def all_indices():
-        return builds and all(type(v) is int and 0 <= v < 1 << n
-                              for v in builds)
+        return builds and all(
+            v.ndim == 1 and v.dtype.kind == "i" and not v.flags.writeable
+            and np.all((0 <= v) & (v < 1 << n)) for v in builds)
 
     protocols = [entry.protocol for entry in zoo.protocol_corpus(n)]
     protocols += [send_back_protocol(), zero_row_svd_protocol(n, seed=5)]
@@ -781,8 +827,8 @@ def test_batched_walk_stacks_per_pair_branches():
             assert all_indices(), builds
         builds.clear()
         d = engine._decompose(p, xs, ys)
-        assert builds == [v for s in p.steps
-                          for v in (xs if s.party == ALICE else ys)]
+        assert [v.tolist() for v in builds] == [
+            xs if s.party == ALICE else ys for s in p.steps]
         assert d.a_vectors.shape[0] == len(xs)
         assert d.b_vectors.shape[0] == len(ys)
         a1, b1, holder = d.output_components()
@@ -844,10 +890,11 @@ def small_protocols(draw):
         table = [linalg.random_unitary(1 << len(targets), rng)
                  for _ in range(1 << n)] if targets else None
 
-        def build(v, table=table, targets=targets):
+        def build(inputs, table=table, targets=targets):
             if table is None:
                 return []
-            return [Gate(table[v], targets)]
+            return [(np.arange(len(inputs)),
+                     [linalg.GateStack(np.stack(table)[inputs], targets)])]
 
         steps.append(ProtocolStep(party, window, build))
         for c in window:
@@ -879,3 +926,67 @@ def test_random_protocols_decompose_and_obey_the_rank_bound(p):
         # accept; a receiver that still acts on it can exceed the bound
         bound = 1 << max(0, 2 * p.declared_cost - 2)
         assert linalg.numeric_rank(am.values) <= bound
+
+
+def test_acceptance_matrix_n_is_an_integer():
+    for bad in (True, 1.0, np.True_):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            engine.AcceptanceMatrix(n=bad, values=np.eye(2))
+    am = engine.AcceptanceMatrix(n=np.int64(1), values=np.eye(2))
+    assert type(am.n) is int
+    assert json.loads(am.to_json())["n"] == 1
+
+
+def contract_cases():
+    return [(f"{entry.name}-{n}", entry.protocol) for n in (1, 2, 3, 4)
+            for entry in zoo.protocol_corpus(n)] + [
+        ("zero-rows-2", zero_row_svd_protocol(2, seed=2)),
+        ("zero-rows-3", zero_row_svd_protocol(3, seed=3))]
+
+
+def test_a_build_over_all_inputs_equals_its_builds_over_each_input():
+    """Gate for gate, a step's build over every input gives each input the
+    matrix bytes and targets that its build over that input alone gives."""
+    for name, p in contract_cases():
+        inputs = list(range(1 << p.input_bits))
+        for k, step in enumerate(p.steps):
+            together = gate_lists(step, inputs)
+            for v in inputs:
+                (alone,) = gate_lists(step, [v])
+                assert len(together[v]) == len(alone), (name, k, v)
+                for (u, t), (want, want_t) in zip(together[v], alone):
+                    assert t == want_t, (name, k, v)
+                    assert same_bytes(u, want), (name, k, v)
+
+
+def test_every_walk_over_all_inputs_builds_each_step_once(monkeypatch):
+    """acceptance_matrix builds Bob's steps once and Alice's once per
+    chunk of rows; output_families builds every step once."""
+    for name, p in contract_cases():
+        dim = 1 << p.input_bits
+        calls = []
+
+        def counted(k, build):
+            def wrapper(inputs):
+                calls.append((k, inputs.tolist()))
+                return build(inputs)
+            return wrapper
+
+        p = Protocol(p.layout, tuple(
+            ProtocolStep(s.party, s.window, counted(k, s.build))
+            for k, s in enumerate(p.steps)), input_bits=p.input_bits)
+        everything = [(k, list(range(dim))) for k in range(len(p.steps))]
+        for chunk in (engine.CHUNK_AMPLITUDES, 1):
+            monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", chunk)
+            calls.clear()
+            engine.acceptance_matrix(p)
+            if chunk == 1:
+                want = [(k, [x] if s.party == ALICE else list(range(dim)))
+                        for k, s in enumerate(p.steps)
+                        for x in (range(dim) if s.party == ALICE else [0])]
+            else:
+                want = everything
+            assert sorted(calls) == sorted(want), (name, chunk)
+        calls.clear()
+        engine.output_families(p)
+        assert calls == everything, name

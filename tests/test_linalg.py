@@ -164,23 +164,26 @@ def test_gates_compare_and_hash_by_identity():
     assert gate == gate
     assert gate != linalg.Gate(np.eye(2), (0,))
     assert {gate} == {gate} and len({gate, gate}) == 1
-    assert gate.with_rows([1, 0]) != gate
+    assert gate.stack_rows([[1, 0], [0, 1]]).unitaries is gate.unitary
 
 
 def test_gate_with_rows_permutes_a_checked_gate():
+    """Gate.stack_rows: gate i of the stack is the gate's rows[i]."""
     rng = np.random.default_rng(23)
     for k in (1, 2, 3, 4):
         dim = 1 << k
         targets = tuple(rng.permutation(6)[:k].tolist())
         gate = linalg.Gate(linalg.random_unitary(dim, rng), targets)
-        for _ in range(5):
-            rows = rng.permutation(dim)
-            permuted = gate.with_rows(rows)
-            assert np.array_equal(permuted.unitary, gate.unitary[rows])
-            assert permuted.targets == targets
-            assert linalg.is_unitary(permuted.unitary)
-            with pytest.raises(ValueError):
-                permuted.unitary[0, 0] = 5.0
+        rows = np.stack([rng.permutation(dim) for _ in range(5)])
+        stack = gate.stack_rows(rows)
+        assert len(stack) == 5 and stack.targets == targets
+        assert stack.unitaries is gate.unitary
+        assert np.array_equal(stack.rows, rows)
+        for r in rows:
+            assert linalg.is_unitary(gate.unitary[r])
+        rows[0, 0] = -1  # the stack holds its own read-only rows
+        with pytest.raises(ValueError):
+            stack.rows[0, 0] = 5
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
@@ -188,20 +191,29 @@ def test_gate_with_rows_permutes_a_checked_gate():
 def test_gate_with_rows_reads_every_integer_dtype(dtype):
     gate = linalg.Gate(linalg.random_unitary(8, np.random.default_rng(5)),
                        (0, 1, 2))
-    rows = np.array([3, 0, 7, 1, 6, 2, 5, 4], dtype=dtype)
-    assert np.array_equal(gate.with_rows(rows).unitary, gate.unitary[rows])
+    rows = np.array([[3, 0, 7, 1, 6, 2, 5, 4], [7, 6, 5, 4, 3, 2, 1, 0]],
+                    dtype=dtype)
+    assert np.array_equal(gate.stack_rows(rows).rows, rows)
+    # one gate is kept as its permuted matrix
+    one = gate.stack_rows(rows[:1])
+    assert one.rows is None and len(one) == 1
+    assert np.array_equal(one.unitaries, gate.unitary[rows[:1]])
     with pytest.raises(ValueError, match="permutation"):
-        gate.with_rows(np.array([3, 0, 7, 1, 6, 2, 5, 5], dtype=dtype))
+        gate.stack_rows(np.array([[3, 0, 7, 1, 6, 2, 5, 4],
+                                  [3, 0, 7, 1, 6, 2, 5, 5]], dtype=dtype))
 
 
-@pytest.mark.parametrize("rows", [[0, 0, 2, 3], [0, 1, 2, 4], [1, 0, 2],
-                                  [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]]],
+@pytest.mark.parametrize("rows", [[[0, 0, 2, 3]], [[0, 1, 2, 4]], [[1, 0, 2]],
+                                  [[0.0, 1.0, 2.0, 3.0]], [[0, 1], [2, 3]],
+                                  [0, 1, 2, 3]],
                          ids=["repeated", "out-of-range", "short", "float",
-                              "2-D"])
+                              "2-D", "1-D"])
 def test_gate_with_rows_rejects_non_permutations(rows):
     gate = linalg.Gate(np.eye(4), (0, 1))
     with pytest.raises(ValueError, match="permutation"):
-        gate.with_rows(rows)
+        gate.stack_rows(rows)
+    with pytest.raises(ValueError, match="permutation"):
+        gate.stack_rows(np.zeros((0, 4), dtype=int))
 
 
 def test_apply_on_qubits_gate_matches_matrix():
@@ -265,24 +277,20 @@ def test_stacked_gates_match_one_gate_per_row(n, targets, entries):
     rng = np.random.default_rng(41 + n + 7 * len(targets) + entries)
     dim = 1 << len(targets)
     base = linalg.Gate(linalg.random_unitary(dim, rng), targets)
+    distinct = np.stack([linalg.random_unitary(dim, rng)
+                         for _ in range(entries)])
+    rows = np.stack([rng.permutation(dim) for _ in range(entries)])
     families = {
-        "distinct": [linalg.Gate(linalg.random_unitary(dim, rng), targets)
-                     for _ in range(entries)],
-        "rows": [base.with_rows(rng.permutation(dim))
-                 for _ in range(entries)],
-        # rows of rows of the base
-        "rows-of-rows": [base.with_rows(rng.permutation(dim))
-                         .with_rows(rng.permutation(dim))
-                         for _ in range(entries)],
+        "distinct": (linalg.GateStack(distinct, targets), distinct),
+        "rows": (base.stack_rows(rows), base.unitary[rows]),
     }
     for shape in ((entries, 1 << n), (entries, 3, 1 << n)):
         state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         before = state.copy()
-        for name, gates in families.items():
-            stack = linalg.GateStack.of(gates)
+        for name, (stack, gates) in families.items():
             assert len(stack) == entries
             assert (stack.rows is not None) == (
-                entries > 1 and name != "distinct"), name
+                entries > 1 and name == "rows"), name
             want = np.stack([linalg.apply_on_qubits(row, gate, targets)
                              for row, gate in zip(state, gates)])
             got = linalg.apply_on_qubits(state, stack, targets)
@@ -294,22 +302,31 @@ def test_stacked_gates_match_one_gate_per_row(n, targets, entries):
 def test_stacked_gates_reject_bad_stacks():
     rng = np.random.default_rng(43)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    gates = [linalg.Gate(linalg.random_unitary(2, rng), (1,))
-             for _ in range(3)]
+    gates = np.stack([linalg.random_unitary(2, rng) for _ in range(3)])
     state = rng.normal(size=(3, 4)) + 0j
     with pytest.raises(ValueError, match="2 gates for 3 entries"):
-        linalg.apply_on_qubits(state, linalg.GateStack.of(gates[:2]), (1,))
-    with pytest.raises(ValueError, match="one or more Gates"):
-        linalg.GateStack.of(gates[:2] + [x])
-    with pytest.raises(ValueError, match="one or more Gates"):
-        linalg.GateStack.of([])
-    with pytest.raises(ValueError, match="share their targets"):
-        linalg.GateStack.of(gates[:2] + [linalg.Gate(x, (0,))])
+        linalg.apply_on_qubits(state, linalg.GateStack(gates[:2], (1,)), (1,))
+    # one check of the whole stack finds one gate that is not unitary
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        linalg.GateStack(np.concatenate([gates[:2], 2 * x[None]]), (1,))
+    with pytest.raises(ValueError, match="one or more 2 x 2 matrices"):
+        linalg.GateStack(gates[:0], (1,))
+    with pytest.raises(ValueError, match="one or more 2 x 2 matrices"):
+        linalg.GateStack(gates[0], (1,))
+    with pytest.raises(ValueError, match="one or more 4 x 4 matrices"):
+        linalg.GateStack(gates, (0, 1))
+    with pytest.raises(ValueError, match="integers"):
+        linalg.GateStack(gates, (True,))
+    stack = linalg.GateStack(gates, (1,))
+    gates[0] = 2 * x  # the stack holds its own read-only copy
+    assert linalg.is_unitary(stack.unitaries)
+    with pytest.raises(ValueError):
+        stack.unitaries[0, 0, 0] = 5.0
     with pytest.raises(ValueError, match="target count"):
-        linalg.apply_on_qubits(state, linalg.GateStack.of(gates), (0, 1))
+        linalg.apply_on_qubits(state, stack, (0, 1))
     # one gate per entry needs the entries' axis
     with pytest.raises(ValueError, match="after one axis for the gates"):
-        linalg.apply_on_qubits(state[0], linalg.GateStack.of(gates[:1]),
+        linalg.apply_on_qubits(state[0], linalg.GateStack(gates[1:2], (1,)),
                                (1,))
 
 
@@ -358,11 +375,21 @@ def test_unitary_with_first_column():
             assert np.max(np.abs(w[:, 0] - phi)) <= 1e-12, dim
             assert linalg.is_unitary(w), dim
             assert np.array_equal(linalg.unitary_with_first_column(phi), w)
+    # a stack of columns gives, bit for bit, each column's unitary
+    for dim in (1, 2, 5, 16):
+        phis = rng.normal(size=(7, dim)) + 1j * rng.normal(size=(7, dim))
+        phis[0, 0] = 0.0 if dim > 1 else phis[0, 0]
+        phis /= np.linalg.norm(phis, axis=1)[:, None]
+        ws = linalg.unitary_with_first_column(phis)
+        assert ws.shape == (7, dim, dim) and linalg.is_unitary(ws)
+        for phi, w in zip(phis, ws):
+            assert w.tobytes() == linalg.unitary_with_first_column(phi).tobytes()
 
 
 def test_unitary_with_first_column_rejects_bad_input():
     for bad in ([np.nan, 0], [1, np.nan], [np.inf, 0], [1j * np.nan],
-                [], [[1, 0]], [[1], [0]], 1.0, [0.5, 0.5], [0, 0]):
+                [], [[1], [0]], [[1, 0], [0.5, 0.5]], [[]], np.zeros((0, 2)),
+                [[[1, 0]]], 1.0, [0.5, 0.5], [0, 0]):
         with pytest.raises(ValueError, match="^first column must be"):
             linalg.unitary_with_first_column(np.array(bad, dtype=complex))
 

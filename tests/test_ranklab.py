@@ -281,9 +281,12 @@ def test_protocol_to_witness_trivial_eq2_is_tight():
 def test_protocol_to_witness_always_accept():
     lay = engine.RegisterLayout(0, 1, 0)
     x_gate = np.array([[0.0, 1.0], [1.0, 0.0]])
+    def every_input(inputs):
+        flips = np.broadcast_to(x_gate, (len(inputs), 2, 2))
+        return [(np.arange(len(inputs)), [linalg.GateStack(flips, (0,))])]
+
     p = engine.Protocol(lay, (engine.ProtocolStep(
-        engine.ALICE, (0,), lambda b: [engine.Gate(x_gate, (0,))]),),
-        input_bits=1)
+        engine.ALICE, (0,), every_input),), input_bits=1)
     ones = ranklab.CommMatrix(1, "custom", np.ones((2, 2), dtype=int))
     w = ranklab.protocol_to_witness(p, ones, seed=0)
     assert w.rank == 1

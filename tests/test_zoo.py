@@ -385,6 +385,13 @@ def test_protocol_corpus_costs():
                 assert entry.protocol.declared_cost == n + 1
 
 
+def gates_of(step, v):
+    """Input v's gates from a build over [v], as (matrix, targets) pairs."""
+    return [(s.unitaries[0] if s.rows is None else s.unitaries[s.rows[0]],
+             s.targets)
+            for _, layers in step.build(np.array([v])) for s in layers]
+
+
 def test_svd_alice_gate_prepares_her_message_state():
     """Alice's gate maps |0...0> to c_x (diag(s) v)[:2^q, x], with the
     factorisation m^T = u diag(s) v taken here from numpy's complex SVD."""
@@ -402,13 +409,13 @@ def test_svd_alice_gate_prepares_her_message_state():
             q = len(send.window)
             assert np.count_nonzero(s) <= 1 << q, (entry.name, n)
             for x in range(1 << n):
-                gates = send.build(x)
+                gates = gates_of(send, x)
                 if not live[x] or q == 0:
                     assert gates == [], (entry.name, n, x)
                     continue
                 want = phi_raw[:1 << q, x] / norms[x]
-                (gate,) = gates
-                assert np.max(np.abs(gate.unitary[:, 0] - want)) <= 1e-12, \
+                ((u, _),) = gates
+                assert np.max(np.abs(u[:, 0] - want)) <= 1e-12, \
                     (entry.name, n, x)
 
 
@@ -447,10 +454,10 @@ def test_svd_protocol_replies_with_one_gate_on_bobs_qubits_and_message(
                        + tuple(lay.channel_qubit(k) for k in range(1, q + 1))
                        + (lay.channel_qubit(0),))
             for y in range(1 << n):
-                reply = p.steps[1].build(y)
+                reply = gates_of(p.steps[1], y)
                 assert len(reply) == 1, (fn, n, y)
-                assert reply[0].targets == targets, (fn, n, y)
-                assert reply[0].unitary.shape == (2 << n, 2 << n), (fn, n, y)
+                assert reply[0][1] == targets, (fn, n, y)
+                assert reply[0][0].shape == (2 << n, 2 << n), (fn, n, y)
 
 
 @pytest.mark.parametrize("m", [np.asarray(5.0), np.ones(4), np.ones((2, 4)),
@@ -489,9 +496,9 @@ def test_svd_reply_equals_the_flip_times_kron_reference():
         n = bundle.protocol.input_bits
         u = linalg.svd(np.asarray(m, dtype=complex).T).u
         for y in range(1 << n):
-            (gate,) = bundle.protocol.steps[1].build(y)
+            ((gate, _),) = gates_of(bundle.protocol.steps[1], y)
             # exact; only the sign of a zero may differ
-            assert np.array_equal(gate.unitary, reference_bob_reply(u, y)), \
+            assert np.array_equal(gate, reference_bob_reply(u, y)), \
                 (name, y)
 
 
@@ -502,11 +509,11 @@ def test_trivial_reply_is_the_identity_with_flipped_rows():
             p = zoo.trivial_exact_protocol(target)
             targets = tuple(range(1, n + 1)) + (0,)
             for y in range(1 << n):
-                (gate,) = p.steps[1].build(y)
+                ((gate, gate_targets),) = gates_of(p.steps[1], y)
                 want = np.eye(2 << n)[zoo._flip_rows(target.values[:, y])]
-                assert np.array_equal(gate.unitary, want), (fn, n, y)
-                assert gate.unitary.dtype == want.dtype, (fn, n, y)
-                assert gate.targets == targets, (fn, n, y)
+                assert np.array_equal(gate, want), (fn, n, y)
+                assert gate.dtype == want.dtype, (fn, n, y)
+                assert gate_targets == targets, (fn, n, y)
 
 
 def test_trivial_message_is_rows_of_one_identity(monkeypatch):
@@ -524,19 +531,20 @@ def test_trivial_message_is_rows_of_one_identity(monkeypatch):
         p = zoo.trivial_exact_protocol(ranklab.build_comm_matrix("EQ", n))
         made.clear()
         for x in range(1 << n):
-            (gate,) = p.steps[0].build(x)
+            ((gate, targets),) = gates_of(p.steps[0], x)
             want = np.eye(1 << n)[np.arange(1 << n) ^ x]
-            assert np.array_equal(gate.unitary, want), (n, x)
-            assert gate.targets == tuple(range(1, n + 1))
-            state = np.eye(1, 2 << n, dtype=complex)[0]
-            sent = linalg.apply_on_qubits(state, gate, gate.targets)
+            assert np.array_equal(gate, want), (n, x)
+            assert targets == tuple(range(1, n + 1))
+            state = np.eye(1, 2 << n, dtype=complex)[None]
+            ((_, (stack,)),) = p.steps[0].build(np.array([x]))
+            sent = linalg.apply_on_qubits(state, stack, targets)[0]
             assert np.flatnonzero(sent).tolist() == [x], (n, x)  # |0>|x>
         assert made == [1 << n]
 
 
 def test_building_a_protocol_makes_no_gate(monkeypatch):
     made = []
-    post_init, with_rows = linalg.Gate.__post_init__, linalg.Gate.with_rows
+    post_init, stack_rows = linalg.Gate.__post_init__, linalg.Gate.stack_rows
 
     def counted_init(gate):
         made.append("checked")
@@ -544,10 +552,10 @@ def test_building_a_protocol_makes_no_gate(monkeypatch):
 
     def counted_rows(gate, rows):
         made.append("permuted")
-        return with_rows(gate, rows)
+        return stack_rows(gate, rows)
 
     monkeypatch.setattr(linalg.Gate, "__post_init__", counted_init)
-    monkeypatch.setattr(linalg.Gate, "with_rows", counted_rows)
+    monkeypatch.setattr(linalg.Gate, "stack_rows", counted_rows)
     n = 8
     protocols = [zoo.ndet_svd_protocol(ranklab.canonical_witness(fn, n))
                  .protocol for fn in ranklab.FUNCTION_NAMES]
@@ -556,7 +564,7 @@ def test_building_a_protocol_makes_no_gate(monkeypatch):
     assert made == []
     # Bob's base is made and checked on his first reply only
     bob = protocols[0].steps[1]
-    bob.build(3)
+    bob.build(np.array([3]))
     assert made == ["checked", "permuted"]
-    bob.build(5)
+    bob.build(np.array([5, 6]))
     assert made == ["checked", "permuted", "permuted"]
