@@ -12,14 +12,15 @@ intermediate measurements.  An input is its index in [0, 2^n), first bit
 most significant (``as_input``).
 
 A step's build gets all the sender's inputs of a walk at once, as a 1-D
-int array, and returns their gates as groups ``(positions, layers)``: one
-``linalg.GateStack`` per layer, whose gate i depends only on
-inputs[positions[i]], since Alice's gates depend only on x and Bob's only
-on y.  Every entry point runs one turn-walker.  ``_compile`` walks the
-steps once, checks ownership, builds each step once for the walk's inputs
-of its sender and checks each group's positions and targets.  One turn
-applier, ``_apply_turn``, serves both walks: it applies each layer of a
-group to the states of all its inputs as one stacked matmul, in
+int array, and returns their gates as a list of layers: one
+``linalg.GateStack`` per layer with one gate per input, whose gate i
+depends only on inputs[i], since Alice's gates depend only on x and Bob's
+only on y.  An input that needs no gate in a layer gets the identity.
+Every entry point runs one turn-walker.  ``_compile`` walks the steps
+once, checks ownership, builds each step once for the walk's inputs of
+its sender and checks each layer's gate count and targets.  One turn
+applier, ``_apply_turn``, serves both walks: it applies each layer to the
+states of all the inputs as one stacked matmul, in
 ``linalg.apply_on_qubits``.  ``_evolve`` holds one state per pair in an
 array of shape (x, y, 2^total): an Alice turn acts on states[x] of every
 x at once, a Bob turn on states[:, y] of every y.  Alice's turns before
@@ -27,8 +28,8 @@ Bob's first act on one state per x, of shape (x, 1, 2^total), which
 Bob's first turn broadcasts over y.  ``simulate`` is the walk over one
 pair and ``acceptance_matrix`` the walk over all pairs in chunks of x
 rows: it builds Bob's steps once for every y and Alice's once for each
-chunk's own rows, so every group holds indices into the states it acts
-on and no stack is ever sliced.
+chunk's own rows, so every layer covers exactly the states it acts on
+and no stack is ever sliced.
 
 The Yao-Kremer decomposition walk ``_decompose`` is batched over inputs
 the same way.  A party's transcript branches depend only on its own
@@ -176,12 +177,12 @@ class RegisterLayout:
 class ProtocolStep:
     """One turn.  ``build`` gets the sender's inputs of one walk, a
     read-only 1-D int array of indices in [0, 2^input_bits) with the first
-    bit most significant, and returns their gates as groups ``(positions,
-    layers)``: ``positions`` are strictly increasing indices into the
-    inputs, in no other group, and ``layers`` one ``linalg.GateStack``
-    per gate layer, whose gate i depends only on inputs[positions[i]].
-    An input in no group gets no gates.  A walk calls it once per step,
-    and only for a party with inputs.
+    bit most significant, and returns their gates as a list of layers, one
+    ``linalg.GateStack`` per layer with one gate per input, gate i
+    depending only on inputs[i]; an input that needs no gate in a layer
+    gets the identity.  Which layers it returns, and on which targets,
+    depends only on the protocol, not on the inputs.  A walk calls it once
+    per step, and only for a party with inputs.
 
     ``window`` lists the channel qubits sent this turn, as channel-local
     indices >= 0; it may be empty for a bookkeeping turn with no message.
@@ -189,7 +190,7 @@ class ProtocolStep:
 
     party: str
     window: tuple
-    build: Callable[[np.ndarray], Sequence[tuple]]
+    build: Callable[[np.ndarray], Sequence[linalg.GateStack]]
 
     def __post_init__(self):
         if self.party not in (ALICE, BOB):
@@ -239,30 +240,20 @@ class SimulationResult(NamedTuple):
     cost: int
 
 
-class _Group(NamedTuple):
-    """Inputs of one turn that share their gate layers: their strictly
-    increasing indices in the walk's inputs, and one GateStack per layer,
-    gate i for the input at positions[i]."""
-
-    positions: np.ndarray
-    layers: list
-
-
 class _Turn(NamedTuple):
     """One step after the walk: the sender, the window in global qubit
-    indices, and the groups of the sender's build; an input with no gates
-    is in no group."""
+    indices, and the layers of the sender's build."""
 
     party: str
     window: tuple
-    groups: list
+    layers: list
 
 
 def _compile(p: Protocol, xs: Sequence[int], ys: Sequence[int]) -> list:
     """Walk the steps once: check channel ownership, build each Alice step
     once for all of ``xs`` and each Bob step once for all of ``ys`` (not
-    at all for a party with no inputs), and check each group of the build
-    (``_groups``)."""
+    at all for a party with no inputs), and check each layer of the build
+    (``_layers``)."""
     lay = p.layout
     registers = {ALICE: lay.alice_register, BOB: lay.bob_register}
     inputs = {ALICE: _walk_inputs(xs), BOB: _walk_inputs(ys)}
@@ -278,8 +269,8 @@ def _compile(p: Protocol, xs: Sequence[int], ys: Sequence[int]) -> list:
             lay.channel_qubit(k) for k, o in enumerate(owner)
             if o == step.party))
         sent = inputs[step.party]
-        groups = _groups(step, sent, allowed) if len(sent) else []
-        turns.append(_Turn(step.party, window, groups))
+        layers = _layers(step, sent, allowed) if len(sent) else []
+        turns.append(_Turn(step.party, window, layers))
         for k in step.window:
             owner[k] = other_party(step.party)
     return turns
@@ -293,66 +284,34 @@ def _walk_inputs(values: Sequence[int]) -> np.ndarray:
     return inputs
 
 
-def _groups(step: ProtocolStep, inputs: np.ndarray, allowed: set) -> list:
-    """The groups of ``step.build(inputs)`` that have layers.
-    ContractViolationError unless the positions are strictly increasing
-    indices into the inputs and in no earlier group, every layer is a
-    GateStack with one gate per position, and each layer's targets are in
-    ``allowed``, whichever input a gate is for."""
-    groups = []
-    taken = None  # inputs in a group, once there are two groups
-    for positions, layers in step.build(inputs):
-        layers = list(layers)
-        if not layers:
-            continue
-        positions = np.asarray(positions)
-        if groups and taken is None:
-            taken = np.zeros(len(inputs), dtype=bool)
-            taken[groups[0].positions] = True
-        if (positions.ndim != 1 or not positions.size
-                or positions.dtype.kind not in "iu" or positions[0] < 0
-                or positions[-1] >= len(inputs)
-                or len(positions) > 1
-                and (positions[1:] <= positions[:-1]).any()
-                or taken is not None and taken[positions].any()):
+def _layers(step: ProtocolStep, inputs: np.ndarray, allowed: set) -> list:
+    """The layers of ``step.build(inputs)``.  ContractViolationError unless
+    every layer is a GateStack with one gate per input, on targets in
+    ``allowed``."""
+    layers = list(step.build(inputs))
+    for layer in layers:
+        if not (isinstance(layer, linalg.GateStack)
+                and len(layer) == len(inputs)):
             raise ContractViolationError(
-                f"{step.party} build: a group's positions must be strictly "
-                "increasing indices of its inputs, in no other group")
-        if taken is not None:
-            taken[positions] = True
-        for layer in layers:
-            if not (isinstance(layer, linalg.GateStack)
-                    and len(layer) == len(positions)):
-                raise ContractViolationError(
-                    f"{step.party} build: each layer must be a GateStack "
-                    "with one gate per position")
-            if not allowed.issuperset(layer.targets):
-                raise ContractViolationError(
-                    f"{step.party} gate touches qubits "
-                    f"{sorted(set(layer.targets) - allowed)} outside its turn")
-        groups.append(_Group(positions, layers))
-    return groups
+                f"{step.party} build: each layer must be a GateStack "
+                "with one gate per input")
+        if not allowed.issuperset(layer.targets):
+            raise ContractViolationError(
+                f"{step.party} gate touches qubits "
+                f"{sorted(set(layer.targets) - allowed)} outside its turn")
+    return layers
 
 
-def _apply_turn(stacks: np.ndarray, groups: list,
+def _apply_turn(stacks: np.ndarray, layers: list,
                 side: Sequence[int] = None) -> np.ndarray:
     """The states after a turn.  stacks[i] holds the states of input i of
-    the compiled walk; every group acts on its inputs with one stacked
-    matmul per layer.  ``side`` is the global qubit at each position of
-    the states (position = qubit if None).  A group that covers every
-    input returns its result; otherwise stacks is updated in place and
-    returned."""
-    for group in groups:
-        whole = len(group.positions) == len(stacks)
-        index = group.positions
-        batch = stacks if whole else stacks[index]
-        for layer in group.layers:
-            positions = layer.targets if side is None else [
-                side.index(t) for t in layer.targets]
-            batch = linalg.apply_on_qubits(batch, layer, positions)
-        if whole:
-            return batch
-        stacks[index] = batch
+    the compiled walk, and gate i of each layer acts on them.  ``side`` is
+    the global qubit at each position of the states (position = qubit if
+    None)."""
+    for layer in layers:
+        targets = layer.targets if side is None else [
+            side.index(t) for t in layer.targets]
+        stacks = linalg.apply_on_qubits(stacks, layer, targets)
     return stacks
 
 
@@ -366,12 +325,12 @@ def _evolve(lay: RegisterLayout, turns: list, rows: int,
     states[:, :, 0] = 1.0
     for turn in turns:
         if turn.party == ALICE:
-            states = _apply_turn(states, turn.groups)
+            states = _apply_turn(states, turn.layers)
             continue
         if states.shape[1] < columns:
             states = states.repeat(columns, axis=1)
         states = _apply_turn(states.swapaxes(0, 1),
-                             turn.groups).swapaxes(0, 1)
+                             turn.layers).swapaxes(0, 1)
     if states.shape[1] < columns:  # Bob has no turn
         states = np.broadcast_to(states, (rows, columns, states.shape[-1]))
     return states
@@ -551,7 +510,7 @@ def _decompose(p: Protocol, xs: Sequence[int],
             grown[..., 0] = mine
             mine = grown.reshape(batch, count, -1)
             side = side + claimed
-        mine = _apply_turn(mine, turn.groups, side)
+        mine = _apply_turn(mine, turn.layers, side)
         k = len(turn.window)
         if k:
             # branch c splits into c * 2^k + bits: the sender keeps the

@@ -301,14 +301,6 @@ def apply_on_qubits(state, u, targets) -> np.ndarray:
                          ).reshape(state.shape)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def exact_rank(m) -> int:
     """Exact rank by fraction-free (Bareiss) elimination on Python ints.
 

@@ -13,9 +13,9 @@ sender's input indices of a walk at once, and search routines.
   base as well.
 * ndet_svd_protocol: one-round protocol from the SVD of the witness
   matrix transpose; cost ceil(log2 rank) + 1 and acceptance probability
-  c_x^2 |m_xy|^2.  Alice's message states of every live x are one stack
-  of Householder reflections (linalg.unitary_with_first_column), checked
-  as one GateStack.
+  c_x^2 |m_xy|^2.  Alice's message states of every x are one stack of
+  Householder reflections (linalg.unitary_with_first_column), checked as
+  one GateStack.
 * solution_angle / amplification_factors: the one amplitude-amplification
   kernel.  Iterating "flip the solutions, reflect about the start" keeps
   the state in span(good part, bad part) of the start, so j iterations
@@ -109,11 +109,11 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
 
     def alice(xs):
         rows = np.arange(1 << n) ^ xs[:, None]
-        return [(np.arange(len(xs)), [alice_base().stack_rows(rows)])]
+        return [alice_base().stack_rows(rows)]
 
     def bob(ys):
         rows = _flip_rows(table[:, ys].T)
-        return [(np.arange(len(ys)), [bob_base().stack_rows(rows)])]
+        return [bob_base().stack_rows(rows)]
 
     return Protocol(lay, (ProtocolStep(ALICE, msg, alice),
                           ProtocolStep(BOB, (0,), bob)), input_bits=n)
@@ -139,9 +139,11 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     (no product with a permutation matrix).  u (x) I2 is made and checked
     once, on Bob's first reply, and his replies to a walk's inputs are one
     Gate.stack_rows of it, so a caller that only reads the cost makes no
-    gate.  Rows of m that are all zero have no unit state: Alice sends the
-    all-zeros string instead and cleans the output bit with a zero-length
-    follow-up turn, so those rows reject with certainty at unchanged cost.
+    gate.  Rows of m that are all zero have no unit state: such a dead x
+    sends |0...0> through its gate instead, and a zero-length follow-up
+    turn swaps the output bit into Alice's ancilla for a dead x (the
+    identity for a live x), so those rows reject with certainty at
+    unchanged cost.
     """
     m = np.asarray(m, dtype=complex)
     dim = m.shape[0] if m.ndim == 2 else 0
@@ -169,14 +171,14 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     bob_targets = lay.bob_register + msg_glob + (lay.channel_qubit(0),)
 
     def alice_send(xs):
-        live = np.flatnonzero(~dead[xs])
-        if not live.size or q == 0:
+        if q == 0:
             return []
-        x = xs[live]
-        # row i is c_x (diag(s) v |x>)[:2^q] for x = xs[live[i]]
-        phi = (c[x] * phi_raw[:1 << q, x]).T.astype(complex, order="C")
-        return [(live, [linalg.GateStack(linalg.unitary_with_first_column(phi),
-                                         msg_glob)])]
+        # row i is c_x (diag(s) v |x>)[:2^q] for x = xs[i], and e_0 for a
+        # dead x, whose gate then maps |0...0> to |0...0>
+        phi = (c[xs] * phi_raw[:1 << q, xs]).T.astype(complex, order="C")
+        phi[dead[xs], 0] = 1.0
+        return [linalg.GateStack(linalg.unitary_with_first_column(phi),
+                                 msg_glob)]
 
     @functools.cache
     def bob_base():
@@ -187,7 +189,7 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
 
     def bob_reply(ys):
         rows = _flip_rows(np.arange(dim) == ys[:, None])
-        return [(np.arange(len(ys)), [bob_base().stack_rows(rows)])]
+        return [bob_base().stack_rows(rows)]
 
     steps = [ProtocolStep(ALICE, msg, alice_send),
              ProtocolStep(BOB, (0,), bob_reply)]
@@ -195,12 +197,10 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
         swap = np.eye(4)[[0, 2, 1, 3]]
 
         def alice_clean(xs):
-            # move the (possibly 1) output bit into the fresh ancilla
-            at = np.flatnonzero(dead[xs])
-            if not at.size:
-                return []
-            swaps = np.broadcast_to(swap, (at.size, 4, 4))
-            return [(at, [linalg.GateStack(swaps, (0, lay.channel_qubit(0)))])]
+            # a dead x moves the (possibly 1) output bit into the fresh
+            # ancilla; a live x keeps it
+            swaps = np.where(dead[xs, None, None], swap, np.eye(4))
+            return [linalg.GateStack(swaps, (0, lay.channel_qubit(0)))]
 
         steps.append(ProtocolStep(ALICE, (), alice_clean))
     return NdetProtocolBundle(Protocol(lay, tuple(steps), input_bits=n),

@@ -21,7 +21,7 @@ PUBLIC = [
     "log_star", "monomial_rank_audit", "ndet_svd_protocol",
     "nor_approx_audit", "numeric_rank", "protocol_corpus",
     "protocol_to_witness", "qsearch", "random_and_dependent_acceptance",
-    "random_unitary", "rank_bound_audit", "ranklab", "recursive_intersection",
+    "rank_bound_audit", "ranklab", "recursive_intersection",
     "simulate", "svd", "trivial_exact_protocol", "verify_ndet_witness",
     "yao_kremer_decompose", "zoo",
 ]

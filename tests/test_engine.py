@@ -5,30 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_unitary
 from qcommlab import engine, linalg, ranklab, zoo
 from qcommlab.engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
 from qcommlab.errors import CapacityError, ContractViolationError
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def per_input(build):
-    """A step build from one that gives a single input's gates as
-    (matrix, targets) pairs: the inputs grouped by the targets of their
-    lists, and each layer of a group one GateStack."""
-    def walk(inputs):
-        members = {}
-        for i, v in enumerate(inputs.tolist()):
-            gates = build(v)
-            if gates:
-                positions, lists = members.setdefault(
-                    tuple(t for _, t in gates), ([], []))
-                positions.append(i)
-                lists.append([u for u, _ in gates])
-        return [(positions, [linalg.GateStack(np.stack(layer), t)
-                             for layer, t in zip(zip(*lists), key)])
-                for key, (positions, lists) in members.items()]
-    return walk
 
 
 def stack_matrix(stack, j):
@@ -39,23 +21,20 @@ def stack_matrix(stack, j):
 
 def gate_lists(step, inputs):
     """Per input, the (matrix, targets) pairs of step.build(inputs)."""
-    lists = [[] for _ in inputs]
-    for positions, layers in step.build(np.array(inputs, dtype=np.intp)):
-        for j, i in enumerate(np.asarray(positions).tolist()):
-            lists[i] = [(stack_matrix(layer, j), layer.targets)
-                        for layer in layers]
-    return lists
+    layers = step.build(np.array(inputs, dtype=np.intp))
+    return [[(stack_matrix(layer, j), layer.targets) for layer in layers]
+            for j in range(len(inputs))]
 
 
 def one_message_protocol():
     """Alice writes her single input bit onto the output channel qubit."""
     lay = RegisterLayout(0, 1, 0)
+    table = np.stack([np.eye(2), X])
 
-    def alice(x):
-        return [(X, (0,))] if x else []
+    def alice(inputs):
+        return [linalg.GateStack(table[inputs], (0,))]
 
-    return Protocol(lay, (ProtocolStep(ALICE, (0,), per_input(alice)),),
-                    input_bits=1)
+    return Protocol(lay, (ProtocolStep(ALICE, (0,), alice),), input_bits=1)
 
 
 def reference_simulate(p, xi, yi):
@@ -87,12 +66,11 @@ def random_protocol(n, layout, turns, seed):
     rng = np.random.default_rng(seed)
     steps = []
     for k, (window, targets) in enumerate(turns):
-        table = [linalg.random_unitary(1 << len(targets), rng)
-                 for _ in range(1 << n)]
+        table = np.stack([random_unitary(1 << len(targets), rng)
+                          for _ in range(1 << n)])
 
-        def build(inputs, table=np.stack(table), targets=targets):
-            return [(np.arange(len(inputs)),
-                     [linalg.GateStack(table[inputs], targets)])]
+        def build(inputs, table=table, targets=targets):
+            return [linalg.GateStack(table[inputs], targets)]
 
         steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
     return Protocol(layout, tuple(steps), input_bits=n)
@@ -169,11 +147,12 @@ def test_simulation_preserves_norm():
 def test_gate_outside_turn_rejected():
     lay = RegisterLayout(0, 2, 0)
 
-    def alice(x):
-        return [(X, (0,))]  # not in the declared window
+    def alice(inputs):
+        # qubit 0 is not in the declared window
+        return [linalg.GateStack(np.broadcast_to(X, (len(inputs), 2, 2)),
+                                 (0,))]
 
-    p = Protocol(lay, (ProtocolStep(ALICE, (1,), per_input(alice)),),
-                 input_bits=1)
+    p = Protocol(lay, (ProtocolStep(ALICE, (1,), alice),), input_bits=1)
     with pytest.raises(ContractViolationError):
         engine.simulate(p, 0, 0)
 
@@ -276,31 +255,61 @@ def test_acceptance_matrix_over_several_chunks():
 
 
 def test_gate_illegal_for_one_input_rejected(monkeypatch):
+    """A layer whose targets leave the turn is rejected whichever input
+    its gate is for, also where it is the identity: its targets depend
+    only on the protocol."""
     lay = RegisterLayout(0, 2, 0)
 
-    def alice(x):
-        # input 3 touches channel qubit 0, which is not in the window
-        return [(X, (0 if x == 3 else 1,))]
+    def flip_one(v, targets):
+        def build(inputs):
+            flips = np.where((inputs == v)[:, None, None], X, np.eye(2))
+            return [linalg.GateStack(flips, targets)]
+        return build
 
-    def bob(y):
-        # input 2 touches channel qubit 1, which Bob never held
-        return [(X, (1 if y == 2 else 0,))]
+    # Alice flips channel qubit 0, not in her window, for input 3 only;
+    # Bob flips channel qubit 1, which he never held, for input 2 only
+    alice = Protocol(lay, (ProtocolStep(ALICE, (1,), flip_one(3, (0,))),),
+                     input_bits=2)
+    bob = Protocol(lay, (ProtocolStep(ALICE, (0,), lambda b: []),
+                         ProtocolStep(BOB, (), flip_one(2, (1,)))),
+                   input_bits=2)
+    for p, pairs in ((alice, [(0, 0), (3, 0)]), (bob, [(0, 0), (0, 2)])):
+        for x, y in pairs:
+            with pytest.raises(ContractViolationError):
+                engine.simulate(p, x, y)
+        for chunk in (engine.CHUNK_AMPLITUDES, 1):
+            monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", chunk)
+            with pytest.raises(ContractViolationError):
+                engine.acceptance_matrix(p)
 
-    alice, bob = per_input(alice), per_input(bob)
-    p = Protocol(lay, (ProtocolStep(ALICE, (1,), alice),), input_bits=2)
-    engine.simulate(p, 0, 0)
-    with pytest.raises(ContractViolationError):
-        engine.simulate(p, 3, 0)
-    # in one-row chunks input 3 is compiled with the last chunk only
-    for chunk in (engine.CHUNK_AMPLITUDES, 1):
-        monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", chunk)
-        with pytest.raises(ContractViolationError):
-            engine.acceptance_matrix(p)
-    p = Protocol(lay, (ProtocolStep(ALICE, (0,), lambda b: []),
-                       ProtocolStep(BOB, (), bob)), input_bits=2)
-    engine.simulate(p, 0, 3)
-    with pytest.raises(ContractViolationError):
-        engine.acceptance_matrix(p)
+
+@pytest.mark.parametrize("party", [ALICE, BOB])
+@pytest.mark.parametrize("layer", [
+    lambda inputs: np.broadcast_to(X, (len(inputs), 2, 2)),
+    lambda inputs: Gate(X, (0,)),
+    # the old contract's group (positions, layers)
+    lambda inputs: (np.arange(len(inputs)),
+                    [Gate(X, (0,)).stack_rows([[0, 1]] * len(inputs))]),
+    # too many gates for one input, too few for all four
+    lambda inputs: Gate(X, (0,)).stack_rows([[0, 1], [1, 0]]),
+    lambda inputs: Gate(X, (0,)).stack_rows([[1, 0]] * (len(inputs) + 1)),
+], ids=["array", "gate", "group", "two-gates", "one-extra"])
+def test_a_layer_must_be_a_gate_stack_with_one_gate_per_input(party, layer):
+    good = lambda inputs: [Gate(X, (0,)).stack_rows([[1, 0]] * len(inputs))]
+    bad = lambda inputs: [layer(inputs)]
+    # Alice sends channel qubit 0 and Bob sends it back
+    p = Protocol(RegisterLayout(0, 1, 0),
+                 (ProtocolStep(ALICE, (0,), bad if party == ALICE else good),
+                  ProtocolStep(BOB, (0,), bad if party == BOB else good)),
+                 input_bits=2)
+    for walk in (lambda: engine.simulate(p, 1, 2),
+                 lambda: engine.yao_kremer_decompose(p, 1, 2),
+                 lambda: engine.acceptance_matrix(p),
+                 lambda: engine.output_families(p)):
+        with pytest.raises(ContractViolationError,
+                           match=f"^{party} build: each layer must be a "
+                                 "GateStack with one gate per input$"):
+            walk()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -662,8 +671,9 @@ def pool_protocol():
 
 def mixed_targets_protocol(seed=9):
     """Alice -> Bob -> Alice on layout (1, 2, 1), where each input's gate
-    list has its own targets and length, and some inputs have none, so a
-    turn has several groups of inputs, some of them partial."""
+    list has its own targets and length, and some inputs have none.  A
+    step has one layer per target tuple of its lists, in the order they
+    first appear, with the identity for an input that lacks that gate."""
     rng = np.random.default_rng(seed)
     lists = [
         # Alice sends channel qubits 0 and 1 (global 1 and 2)
@@ -676,14 +686,18 @@ def mixed_targets_protocol(seed=9):
     windows = [(0, 1), (0,), (0,)]
     steps = []
     for k, (window, targets) in enumerate(zip(windows, lists)):
-        table = [[(linalg.random_unitary(1 << len(t), rng), t) for t in tl]
-                 for tl in targets]
+        tables = {}
+        for v, tl in enumerate(targets):
+            for t in tl:
+                table = tables.setdefault(
+                    t, np.array([np.eye(1 << len(t), dtype=complex)] * 4))
+                table[v] = random_unitary(1 << len(t), rng)
 
-        def build(v, table=table):
-            return table[v]
+        def build(inputs, tables=tables):
+            return [linalg.GateStack(table[inputs], t)
+                    for t, table in tables.items()]
 
-        steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window,
-                                  per_input(build)))
+        steps.append(ProtocolStep(ALICE if k % 2 == 0 else BOB, window, build))
     return Protocol(RegisterLayout(1, 2, 1), tuple(steps), input_bits=2)
 
 
@@ -713,18 +727,21 @@ def walker_cases():
                         mixed_targets_protocol()]
 
 
-def test_mixed_targets_protocol_has_partial_groups():
-    p = mixed_targets_protocol()
+def test_mixed_targets_protocol_layer_targets():
+    """Each turn's layers and their targets depend only on the protocol:
+    the walk over every input and the walk over each input alone get the
+    same ones."""
     inputs = range(4)
-    groups = [[tuple(g.positions.tolist()) for g in turn.groups]
-              for turn in engine._compile(p, inputs, inputs)]
-    assert groups == [[(1, 3), (2,)], [(0, 2), (1,)], [(0, 2), (3,)]]
-    # zero rows 0 and 2: Alice's message and clean-up turns each have one
-    # partial group
-    p = zero_row_svd_protocol(2, seed=2)
-    turns = engine._compile(p, inputs, inputs)
-    assert [g.positions.tolist() for g in turns[0].groups] == [[1, 3]]
-    assert [g.positions.tolist() for g in turns[2].groups] == [[0, 2]]
+    for p, want in (
+            (mixed_targets_protocol(),
+             [[(0, 1), (2, 0), (1,)], [(3, 1, 2), (2,)], [(1, 0), (0,)]]),
+            # zero rows 0 and 2: Alice's message on its one qubit, Bob's
+            # reply, and the clean-up swap of the ancilla and output bit
+            (zero_row_svd_protocol(2, seed=2), [[(2,)], [(3, 2, 1)], [(0, 1)]])):
+        for xs in [inputs] + [[v] for v in inputs]:
+            turns = engine._compile(p, xs, xs)
+            assert [[layer.targets for layer in turn.layers]
+                    for turn in turns] == want
 
 
 def test_evolve_matches_the_per_input_reference():
@@ -887,14 +904,13 @@ def small_protocols(draw):
         targets = tuple(draw(st.lists(st.sampled_from(allowed), unique=True,
                                       min_size=1, max_size=3))) \
             if allowed else ()
-        table = [linalg.random_unitary(1 << len(targets), rng)
-                 for _ in range(1 << n)] if targets else None
+        table = np.stack([random_unitary(1 << len(targets), rng)
+                          for _ in range(1 << n)]) if targets else None
 
         def build(inputs, table=table, targets=targets):
             if table is None:
                 return []
-            return [(np.arange(len(inputs)),
-                     [linalg.GateStack(np.stack(table)[inputs], targets)])]
+            return [linalg.GateStack(table[inputs], targets)]
 
         steps.append(ProtocolStep(party, window, build))
         for c in window:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import random_unitary
 from qcommlab import linalg
 from qcommlab.errors import ContractViolationError
 
@@ -125,7 +126,7 @@ def test_apply_on_qubits_norm_preserved():
     rng = np.random.default_rng(5)
     state = rng.normal(size=16) + 1j * rng.normal(size=16)
     state /= np.linalg.norm(state)
-    u = linalg.random_unitary(4, rng)
+    u = random_unitary(4, rng)
     out = linalg.apply_on_qubits(state, u, [1, 3])
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
@@ -133,7 +134,7 @@ def test_apply_on_qubits_norm_preserved():
 def test_apply_on_qubits_batch_axis():
     rng = np.random.default_rng(8)
     batch = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
-    u = linalg.random_unitary(4, rng)
+    u = random_unitary(4, rng)
     out = linalg.apply_on_qubits(batch, u, [3, 1])
     assert out.shape == (3, 16)
     for row, got in zip(batch, out):
@@ -173,7 +174,7 @@ def test_gate_with_rows_permutes_a_checked_gate():
     for k in (1, 2, 3, 4):
         dim = 1 << k
         targets = tuple(rng.permutation(6)[:k].tolist())
-        gate = linalg.Gate(linalg.random_unitary(dim, rng), targets)
+        gate = linalg.Gate(random_unitary(dim, rng), targets)
         rows = np.stack([rng.permutation(dim) for _ in range(5)])
         stack = gate.stack_rows(rows)
         assert len(stack) == 5 and stack.targets == targets
@@ -189,7 +190,7 @@ def test_gate_with_rows_permutes_a_checked_gate():
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                    np.uint8, np.uint16, np.uint32, np.uint64])
 def test_gate_with_rows_reads_every_integer_dtype(dtype):
-    gate = linalg.Gate(linalg.random_unitary(8, np.random.default_rng(5)),
+    gate = linalg.Gate(random_unitary(8, np.random.default_rng(5)),
                        (0, 1, 2))
     rows = np.array([[3, 0, 7, 1, 6, 2, 5, 4], [7, 6, 5, 4, 3, 2, 1, 0]],
                     dtype=dtype)
@@ -219,7 +220,7 @@ def test_gate_with_rows_rejects_non_permutations(rows):
 def test_apply_on_qubits_gate_matches_matrix():
     rng = np.random.default_rng(11)
     batch = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
-    for u in (linalg.random_unitary(4, rng), np.eye(4)[[0, 2, 1, 3]]):
+    for u in (random_unitary(4, rng), np.eye(4)[[0, 2, 1, 3]]):
         gate = linalg.Gate(u, (0, 1))
         for state, targets in ((batch, [3, 1]), (batch[0], [2, 0])):
             got = linalg.apply_on_qubits(state, gate, targets)
@@ -251,7 +252,7 @@ def dense_operator(u, targets, n):
 def test_apply_on_qubits_matches_the_dense_operator(n, targets):
     rng = np.random.default_rng(31 + n * 7 + len(targets))
     dim = 1 << n
-    u = linalg.random_unitary(1 << len(targets), rng)
+    u = random_unitary(1 << len(targets), rng)
     full = dense_operator(u, targets, n)
     states = rng.normal(size=(3, 4, dim)) + 1j * rng.normal(size=(3, 4, dim))
     for state in (states[0, 0], states[0], states[:, 2]):
@@ -276,8 +277,8 @@ def test_stacked_gates_match_one_gate_per_row(n, targets, entries):
     base gate, with and without a batch axis."""
     rng = np.random.default_rng(41 + n + 7 * len(targets) + entries)
     dim = 1 << len(targets)
-    base = linalg.Gate(linalg.random_unitary(dim, rng), targets)
-    distinct = np.stack([linalg.random_unitary(dim, rng)
+    base = linalg.Gate(random_unitary(dim, rng), targets)
+    distinct = np.stack([random_unitary(dim, rng)
                          for _ in range(entries)])
     rows = np.stack([rng.permutation(dim) for _ in range(entries)])
     families = {
@@ -302,7 +303,7 @@ def test_stacked_gates_match_one_gate_per_row(n, targets, entries):
 def test_stacked_gates_reject_bad_stacks():
     rng = np.random.default_rng(43)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    gates = np.stack([linalg.random_unitary(2, rng) for _ in range(3)])
+    gates = np.stack([random_unitary(2, rng) for _ in range(3)])
     state = rng.normal(size=(3, 4)) + 0j
     with pytest.raises(ValueError, match="2 gates for 3 entries"):
         linalg.apply_on_qubits(state, linalg.GateStack(gates[:2], (1,)), (1,))
@@ -358,7 +359,7 @@ def test_random_unitaries_are_unitary():
     rng = np.random.default_rng(42)
     for _ in range(200):
         dim = int(rng.integers(2, 17))
-        u = linalg.random_unitary(dim, rng)
+        u = random_unitary(dim, rng)
         assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-9
 
 

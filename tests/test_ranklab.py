@@ -283,7 +283,7 @@ def test_protocol_to_witness_always_accept():
     x_gate = np.array([[0.0, 1.0], [1.0, 0.0]])
     def every_input(inputs):
         flips = np.broadcast_to(x_gate, (len(inputs), 2, 2))
-        return [(np.arange(len(inputs)), [linalg.GateStack(flips, (0,))])]
+        return [linalg.GateStack(flips, (0,))]
 
     p = engine.Protocol(lay, (engine.ProtocolStep(
         engine.ALICE, (0,), every_input),), input_bits=1)
