@@ -1,6 +1,6 @@
 """Simulation and rank analysis lab for two-party quantum protocols."""
 
-from .engine import (AcceptanceMatrix, Gate, Protocol, ProtocolStep,
+from .engine import (AcceptanceMatrix, Protocol, ProtocolStep,
                      RegisterLayout, acceptance_matrix, rank_bound_audit,
                      simulate, yao_kremer_decompose)
 from .errors import (CapacityError, ContractViolationError,
@@ -18,9 +18,9 @@ from .ranklab import (CommMatrix, FoldedPolynomial, NdetWitness,
                       verify_ndet_witness)
 from .zoo import (IntersectionResult, NdetProtocolBundle, QSearchConfig,
                   RecursionConfig, bcw_intersection, cost_model,
-                  fit_cost_envelope, grover_state, log_star,
-                  ndet_svd_protocol, protocol_corpus, qsearch,
-                  recursive_intersection, trivial_exact_protocol)
+                  fit_cost_envelope, log_star, ndet_svd_protocol,
+                  protocol_corpus, qsearch, recursive_intersection,
+                  trivial_exact_protocol)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -41,9 +41,9 @@ every input at once.  ``yao_kremer_decompose`` is its one-pair case, and
 
 A ``GateStack`` is checked for unitarity once, when its build makes it,
 so the walk applies it to any number of chunks and branches without
-checking it again; a stack that ``Gate.stack_rows`` takes from a checked
-``Gate`` (defined in ``linalg``, re-exported here) is the one base matrix
-and each gate's rows, which are not checked for unitarity at all.
+checking it again; a stack that ``GateStack.stack_rows`` takes from a
+checked stack of one is the one base matrix and each gate's rows, which
+are not checked for unitarity at all.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import numpy as np
 
 from . import linalg
 from .errors import CapacityError, ContractViolationError
-from .linalg import Gate
 
 ALICE = "alice"
 BOB = "bob"

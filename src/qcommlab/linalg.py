@@ -5,21 +5,19 @@ convention, the one "nonzero" rule ``support``, numeric and exact integer
 apply the one constant ``DEFAULT_TOL``; none takes a tolerance.
 ``numeric_rank`` computes the singular values only.
 
-A ``Gate`` is checked once, when it is made: its matrix is square, of side
-2^len(targets) and unitary in its own dtype, and the gate keeps a
-read-only copy of it.  A ``GateStack`` holds checked gates on one tuple
-of targets, one per entry of a state's leading axis, checked once per
-stack by one ``is_unitary`` call on the stack, or taken as rows of a
-checked gate (``Gate.stack_rows``) with one permutation check and no
-second unitarity check.  It is never sliced: the engine builds each chunk
-of inputs on its own, so a stack always covers exactly the entries it is
+A ``GateStack`` is the one checked-gate type: gates on one tuple of
+targets, one per entry of a state's leading axis, or one gate as a stack
+of one.  It is checked once, when it is made, by one ``is_unitary`` call
+on the stack, or taken as rows of a checked stack of one
+(``GateStack.stack_rows``) with one permutation check and no second
+unitarity check.  It is never sliced: the engine builds each chunk of
+inputs on its own, so a stack always covers exactly the entries it is
 applied to.  ``unitary_with_first_column`` builds one Householder
 reflection per column of a stack at once.
-``apply_on_qubits`` is the one kernel: it trusts a ``Gate`` or a
-``GateStack``, its one form of gates per entry, checks a raw matrix on
-every call, and applies one gate to every row, or gate i to entry i, as
-one matmul: on a reshaped view for ascending contiguous targets, with one
-transpose each way otherwise.
+``apply_on_qubits`` is the one kernel: it trusts a ``GateStack``, checks
+a raw matrix on every call as a stack of one, and applies one gate to
+every vector, or gate i to entry i, as one matmul: on a reshaped view for
+ascending contiguous targets, with one transpose each way otherwise.
 
 Conventions used throughout the package:
 
@@ -103,83 +101,29 @@ def numeric_rank(m) -> int:
 
 def is_unitary(u) -> bool:
     """Whether u is square with max|u u^H - I| <= DEFAULT_TOL, or a stack
-    of such matrices along its leading axes, every one of them."""
+    of such matrices along its leading axes, every one of them.  A 0 x 0
+    matrix and an empty stack are unitary (True): nothing fails."""
     u = np.asarray(u)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         return False
     eye = np.eye(u.shape[-1])
-    return bool(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - eye))
-                <= DEFAULT_TOL)
-
-
-@dataclass(frozen=True, eq=False)
-class Gate:
-    """A unitary on an explicit tuple of global qubit indices.
-
-    Made only from a square matrix of side 2^len(targets) that passes
-    ``is_unitary`` (``ValueError`` and ``ContractViolationError``
-    otherwise); ``unitary`` is a read-only copy of it.  Gates compare and
-    hash by identity.
-    """
-
-    unitary: np.ndarray
-    targets: tuple
-
-    def __post_init__(self):
-        targets = _int_targets(self.targets)
-        u = np.array(self.unitary)
-        u.setflags(write=False)
-        if u.shape != (1 << len(targets),) * 2:
-            raise ValueError("unitary dimension does not match target count")
-        if not is_unitary(u):
-            raise ContractViolationError("operator is not unitary within 1e-9")
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "targets", targets)
-
-    def stack_rows(self, rows) -> "GateStack":
-        """The stack whose gate i is ``self.unitary[rows[i]]``, on the same
-        targets, kept as this gate's matrix and the row orders; one gate is
-        kept as its permuted matrix, which spares the states a take.
-
-        ``rows`` must be a non-empty (count, 2^len(targets)) integer array
-        whose every row is a permutation of range(2^len(targets))
-        (``ValueError`` otherwise), checked by one sort of the stack.  The
-        unitarity check is not run again: a permutation matrix P is
-        unitary, so P·U is unitary when U is, with the same max|UU^H - I|.
-        """
-        rows = np.asarray(rows)
-        dim = self.unitary.shape[0]
-        if (rows.ndim != 2 or not len(rows) or rows.shape[1] != dim
-                or rows.dtype.kind not in "iu"):
-            raise ValueError(f"rows must be permutations of range({dim})")
-        rows = rows.astype(np.intp)  # a new array, which the stack keeps
-        if not (np.sort(rows, axis=1) == np.arange(dim)).all():
-            raise ValueError(f"rows must be permutations of range({dim})")
-        u = self.unitary
-        if len(rows) == 1:  # one gate: its permuted matrix, and no rows
-            u, rows = u.take(rows, axis=0), None
-            u.setflags(write=False)
-        else:
-            rows.setflags(write=False)
-        stack = object.__new__(GateStack)
-        stack.unitaries, stack.rows, stack.targets = u, rows, self.targets
-        return stack
+    return bool(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - eye),
+                       initial=0.0) <= DEFAULT_TOL)
 
 
 class GateStack:
     """Checked gates on one tuple of targets, one per entry of a state's
-    leading axis.
+    leading axis; one gate is a stack of one.
 
     ``GateStack(unitaries, targets)`` checks a non-empty (count, 2^k, 2^k)
-    stack of matrices, k = len(targets), with one ``is_unitary`` call
-    (``ValueError`` for a shape that does not match,
-    ``ContractViolationError`` for a matrix that is not unitary) and keeps
-    a read-only copy; ``rows`` is None.  ``Gate.stack_rows`` of several
-    gates makes the other form: ``unitaries`` is that gate's one matrix,
-    (2^k, 2^k), and ``rows`` each gate's row order in it, (count, 2^k), so
-    ``apply_on_qubits`` applies the one matrix to every entry and then
-    takes each entry's rows, which holds no matrix per gate and gives the
-    bits the permuted matrices give.
+    stack, k = len(targets), with one ``is_unitary`` call (``ValueError``
+    for a shape that does not match, ``ContractViolationError`` for a
+    matrix that is not unitary) and keeps a read-only copy; ``rows`` is
+    None.  ``stack_rows`` makes the other form: ``unitaries`` is one
+    matrix, (1, 2^k, 2^k), and ``rows`` each gate's row order in it,
+    (count, 2^k), so ``apply_on_qubits`` applies the one matrix to every
+    entry and then takes each entry's rows, with the bits the permuted
+    matrices give and no matrix per gate.
     """
 
     __slots__ = ("unitaries", "rows", "targets")
@@ -198,6 +142,37 @@ class GateStack:
 
     def __len__(self) -> int:
         return len(self.unitaries if self.rows is None else self.rows)
+
+    def stack_rows(self, rows) -> "GateStack":
+        """The stack whose gate i is this stack's one matrix with its rows
+        in the order ``rows[i]``, on the same targets; one row order is
+        kept as its permuted matrix, which spares the states a take.
+
+        ``ValueError`` unless the stack holds one gate and ``rows`` is a
+        non-empty (count, 2^k) integer array whose every row is a
+        permutation of range(2^k), checked by one sort.  Unitarity is not
+        checked again: P·U is unitary when U is, for a permutation matrix
+        P, with the same max|UU^H - I|.
+        """
+        if len(self) != 1:  # a rows-form stack holds two gates or more
+            raise ValueError("stack_rows needs a stack of one gate")
+        rows = np.asarray(rows)
+        dim = self.unitaries.shape[-1]
+        if (rows.ndim != 2 or not len(rows) or rows.shape[1] != dim
+                or rows.dtype.kind not in "iu"):
+            raise ValueError(f"rows must be permutations of range({dim})")
+        rows = rows.astype(np.intp)  # a new array, which the stack keeps
+        if not (np.sort(rows, axis=1) == np.arange(dim)).all():
+            raise ValueError(f"rows must be permutations of range({dim})")
+        u = self.unitaries
+        if len(rows) == 1:  # one gate: its permuted matrix, and no rows
+            u, rows = u[0].take(rows, axis=0), None
+            u.setflags(write=False)
+        else:
+            rows.setflags(write=False)
+        stack = object.__new__(GateStack)
+        stack.unitaries, stack.rows, stack.targets = u, rows, self.targets
+        return stack
 
 
 def _is_int(value) -> bool:
@@ -227,70 +202,61 @@ def apply_on_qubits(state, u, targets) -> np.ndarray:
     elsewhere).  ``targets`` are integer qubit indices,
     most-significant-first.
 
-    ``u`` is one gate or one gate per entry of ``state``'s leading axis.
-    One gate is a ``Gate``, already checked, or a raw matrix, checked on
-    every call; ``state`` is then one vector of length 2^n or a batch of
-    shape (batch, 2^n) whose rows all get ``u``.  Gates per entry are a
-    ``GateStack``; ``state`` then has shape (len(u), 2^n) or (len(u),
-    batch, 2^n), and entry i gets gate i.  Targets t..t+k-1 take one
-    matmul on the view (entries, batch * 2^t, 2^k, 2^(n-t-k)); any other
-    order one transpose each way around it.  A stack of rows of one matrix takes each entry's
-    rows after the matmul.  The result is always a new array.
+    ``u`` is a ``GateStack``, already checked, or a raw matrix, checked
+    first on every call as ``GateStack(u[None], targets)``.  A stack of
+    one acts on every vector of a state with 1 to 3 axes; a longer stack
+    needs a state of shape (len(u), 2^n) or (len(u), batch, 2^n), and
+    entry i gets gate i.  The state is viewed as (len(u), vectors, 2^n);
+    targets t..t+k-1 then take one matmul on the view (len(u), vectors *
+    2^t, 2^k, 2^(n-t-k)), any other order one transpose each way around
+    it.  A stack of rows of one matrix takes each entry's rows after the
+    matmul.  The result is always a new array.
     """
     state = np.asarray(state, dtype=complex)
-    stacked = isinstance(u, GateStack)
-    if state.ndim - stacked not in (1, 2):
+    if not isinstance(u, GateStack):
+        u = GateStack(np.asarray(u)[None], targets)
+    count = len(u)
+    if state.ndim not in ((1, 2, 3) if count == 1 else (2, 3)):
         raise ValueError("state must be a vector or a batch of vectors"
-                         + (", after one axis for the gates" if stacked else ""))
+                         + ", after one axis for the gates" * (count > 1))
     dim = state.shape[-1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValueError("state length is not a power of two")
-    checked = stacked or isinstance(u, Gate)
-    if not (checked and targets is u.targets):
-        targets = _int_targets(targets)  # a gate's own targets are ints
+    if targets is not u.targets:
+        targets = _int_targets(targets)  # a stack's own targets are ints
     k = len(targets)
     if len(set(targets)) != k or k and (min(targets) < 0
                                         or max(targets) >= n):
         raise ValueError(f"bad target qubits {list(targets)} for {n} qubits")
-    if not checked:
-        u = Gate(u, targets)
-    elif len(u.targets) != k:
+    if len(u.targets) != k:
         raise ValueError("unitary dimension does not match target count")
-    # one gate broadcasts; a stack pairs entry i with matrix i, or with
-    # the one matrix and then its rows
-    if stacked:
-        mats, rows, lead = u.unitaries, u.rows, state.shape[:1]
-        if len(u) != lead[0]:
-            raise ValueError(f"{len(u)} gates for {lead[0]} entries of the "
-                             "state's leading axis")
-    else:
-        mats, rows, lead = u.unitary, None, ()
+    if count > 1 and len(state) != count:
+        raise ValueError(f"{count} gates for {len(state)} entries of the "
+                         "state's leading axis")
     if not state.size:  # the views below cannot infer an axis of size 0
         return state.copy()
+    mats, rows = u.unitaries, u.rows  # a stack of one broadcasts
     first = targets[0] if k else 0
     if targets == tuple(range(first, first + k)):
         rest = n - first - k
         if rest == 0:
             axis = -1
-            psi = state.reshape(lead + (-1, 1 << k)) @ mats.swapaxes(-1, -2)
+            psi = state.reshape(count, -1, 1 << k) @ mats.swapaxes(-1, -2)
         else:
             axis = -2
-            psi = (mats[:, None] if mats.ndim == 3 else mats) @ state.reshape(
-                lead + (-1, 1 << k, 1 << rest))
+            psi = mats[:, None] @ state.reshape(count, -1, 1 << k, 1 << rest)
         shape, perm = state.shape, None
     else:
-        # the gate axis, targets, then the batch axis, then the other qubits
-        b = state.ndim - 1
-        axes = [b + t for t in targets]
-        perm = list(range(len(lead))) + axes + [
-            a for a in range(len(lead), b + n) if a not in axes]
-        psi = state.reshape(state.shape[:-1] + (2,) * n).transpose(perm)
+        # the gate axis, targets, the vectors' axis, then the other qubits
+        axes = [2 + t for t in targets]
+        perm = [0] + axes + [a for a in range(1, 2 + n) if a not in axes]
+        psi = state.reshape((count, -1) + (2,) * n).transpose(perm)
         shape, axis = psi.shape, -2
-        psi = mats @ psi.reshape(lead + (1 << k, -1))
-    if rows is not None:
-        tail = (1 << k, 1) if axis == -2 else (1 << k,)
-        index = rows.reshape(lead + (1,) * (psi.ndim - 1 - len(tail)) + tail)
+        psi = mats @ psi.reshape(count, 1 << k, -1)
+    if rows is not None:  # entry i's rows, along the targets' axis
+        index = rows.reshape((count,) + (1,) * (psi.ndim + axis - 1)
+                             + (1 << k,) + (1,) * (-1 - axis))
         psi = np.take_along_axis(psi, index, axis)
     psi = psi.reshape(shape)
     if perm is None:

@@ -44,6 +44,7 @@ class CommMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", linalg._require_int(self.n, "n"))
         v = np.asarray(self.values)
         if v.shape != (1 << self.n, 1 << self.n):
             raise ValueError("values shape does not match n")
@@ -342,6 +343,7 @@ class FoldedPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", linalg._require_int(self.n, "n"))
         c = np.asarray(self.coeffs)
         if c.shape != (1 << self.n,):
             raise ValueError(f"coeffs must be a vector of 2^{self.n} entries")

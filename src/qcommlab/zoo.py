@@ -3,10 +3,10 @@ sender's input indices of a walk at once, and search routines.
 
 * _flip_rows: the one builder of "flip the target where a 0/1 table of
   the controls reads 1", as a row order, one per row of a 2-D table.
-  Bob's reply in both protocols below is one base gate, made and checked
-  once per protocol on his first reply, with its rows taken in these
-  orders, one per y, as one stack (Gate.stack_rows): the identity in the
-  trivial protocol, u (x) I2 in the SVD protocol.
+  Bob's reply in both protocols below is one base gate, a stack of one
+  made and checked once per protocol on his first reply, with its rows
+  taken in these orders, one per y, as one stack (GateStack.stack_rows):
+  the identity in the trivial protocol, u (x) I2 in the SVD protocol.
 * trivial_exact_protocol: send x, compute f reversibly, cost n+1.
   Alice's message is one gate too, the identity on the message qubits
   with its rows XORed with x, so her turn is one stack of rows of one
@@ -16,8 +16,8 @@ sender's input indices of a walk at once, and search routines.
   c_x^2 |m_xy|^2.  Alice's message states of every x are one stack of
   Householder reflections (linalg.unitary_with_first_column), checked as
   one GateStack.
-* solution_angle / amplification_factors: the one amplitude-amplification
-  kernel.  Iterating "flip the solutions, reflect about the start" keeps
+* solution_angle / _good_share: the one amplitude-amplification kernel.
+  Iterating "flip the solutions, reflect about the start" keeps
   the state in span(good part, bad part) of the start, so j iterations
   scale the good part by sin((2j+1)θ)/sin θ and the bad part by
   cos((2j+1)θ)/cos θ, where sin²θ is the start's weight on the
@@ -30,9 +30,9 @@ sender's input indices of a walk at once, and search routines.
   stream that Generator.choice(p=probs) uses.  A search draws its
   schedule, then one uniform per round and one index; it builds one CDF
   if it finds a solution and none otherwise.
-* grover_state / qsearch: amplitude amplification of a start vector, and
-  search with BBHT's growing random-cutoff schedule for an unknown number
-  of solutions, drawn at once (_bbht_schedule), until exactly
+* qsearch: amplitude amplification of a start vector, searched with
+  BBHT's growing random-cutoff schedule for an unknown number of
+  solutions, drawn at once (_bbht_schedule), until exactly
   ceil(9 sqrt(dim)) oracle applications are spent.  The cutoffs depend
   only on dim (_bbht_rounds) and are built once per dim (_bbht_cutoffs),
   as is BCW's uniform start (_uniform).
@@ -62,10 +62,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import engine, linalg
-from .engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
+from .engine import ALICE, BOB, Protocol, ProtocolStep, RegisterLayout
 from .ranklab import CommMatrix, build_comm_matrix, canonical_witness
 
-_TINY = np.finfo(float).tiny
 # BBHT's lambda = 6/5 (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034): the
 # search's cutoff grows by this factor after each miss.  Their analysis
 # needs 1 < lambda < 4/3.
@@ -100,12 +99,13 @@ def trivial_exact_protocol(f: CommMatrix) -> Protocol:
 
     @functools.cache
     def alice_base():
-        return Gate(np.eye(1 << n), tuple(lay.channel_qubit(k) for k in msg))
+        return linalg.GateStack(np.eye(1 << n)[None],
+                                tuple(lay.channel_qubit(k) for k in msg))
 
     @functools.cache
     def bob_base():
         targets = tuple(lay.channel_qubit(k) for k in msg + (0,))
-        return Gate(np.eye(2 << n), targets)
+        return linalg.GateStack(np.eye(2 << n)[None], targets)
 
     def alice(xs):
         rows = np.arange(1 << n) ^ xs[:, None]
@@ -138,7 +138,7 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
     on the odd rows and columns (no kron), with rows 2y and 2y+1 swapped
     (no product with a permutation matrix).  u (x) I2 is made and checked
     once, on Bob's first reply, and his replies to a walk's inputs are one
-    Gate.stack_rows of it, so a caller that only reads the cost makes no
+    GateStack.stack_rows of it, so a caller that only reads the cost makes no
     gate.  Rows of m that are all zero have no unit state: such a dead x
     sends |0...0> through its gate instead, and a zero-length follow-up
     turn swaps the output bit into Alice's ancilla for a dead x (the
@@ -185,7 +185,7 @@ def ndet_svd_protocol(m) -> NdetProtocolBundle:
         rot = np.zeros((2 * dim, 2 * dim), dtype=complex)  # u (x) I2
         rot[0::2, 0::2] = res.u
         rot[1::2, 1::2] = res.u
-        return Gate(rot, bob_targets)
+        return linalg.GateStack(rot[None], bob_targets)
 
     def bob_reply(ys):
         rows = _flip_rows(np.arange(dim) == ys[:, None])
@@ -257,35 +257,6 @@ def solution_angle(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
     good = np.sum(weight, axis=-1, where=mask)
     bad = np.sum(weight, axis=-1, where=~mask)
     return np.arctan2(np.sqrt(good), np.sqrt(bad))
-
-
-def amplification_factors(mask: np.ndarray, theta,
-                          iterations: int) -> np.ndarray:
-    """Factor on each amplitude after the given number of iterations of
-    "flip the sign of the solutions, then reflect about the start", each
-    row of mask on its own; theta is the rows' solution_angle.
-
-    The state stays in span(good part, bad part) of the start, so the
-    solutions' amplitudes are scaled by sin((2j+1)θ)/sin θ and the others
-    by cos((2j+1)θ)/cos θ.
-    """
-    turn = (2 * iterations + 1) * theta
-    # θ = 0 leaves no good part to scale
-    good = np.sin(turn) / np.maximum(np.sin(theta), _TINY)
-    bad = np.cos(turn) / np.cos(theta)
-    return np.where(mask, good[..., None], bad[..., None])
-
-
-def grover_state(start, solutions, iterations: int) -> np.ndarray:
-    """State after the given number of amplification iterations on a unit
-    start vector."""
-    psi0 = _start_vector(start)
-    linalg._require_int(iterations, "iterations")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    mask = _solution_mask(solutions, psi0.shape[0])
-    theta = solution_angle(np.abs(psi0) ** 2, mask)
-    return psi0 * amplification_factors(mask, theta, iterations)
 
 
 def _good_share(theta, iterations):

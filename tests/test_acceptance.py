@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from helpers import grover_state
 from qcommlab import cli, engine, linalg, ranklab, zoo
 
 
@@ -220,7 +221,7 @@ def test_criterion_8_diagonal_polynomial_chain(capsys):
 
 
 def test_criterion_9_amplitude_amplification(capsys):
-    st = zoo.grover_state(np.full(4, 0.5), [2], 1)
+    st = grover_state(np.full(4, 0.5), [2], 1)
     exact = abs(abs(st[2]) ** 2 - 1.0) <= 1e-9
     ok = exact
     rates = []

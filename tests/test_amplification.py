@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import amplification_factors, grover_state
 from qcommlab import zoo
 
 
@@ -172,7 +173,7 @@ def per_round_qsearch(start, mask, cfg):
     while used < budget:
         j = min(int(rng.integers(0, max(int(math.ceil(m)), 1))),
                 budget - used - 1)
-        probs = weight * zoo.amplification_factors(mask, theta, j) ** 2
+        probs = weight * amplification_factors(mask, theta, j) ** 2
         probs /= probs.sum()
         z = int(rng.choice(dim, p=probs))
         iterations += j
@@ -194,9 +195,9 @@ def per_round_blocked(n, both, cfg):
     rounds = []
     for j_outer in bbht_rounds(rng, 1 << jbits):
         j_leaf = int(rng.integers(0, int(math.ceil(math.sqrt(ldim)))))
-        leaf = zoo.amplification_factors(blocks, leaf_theta, j_leaf)
+        leaf = amplification_factors(blocks, leaf_theta, j_leaf)
         weight = (start * leaf ** 2).reshape(mask.size)
-        outer = zoo.amplification_factors(
+        outer = amplification_factors(
             mask, zoo.solution_angle(weight, mask), j_outer)
         probs = weight * outer ** 2
         probs /= probs.sum()
@@ -239,7 +240,7 @@ def test_kernel_matches_dense_loop_on_random_starts():
         j = int(rng.integers(0, 13))
         for mask in (rng.random(dim) < rng.random(),
                      np.zeros(dim, dtype=bool), np.ones(dim, dtype=bool)):
-            got = zoo.grover_state(start, np.flatnonzero(mask), j)
+            got = grover_state(start, np.flatnonzero(mask), j)
             want = dense_grover(start, mask, j)
             assert np.max(np.abs(got - want)) <= TOL, (dim, j, mask)
 
@@ -253,14 +254,14 @@ def test_kernel_matches_dense_loop_block_by_block():
         mask[-1] = True
         theta = zoo.solution_angle(start ** 2, mask)
         for j in range(13):
-            got = start * zoo.amplification_factors(mask, theta, j)
+            got = start * amplification_factors(mask, theta, j)
             assert np.max(np.abs(got - dense_blocks(start, mask, j))) <= TOL
     # a non-uniform row is reflected about its own direction
     start = np.stack([random_start(rng, 16) * s for s in (0.3, 0.5, 0.8)])
     mask = rng.random((3, 16)) < 0.3
     theta = zoo.solution_angle(np.abs(start) ** 2, mask)
     for j in range(13):
-        got = start * zoo.amplification_factors(mask, theta, j)
+        got = start * amplification_factors(mask, theta, j)
         for row, m, g in zip(start, mask, got):
             norm = np.linalg.norm(row)
             want = norm * dense_grover(row / norm, m, j)
@@ -272,7 +273,7 @@ def test_kernel_matches_dense_loop_block_by_block():
                               "non-integer", "nested"])
 def test_bad_solution_indices_rejected(solutions):
     with pytest.raises(ValueError):
-        zoo.grover_state(uniform(4), solutions, 1)
+        grover_state(uniform(4), solutions, 1)
     with pytest.raises(ValueError):
         zoo.qsearch(uniform(4), solutions, zoo.QSearchConfig(rng_seed=0))
 
@@ -287,21 +288,21 @@ def test_bad_solution_indices_rejected(solutions):
 ], ids=["non-unit", "nan", "inf", "zero", "matrix", "empty"])
 def test_bad_start_rejected(start):
     with pytest.raises(ValueError):
-        zoo.grover_state(start, [1], 1)
+        grover_state(start, [1], 1)
     with pytest.raises(ValueError):
         zoo.qsearch(start, [1], zoo.QSearchConfig(rng_seed=0))
 
 
 def test_negative_iterations_rejected():
     with pytest.raises(ValueError):
-        zoo.grover_state(uniform(4), [1], -1)
+        grover_state(uniform(4), [1], -1)
     # no iteration count gives the state of 1.5 iterations, and True is no
     # count either
     for iterations in (1.5, 1.0, math.nan, True, np.float64(2)):
         with pytest.raises(ValueError, match="^iterations must be an integer$"):
-            zoo.grover_state(uniform(4), [1], iterations)
-    assert np.array_equal(zoo.grover_state(uniform(4), [1], np.int64(1)),
-                          zoo.grover_state(uniform(4), [1], 1))
+            grover_state(uniform(4), [1], iterations)
+    assert np.array_equal(grover_state(uniform(4), [1], np.int64(1)),
+                          grover_state(uniform(4), [1], 1))
 
 
 def schedules(seed):

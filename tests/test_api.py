@@ -9,14 +9,14 @@ import qcommlab
 PUBLIC = [
     "AcceptanceMatrix", "CapacityError", "CommMatrix",
     "ContractViolationError", "DEFAULT_TOL", "FamilyHypothesisError",
-    "FoldedPolynomial", "Gate", "IntersectionResult", "NdetProtocolBundle",
+    "FoldedPolynomial", "IntersectionResult", "NdetProtocolBundle",
     "NdetWitness", "NumericalFailureError", "PatternMismatchError",
     "ProbabilisticFailureError", "Protocol", "ProtocolStep", "QSearchConfig",
     "QcommError", "RecursionConfig", "RegisterLayout", "SvdResult",
     "acceptance_matrix", "apply_on_qubits", "bcw_intersection",
     "build_comm_matrix", "canonical_witness", "cost_model",
     "disj_triangular_audit", "engine", "eq_fullrank_audit", "errors",
-    "exact_rank", "fit_cost_envelope", "fold_to_polynomial", "grover_state",
+    "exact_rank", "fit_cost_envelope", "fold_to_polynomial",
     "is_and_dependent", "is_unitary", "lemma2_scalarize", "linalg",
     "log_star", "monomial_rank_audit", "ndet_svd_protocol",
     "nor_approx_audit", "numeric_rank", "protocol_corpus",
@@ -98,3 +98,15 @@ def test_benchmark_surface_is_pinned():
     # __dict__, so build must stay an instance field
     step = qcommlab.ProtocolStep("alice", (0,), lambda inputs: [])
     assert "build" in step.__dict__
+
+
+def test_gate_surface_is_pinned():
+    # GateStack is the one checked-gate type and apply_on_qubits its one
+    # kernel: a second gate form or a kernel parameter is an edit here
+    gate = qcommlab.linalg.GateStack([[[1.0]]], ())
+    assert qcommlab.linalg.GateStack.__slots__ == (
+        "unitaries", "rows", "targets")
+    assert len(gate) == 1 and callable(gate.stack_rows)
+    assert not hasattr(qcommlab.linalg, "Gate")
+    assert list(inspect.signature(qcommlab.apply_on_qubits).parameters) == [
+        "state", "u", "targets"]

@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_unitary
 from qcommlab import engine, linalg, ranklab, zoo
-from qcommlab.engine import ALICE, BOB, Gate, Protocol, ProtocolStep, RegisterLayout
+from qcommlab.engine import ALICE, BOB, Protocol, ProtocolStep, RegisterLayout
 from qcommlab.errors import CapacityError, ContractViolationError
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
+X_GATE = linalg.GateStack(X[None], (0,))
 
 
 def stack_matrix(stack, j):
     """Gate j of a GateStack as its matrix."""
     return stack.unitaries[j] if stack.rows is None \
-        else stack.unitaries[stack.rows[j]]
+        else stack.unitaries[0][stack.rows[j]]
 
 
 def gate_lists(step, inputs):
@@ -286,16 +287,17 @@ def test_gate_illegal_for_one_input_rejected(monkeypatch):
 @pytest.mark.parametrize("party", [ALICE, BOB])
 @pytest.mark.parametrize("layer", [
     lambda inputs: np.broadcast_to(X, (len(inputs), 2, 2)),
-    lambda inputs: Gate(X, (0,)),
+    # one bare gate matrix, not a stack
+    lambda inputs: X,
     # the old contract's group (positions, layers)
     lambda inputs: (np.arange(len(inputs)),
-                    [Gate(X, (0,)).stack_rows([[0, 1]] * len(inputs))]),
+                    [X_GATE.stack_rows([[0, 1]] * len(inputs))]),
     # too many gates for one input, too few for all four
-    lambda inputs: Gate(X, (0,)).stack_rows([[0, 1], [1, 0]]),
-    lambda inputs: Gate(X, (0,)).stack_rows([[1, 0]] * (len(inputs) + 1)),
+    lambda inputs: X_GATE.stack_rows([[0, 1], [1, 0]]),
+    lambda inputs: X_GATE.stack_rows([[1, 0]] * (len(inputs) + 1)),
 ], ids=["array", "gate", "group", "two-gates", "one-extra"])
 def test_a_layer_must_be_a_gate_stack_with_one_gate_per_input(party, layer):
-    good = lambda inputs: [Gate(X, (0,)).stack_rows([[1, 0]] * len(inputs))]
+    good = lambda inputs: [X_GATE.stack_rows([[1, 0]] * len(inputs))]
     bad = lambda inputs: [layer(inputs)]
     # Alice sends channel qubit 0 and Bob sends it back
     p = Protocol(RegisterLayout(0, 1, 0),
@@ -445,31 +447,31 @@ def test_rank_bound_audit_corpus():
 def test_gates_checked_once_per_build(monkeypatch):
     """acceptance_matrix checks each gate once, when its stack is made,
     however many chunks of rows apply it: Alice's states of a chunk are one
-    stack with one check, and Bob's replies are rows of one base gate,
-    checked once per protocol."""
+    stack with one check, and Bob's replies are rows of one base gate, a
+    stack of one checked once per protocol, with no check of their own."""
     n = 4
     protocol = zoo.ndet_svd_protocol(ranklab.canonical_witness("EQ", n)).protocol
-    counts = {"checks": 0, "gates": 0}
-    is_unitary, post_init = linalg.is_unitary, engine.Gate.__post_init__
+    counts = {"checks": 0, "stacks": 0}
+    is_unitary, init = linalg.is_unitary, linalg.GateStack.__init__
 
     def counted_check(u):
         counts["checks"] += 1
         return is_unitary(u)
 
-    def counted_gate(gate):
-        counts["gates"] += 1
-        post_init(gate)
+    def counted_stack(stack, unitaries, targets):
+        counts["stacks"] += 1
+        init(stack, unitaries, targets)
 
     monkeypatch.setattr(linalg, "is_unitary", counted_check)
-    monkeypatch.setattr(engine.Gate, "__post_init__", counted_gate)
+    monkeypatch.setattr(linalg.GateStack, "__init__", counted_stack)
     want = engine.acceptance_matrix(protocol).values
     # Alice's 2^n states, one stack in one chunk, and Bob's base
-    assert counts == {"checks": 2, "gates": 1}
-    counts.update(checks=0, gates=0)
+    assert counts == {"checks": 2, "stacks": 2}
+    counts.update(checks=0, stacks=0)
     monkeypatch.setattr(engine, "CHUNK_AMPLITUDES", 1)
     assert np.array_equal(engine.acceptance_matrix(protocol).values, want)
     # one stack per one-row chunk; the protocol already holds Bob's base
-    assert counts == {"checks": 1 << n, "gates": 0}
+    assert counts == {"checks": 1 << n, "stacks": 1 << n}
 
 
 def test_simulate_checks_bobs_base_once_per_protocol(monkeypatch):

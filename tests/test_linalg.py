@@ -142,63 +142,73 @@ def test_apply_on_qubits_batch_axis():
         assert np.max(np.abs(got - want)) <= 1e-12
     with pytest.raises(ContractViolationError):
         linalg.apply_on_qubits(batch, 2 * u, [3, 1])
+    # one gate acts on every vector of a state with up to 3 axes
+    stacked = batch.reshape(3, 1, 16)
+    assert np.array_equal(linalg.apply_on_qubits(stacked, u, [3, 1]),
+                          out.reshape(3, 1, 16))
     with pytest.raises(ValueError):
-        linalg.apply_on_qubits(batch.reshape(3, 4, 4), u, [0, 1])
+        linalg.apply_on_qubits(batch.reshape(3, 1, 1, 16), u, [3, 1])
 
 
 def test_gate_checked_when_made():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ContractViolationError):
-        linalg.Gate(2 * x, (0,))
+        linalg.GateStack(2 * x[None], (0,))
     with pytest.raises(ValueError):
-        linalg.Gate(np.eye(4), (0,))
-    gate = linalg.Gate(x, [1])
-    assert gate.targets == (1,) and gate.unitary.dtype == x.dtype
+        linalg.GateStack(np.eye(4)[None], (0,))
+    gate = linalg.GateStack(x[None], [1])
+    assert gate.targets == (1,) and gate.unitaries.dtype == x.dtype
+    assert len(gate) == 1 and gate.rows is None
     x[0, 0] = 5.0  # the gate holds its own copy
-    assert gate.unitary[0, 0] == 0.0
+    assert gate.unitaries[0, 0, 0] == 0.0
     with pytest.raises(ValueError):
-        gate.unitary[0, 0] = 5.0
+        gate.unitaries[0, 0, 0] = 5.0
 
 
 def test_gates_compare_and_hash_by_identity():
-    gate = linalg.Gate(np.eye(2), (0,))
+    gate = linalg.GateStack(np.eye(2)[None], (0,))
     assert gate == gate
-    assert gate != linalg.Gate(np.eye(2), (0,))
+    assert gate != linalg.GateStack(np.eye(2)[None], (0,))
     assert {gate} == {gate} and len({gate, gate}) == 1
-    assert gate.stack_rows([[1, 0], [0, 1]]).unitaries is gate.unitary
+    assert gate.stack_rows([[1, 0], [0, 1]]).unitaries is gate.unitaries
 
 
 def test_gate_with_rows_permutes_a_checked_gate():
-    """Gate.stack_rows: gate i of the stack is the gate's rows[i]."""
+    """GateStack.stack_rows: gate i of the stack is the one gate's
+    rows[i]; only a stack of one gate takes rows."""
     rng = np.random.default_rng(23)
     for k in (1, 2, 3, 4):
         dim = 1 << k
         targets = tuple(rng.permutation(6)[:k].tolist())
-        gate = linalg.Gate(random_unitary(dim, rng), targets)
+        gate = linalg.GateStack(random_unitary(dim, rng)[None], targets)
         rows = np.stack([rng.permutation(dim) for _ in range(5)])
         stack = gate.stack_rows(rows)
         assert len(stack) == 5 and stack.targets == targets
-        assert stack.unitaries is gate.unitary
+        assert stack.unitaries is gate.unitaries
         assert np.array_equal(stack.rows, rows)
         for r in rows:
-            assert linalg.is_unitary(gate.unitary[r])
+            assert linalg.is_unitary(gate.unitaries[0][r])
         rows[0, 0] = -1  # the stack holds its own read-only rows
         with pytest.raises(ValueError):
             stack.rows[0, 0] = 5
+        for longer in (stack, linalg.GateStack(
+                np.stack([gate.unitaries[0]] * 2), targets)):
+            with pytest.raises(ValueError, match="a stack of one gate"):
+                longer.stack_rows(rows)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                    np.uint8, np.uint16, np.uint32, np.uint64])
 def test_gate_with_rows_reads_every_integer_dtype(dtype):
-    gate = linalg.Gate(random_unitary(8, np.random.default_rng(5)),
-                       (0, 1, 2))
+    gate = linalg.GateStack(random_unitary(8, np.random.default_rng(5))[None],
+                            (0, 1, 2))
     rows = np.array([[3, 0, 7, 1, 6, 2, 5, 4], [7, 6, 5, 4, 3, 2, 1, 0]],
                     dtype=dtype)
     assert np.array_equal(gate.stack_rows(rows).rows, rows)
     # one gate is kept as its permuted matrix
     one = gate.stack_rows(rows[:1])
     assert one.rows is None and len(one) == 1
-    assert np.array_equal(one.unitaries, gate.unitary[rows[:1]])
+    assert np.array_equal(one.unitaries, gate.unitaries[0][rows[:1]])
     with pytest.raises(ValueError, match="permutation"):
         gate.stack_rows(np.array([[3, 0, 7, 1, 6, 2, 5, 4],
                                   [3, 0, 7, 1, 6, 2, 5, 5]], dtype=dtype))
@@ -210,7 +220,7 @@ def test_gate_with_rows_reads_every_integer_dtype(dtype):
                          ids=["repeated", "out-of-range", "short", "float",
                               "2-D", "1-D"])
 def test_gate_with_rows_rejects_non_permutations(rows):
-    gate = linalg.Gate(np.eye(4), (0, 1))
+    gate = linalg.GateStack(np.eye(4)[None], (0, 1))
     with pytest.raises(ValueError, match="permutation"):
         gate.stack_rows(rows)
     with pytest.raises(ValueError, match="permutation"):
@@ -221,10 +231,10 @@ def test_apply_on_qubits_gate_matches_matrix():
     rng = np.random.default_rng(11)
     batch = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
     for u in (random_unitary(4, rng), np.eye(4)[[0, 2, 1, 3]]):
-        gate = linalg.Gate(u, (0, 1))
+        gate = linalg.GateStack(u[None], (0, 1))
         for state, targets in ((batch, [3, 1]), (batch[0], [2, 0])):
             got = linalg.apply_on_qubits(state, gate, targets)
-            want = linalg.apply_on_qubits(state, gate.unitary, targets)
+            want = linalg.apply_on_qubits(state, gate.unitaries[0], targets)
             assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         linalg.apply_on_qubits(batch, gate, [0])
@@ -257,7 +267,7 @@ def test_apply_on_qubits_matches_the_dense_operator(n, targets):
     states = rng.normal(size=(3, 4, dim)) + 1j * rng.normal(size=(3, 4, dim))
     for state in (states[0, 0], states[0], states[:, 2]):
         before = state.copy()
-        for op in (u, linalg.Gate(u, targets)):
+        for op in (u, linalg.GateStack(u[None], targets)):
             got = linalg.apply_on_qubits(state, op, targets)
             assert got.shape == state.shape
             assert np.max(np.abs(got - state @ full.T), initial=0.0) <= 1e-12
@@ -277,13 +287,13 @@ def test_stacked_gates_match_one_gate_per_row(n, targets, entries):
     base gate, with and without a batch axis."""
     rng = np.random.default_rng(41 + n + 7 * len(targets) + entries)
     dim = 1 << len(targets)
-    base = linalg.Gate(random_unitary(dim, rng), targets)
+    base = linalg.GateStack(random_unitary(dim, rng)[None], targets)
     distinct = np.stack([random_unitary(dim, rng)
                          for _ in range(entries)])
     rows = np.stack([rng.permutation(dim) for _ in range(entries)])
     families = {
         "distinct": (linalg.GateStack(distinct, targets), distinct),
-        "rows": (base.stack_rows(rows), base.unitary[rows]),
+        "rows": (base.stack_rows(rows), base.unitaries[0][rows]),
     }
     for shape in ((entries, 1 << n), (entries, 3, 1 << n)):
         state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -325,9 +335,9 @@ def test_stacked_gates_reject_bad_stacks():
         stack.unitaries[0, 0, 0] = 5.0
     with pytest.raises(ValueError, match="target count"):
         linalg.apply_on_qubits(state, stack, (0, 1))
-    # one gate per entry needs the entries' axis
+    # two gates or more, one per entry, need the entries' axis
     with pytest.raises(ValueError, match="after one axis for the gates"):
-        linalg.apply_on_qubits(state[0], linalg.GateStack(gates[1:2], (1,)),
+        linalg.apply_on_qubits(state[0], linalg.GateStack(gates[1:], (1,)),
                                (1,))
 
 
@@ -338,14 +348,15 @@ def test_stacked_gates_reject_bad_stacks():
 def test_targets_must_be_integers(targets):
     op = np.eye(1 << len(targets))
     with pytest.raises(ValueError, match="integers"):
-        linalg.Gate(op, targets)
+        linalg.GateStack(op[None], targets)
     with pytest.raises(ValueError, match="integers"):
         linalg.apply_on_qubits(np.eye(1, 4, dtype=complex)[0], op, targets)
 
 
 def test_numpy_integer_targets_are_accepted():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    gate = linalg.Gate(np.kron(x, np.eye(2)), (np.int64(1), np.uint8(0)))
+    gate = linalg.GateStack(np.kron(x, np.eye(2))[None],
+                            (np.int64(1), np.uint8(0)))
     assert gate.targets == (1, 0)
     assert all(type(t) is int for t in gate.targets)
     s00 = np.eye(1, 4, dtype=complex)[0]
@@ -353,6 +364,15 @@ def test_numpy_integer_targets_are_accepted():
                           [0, 1, 0, 0])  # X on qubit 1: |01>
     assert np.array_equal(linalg.apply_on_qubits(s00, x, np.array([0])),
                           [0, 0, 1, 0])  # X on qubit 0: |10>
+
+
+def test_is_unitary_of_empty_stacks_and_matrices():
+    # nothing fails in an empty stack, and the 0 x 0 matrix is unitary
+    for empty in (np.zeros((0, 2, 2)), np.zeros((0, 0)), np.zeros((3, 0, 0)),
+                  np.zeros((0, 0, 0))):
+        assert linalg.is_unitary(empty) is True, empty.shape
+    assert linalg.is_unitary(np.zeros((0, 2, 3))) is False
+    assert linalg.is_unitary(np.zeros(0)) is False
 
 
 def test_random_unitaries_are_unitary():

@@ -40,6 +40,21 @@ def test_comm_matrix_reads_bool_and_numeric_tables_alike():
             ranklab.CommMatrix(3, "f", wrong)
 
 
+def test_table_and_polynomial_n_is_an_integer():
+    # the integer rule of AcceptanceMatrix: a bool or a float is no n, and
+    # a numpy integer is read as an int, also in the JSON
+    for bad in (True, 1.0, np.True_, np.float64(1)):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            ranklab.CommMatrix(bad, "f", np.eye(2, dtype=int))
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            ranklab.FoldedPolynomial(n=bad, coeffs=[1.0, -1])
+    table = ranklab.CommMatrix(np.int64(1), "f", np.eye(2, dtype=int))
+    assert type(table.n) is int
+    assert json.loads(table.to_json()) == {"n": 1, "values": [[1, 0], [0, 1]]}
+    poly = ranklab.FoldedPolynomial(n=np.uint8(1), coeffs=[1.0, -1])
+    assert type(poly.n) is int and poly.evaluate(1) == 0.0
+
+
 def test_canonical_witness_takes_the_sizes_and_names_of_the_tables():
     for fn in ranklab.FUNCTION_NAMES:
         # a bool or a non-integer is not a size, and fails the size rule

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import grover_state
 from qcommlab import engine, linalg, ranklab, zoo
 
 
@@ -77,7 +78,7 @@ def test_svd_protocol_all_zero_matrix():
 
 
 def test_grover_exact_on_four_states():
-    st = zoo.grover_state(np.full(4, 0.5), [1], 1)
+    st = grover_state(np.full(4, 0.5), [1], 1)
     assert abs(abs(st[1]) ** 2 - 1.0) <= 1e-9
 
 
@@ -387,7 +388,7 @@ def test_protocol_corpus_costs():
 
 def gates_of(step, v):
     """Input v's gates from a build over [v], as (matrix, targets) pairs."""
-    return [(s.unitaries[0] if s.rows is None else s.unitaries[s.rows[0]],
+    return [(s.unitaries[0] if s.rows is None else s.unitaries[0][s.rows[0]],
              s.targets)
             for s in step.build(np.array([v]))]
 
@@ -435,13 +436,13 @@ def test_search_inputs_must_be_equal_length_bits(x, y):
 def test_svd_protocol_replies_with_one_gate_on_bobs_qubits_and_message(
         monkeypatch):
     made = []
-    post_init = linalg.Gate.__post_init__
+    init = linalg.GateStack.__init__
 
-    def counted(gate):
-        post_init(gate)
+    def counted(gate, unitaries, targets):
+        init(gate, unitaries, targets)
         made.append(gate)
 
-    monkeypatch.setattr(linalg.Gate, "__post_init__", counted)
+    monkeypatch.setattr(linalg.GateStack, "__init__", counted)
     for fn in ranklab.FUNCTION_NAMES:
         for n in range(1, 7):
             made.clear()
@@ -522,13 +523,13 @@ def test_trivial_message_is_rows_of_one_identity(monkeypatch):
     """Alice sends x as one gate: the identity on the message qubits with
     rows r ^ x, whose base is made and checked once per protocol."""
     made = []
-    post_init = linalg.Gate.__post_init__
+    init = linalg.GateStack.__init__
 
-    def counted_init(gate):
-        made.append(gate.unitary.shape[0])
-        post_init(gate)
+    def counted_init(gate, unitaries, targets):
+        made.append(np.shape(unitaries)[-1])
+        init(gate, unitaries, targets)
 
-    monkeypatch.setattr(linalg.Gate, "__post_init__", counted_init)
+    monkeypatch.setattr(linalg.GateStack, "__init__", counted_init)
     for n in range(1, 5):
         p = zoo.trivial_exact_protocol(ranklab.build_comm_matrix("EQ", n))
         made.clear()
@@ -546,18 +547,18 @@ def test_trivial_message_is_rows_of_one_identity(monkeypatch):
 
 def test_building_a_protocol_makes_no_gate(monkeypatch):
     made = []
-    post_init, stack_rows = linalg.Gate.__post_init__, linalg.Gate.stack_rows
+    init, stack_rows = linalg.GateStack.__init__, linalg.GateStack.stack_rows
 
-    def counted_init(gate):
+    def counted_init(gate, unitaries, targets):
         made.append("checked")
-        post_init(gate)
+        init(gate, unitaries, targets)
 
     def counted_rows(gate, rows):
         made.append("permuted")
         return stack_rows(gate, rows)
 
-    monkeypatch.setattr(linalg.Gate, "__post_init__", counted_init)
-    monkeypatch.setattr(linalg.Gate, "stack_rows", counted_rows)
+    monkeypatch.setattr(linalg.GateStack, "__init__", counted_init)
+    monkeypatch.setattr(linalg.GateStack, "stack_rows", counted_rows)
     n = 8
     protocols = [zoo.ndet_svd_protocol(ranklab.canonical_witness(fn, n))
                  .protocol for fn in ranklab.FUNCTION_NAMES]
